@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI: formatting, lints, and the full offline test suite.
 # Everything runs with --offline — the workspace must never need the
-# network (proptest/criterion resolve to in-tree stand-ins in vendor/).
+# network (proptest resolves to an in-tree stand-in in vendor/).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -41,7 +41,7 @@ cargo run --release --offline -p gr-bench --bin repro -- \
   run --quick --audit-every 500 --out "$CK/rec2" fig2 >/dev/null
 for a in "$CK"/rec/audit/*.audit; do
   cargo run --release --offline -p gr-bench --bin repro -- \
-    --audit-compare "$a" "$CK/rec2/audit/$(basename "$a")" >/dev/null
+    audit "$a" "$CK/rec2/audit/$(basename "$a")" >/dev/null
 done
 
 echo "==> golden-trace corpus (structural fixtures)"
@@ -55,9 +55,6 @@ cargo run --release --offline -p gr-bench --bin repro -- \
 for f in "$CK"/wa/world*.csv; do
   cmp "$f" "$CK/wb/$(basename "$f")"
 done
-
-echo "==> world identity (fig2 via 1x1 worlds must match fig2.csv byte-for-byte)"
-cargo run --release --offline -p gr-bench --bin repro -- --fig2-check --quick >/dev/null
 
 echo "==> world conformance (honest 2x2 cells must check clean per-cell)"
 cargo run --release --offline -p gr-bench --bin repro -- \
@@ -109,9 +106,6 @@ diff -r "$CK/int1/intensity" "$CK/int8/intensity"
 
 echo "==> planted NAV bug is caught and shrunk (fault injection)"
 cargo test --offline -q -p gr-bench --test conform --features inject-nav-bug
-
-echo "==> perf gate (pinned subset vs committed baseline, ±25%; conform overhead ≤40%)"
-cargo run --release --offline -p gr-bench --bin repro -- gate --check
 
 echo "==> cargo doc"
 cargo doc --workspace --no-deps --offline -q

@@ -7,7 +7,6 @@
 //! repro run --jobs 8 all       # shard sweep points across 8 workers
 //! repro run --out results all  # CSV output directory (default: results)
 //! repro run --record fig6      # flight-record every run into results/obs/
-//! repro gate [--check]         # perf gate; --check fails on regression
 //! repro fuzz 25 --seed 7       # randomized conformance fuzzing
 //! repro world [--cells 3x3]    # multi-cell world campaign
 //! repro cc                     # congestion-control zoo matrix
@@ -15,14 +14,13 @@
 //!                              # thresholds, CUSUM/SPRT delays
 //! repro intensity              # attack-intensity frontiers: sweep every
 //!                              # misbehavior knob to its detector's knee
+//! repro audit A.audit B.audit  # diff two audit ladders
 //! repro --list                 # available experiment ids
 //! ```
 //!
-//! Each subcommand expands to the flag spelling it replaced
-//! (`repro gate` ≡ `repro --bench-gate`, and so on); the old flags keep
-//! working as hidden aliases so existing scripts and recorded repro
-//! lines don't break. Zero-padded ids (`fig06`) are accepted anywhere
-//! an id is.
+//! The first argument picks the mode: a subcommand, `--list` or
+//! `--help`; anything else prints the usage and exits non-zero.
+//! Zero-padded ids (`fig06`) are accepted anywhere an id is.
 //!
 //! Outputs are independent of `--jobs`: every simulation run draws from
 //! an RNG stream keyed by `(experiment label, sweep point, seed index)`,
@@ -44,11 +42,11 @@
 //! Checkpoint & audit (see DESIGN.md §12):
 //!
 //! ```sh
-//! repro --quick --checkpoint-every 100 fig6   # checkpoint every 100 ms vt
-//! repro --quick --audit-every 100 fig6        # record audit ladders too
-//! repro --quick --resume results fig6         # resume a recorded campaign
-//! repro --resume results/checkpoints/RUN.snap # resume one checkpoint file
-//! repro --audit-compare A.audit B.audit       # diff two audit ladders
+//! repro run --quick --checkpoint-every 100 fig6   # checkpoint every 100 ms vt
+//! repro run --quick --audit-every 100 fig6        # record audit ladders too
+//! repro run --quick --resume results fig6         # resume a recorded campaign
+//! repro run --resume results/checkpoints/RUN.snap # resume one checkpoint file
+//! repro audit A.audit B.audit                     # diff two audit ladders
 //! ```
 //!
 //! `--checkpoint-every N` freezes every run at each multiple of N ms of
@@ -57,15 +55,15 @@
 //! `DIR/audit/<run>.audit`. `--resume DIR` re-runs the selected
 //! experiments, restoring each run from its recorded checkpoint and
 //! simulating only the tail — the CSVs come out byte-identical to the
-//! uninterrupted campaign's, at any `--jobs` width. `--audit-compare`
-//! exits non-zero when the ladders diverge and names the first diverging
-//! layer and virtual-time bracket.
+//! uninterrupted campaign's, at any `--jobs` width. `repro audit` exits
+//! non-zero when the ladders diverge and names the first diverging layer
+//! and virtual-time bracket.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use gr_bench::{fuzz, gate, registry, ConformCampaign, ObsCampaign, Quality, RunCtx};
+use gr_bench::{fuzz, registry, ConformCampaign, ObsCampaign, Quality, RunCtx};
 use net::stats;
 
 /// Per-experiment timing record for `bench_summary.json`.
@@ -169,62 +167,100 @@ fn quality_for(quick: bool, seeds_override: Option<u64>) -> Quality {
     q
 }
 
-/// Expands a leading subcommand (`run`, `gate`, `fuzz`, `world`, `cc`,
-/// `roc`) into the legacy flag spelling the single flag parser below
-/// understands. Anything else — including the old flag spellings, which
-/// remain hidden aliases — passes through untouched. Returns `Err` with
-/// an exit code for subcommands that refuse to run (`fuzz` without a
-/// case count).
-fn expand_subcommand(raw: Vec<String>) -> Result<Vec<String>, ExitCode> {
-    let prefixed = |flag: &str, rest: &[String]| {
-        let mut v = vec![flag.to_string()];
-        v.extend_from_slice(rest);
-        v
-    };
-    Ok(match raw.first().map(String::as_str) {
-        Some("run") => raw[1..].to_vec(),
-        Some("gate") => prefixed("--bench-gate", &raw[1..]),
-        Some("world") => prefixed("--world", &raw[1..]),
-        Some("cc") => prefixed("--cc", &raw[1..]),
-        Some("fuzz") => {
-            // `repro fuzz N [--seed K]`: the first bare integer is the
-            // case count; `--seed` maps to the legacy `--fuzz-seed`.
-            let mut v = Vec::new();
-            let mut count_seen = false;
-            let mut it = raw[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--seed" => {
-                        v.push("--fuzz-seed".to_string());
-                        if let Some(k) = it.next() {
-                            v.push(k.clone());
-                        }
-                    }
-                    s if !count_seen && s.parse::<u64>().is_ok() => {
-                        count_seen = true;
-                        v.push("--fuzz".to_string());
-                        v.push(s.to_string());
-                    }
-                    s => v.push(s.to_string()),
-                }
-            }
-            if !count_seen {
-                eprintln!("usage: repro fuzz N [--seed K]");
-                return Err(ExitCode::FAILURE);
-            }
-            v
-        }
-        Some("roc") => prefixed("--roc", &raw[1..]),
-        Some("intensity") => prefixed("--intensity", &raw[1..]),
-        _ => raw,
-    })
+/// Parses a grid spec like `3x3` into positive `(rows, cols)`.
+fn parse_grid(spec: &str) -> Option<(usize, usize)> {
+    let (r, c) = spec.split_once('x')?;
+    let (r, c) = (r.trim().parse().ok()?, c.trim().parse().ok()?);
+    (r > 0 && c > 0).then_some((r, c))
 }
 
+/// The mode a subcommand selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Run,
+    Fuzz,
+    World,
+    Cc,
+    Roc,
+    Intensity,
+    Audit,
+}
+
+const USAGE: &str = "\
+usage: repro run [--quick] [--jobs N] [--out DIR] [--record] [--record-filter SPEC]
+                 [--checkpoint-every MS] [--audit-every MS] [--resume PATH] (all | <id>...)
+       repro fuzz N [--seed K]
+       repro world [--cells RxC]
+       repro cc
+       repro roc
+       repro intensity [--points N]
+       repro audit A.audit B.audit
+       repro --list
+
+  --experiment IDS      select artifacts: one id or a comma-separated list
+                        (same as positional ids; zero-padded forms accepted)
+  --record              flight-record every run into DIR/obs/
+  --record-filter SPEC  comma-separated layers (phy|mac|transport|net)
+                        and/or node ids; implies --record
+  --checkpoint-every MS freeze every run at each MS of virtual time
+                        into DIR/checkpoints/
+  --audit-every MS      record per-layer state-hash ladders into DIR/audit/
+  --resume PATH         a campaign directory: resume every selected run from
+                        its checkpoint (CSVs byte-identical to an uninterrupted
+                        campaign); a .snap file: resume that one run and print it
+  --conform             live 802.11 invariant checking on every run; non-zero
+                        exit on any violation (also applies to --resume FILE)
+  --conform-no-whitelist  same, but declared greedy quirks no longer exempt
+                        their rules (greedy scenarios are expected to fail)
+  --seeds N             override the seed list with 1..=N (default: 1 seed
+                        with --quick, 5 at full fidelity)
+
+  fuzz N                run N randomized scenarios under the checker; shrink
+                        violations to a 10 ms bracket in DIR/conform/;
+                        --seed K sets the campaign seed (default 1); same N
+                        and K give identical verdicts and byte-identical artifacts
+  world                 multi-cell world campaign: sweep greedy density ×
+                        grid size, per-cell CSVs into DIR/world-RxC-gK.csv;
+                        --cells RxC restricts it to one grid size
+  cc                    congestion-control zoo: sweep {newreno,cubic,bbr,
+                        newreno+hystart} x {honest,nav,spoof,fake} into
+                        DIR/cc_matrix.csv and DIR/cc-<controller>.csv
+  roc                   detection science: per-detector ROC frontiers and AUC,
+                        load-adaptive threshold validation, CUSUM/SPRT detection
+                        delays — CSVs into DIR/roc/
+  intensity             attack-intensity frontiers: honest/attacked pairs per
+                        (detector, mix, intensity), knees and the windowed-vs-
+                        sequential crossover — CSVs into DIR/intensity/; honors
+                        --checkpoint-every / --audit-every / --resume DIR;
+                        --points N thins the grid to N points, keeping both ends
+  audit A B             diff two audit ladders; non-zero exit on divergence";
+
 fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1);
+    let mode = match args.next().as_deref() {
+        Some("run") => Mode::Run,
+        Some("fuzz") => Mode::Fuzz,
+        Some("world") => Mode::World,
+        Some("cc") => Mode::Cc,
+        Some("roc") => Mode::Roc,
+        Some("intensity") => Mode::Intensity,
+        Some("audit") => Mode::Audit,
+        Some("--list" | "-l") => {
+            for (id, _) in &registry() {
+                println!("{id}");
+            }
+            return ExitCode::SUCCESS;
+        }
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut quick = false;
-    let mut list = false;
-    let mut bench_gate = false;
-    let mut gate_check = false;
     let mut out_dir = PathBuf::from("results");
     let mut jobs = runner::available_jobs();
     let mut record = false;
@@ -232,82 +268,42 @@ fn main() -> ExitCode {
     let mut checkpoint_every: Option<u64> = None;
     let mut audit_every: Option<u64> = None;
     let mut resume: Option<PathBuf> = None;
-    let mut audit_compare: Option<(PathBuf, PathBuf)> = None;
     let mut conform = false;
     let mut conform_no_whitelist = false;
-    let mut world = false;
-    let mut cc_zoo = false;
-    let mut roc_campaign = false;
-    let mut intensity_campaign = false;
     let mut intensity_points: Option<usize> = None;
     let mut seeds_override: Option<u64> = None;
     let mut cells: Option<(usize, usize)> = None;
-    let mut fig2_check = false;
-    let mut fuzz_n: Option<u64> = None;
     let mut fuzz_seed: u64 = 1;
+    // Positional arguments: experiment ids for `run`, the case count for
+    // `fuzz`, the two ladder files for `audit`.
     let mut ids: Vec<String> = Vec::new();
-    let argv = match expand_subcommand(std::env::args().skip(1).collect()) {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
-            "--list" | "-l" => list = true,
-            "--bench-gate" => bench_gate = true,
-            "--check" => gate_check = true,
             "--record" => record = true,
             "--conform" => conform = true,
             "--conform-no-whitelist" => {
                 conform = true;
                 conform_no_whitelist = true;
             }
-            "--world" => world = true,
-            "--cc" => cc_zoo = true,
-            "--roc" => roc_campaign = true,
-            "--intensity" => intensity_campaign = true,
             "--points" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n > 0 => {
-                    intensity_points = Some(n);
-                    intensity_campaign = true;
-                }
+                Some(Ok(n)) if n > 0 => intensity_points = Some(n),
                 _ => {
                     eprintln!("--points requires a positive grid-point count");
                     return ExitCode::FAILURE;
                 }
             },
-            "--fig2-check" => fig2_check = true,
-            "--cells" => match args.next() {
-                Some(spec) => match spec
-                    .split_once('x')
-                    .map(|(r, c)| (r.trim().parse::<usize>(), c.trim().parse::<usize>()))
-                {
-                    Some((Ok(r), Ok(c))) if r > 0 && c > 0 => {
-                        cells = Some((r, c));
-                        world = true;
-                    }
-                    _ => {
-                        eprintln!("--cells requires a grid like 3x3");
-                        return ExitCode::FAILURE;
-                    }
-                },
+            "--cells" => match args.next().as_deref().and_then(parse_grid) {
+                Some(grid) => cells = Some(grid),
                 None => {
                     eprintln!("--cells requires a grid like 3x3");
                     return ExitCode::FAILURE;
                 }
             },
-            "--fuzz" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => fuzz_n = Some(n),
-                _ => {
-                    eprintln!("--fuzz requires a case count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fuzz-seed" => match args.next().as_deref().map(str::parse) {
+            "--seed" => match args.next().as_deref().map(str::parse) {
                 Some(Ok(k)) => fuzz_seed = k,
                 _ => {
-                    eprintln!("--fuzz-seed requires a 64-bit seed");
+                    eprintln!("--seed requires a 64-bit seed");
                     return ExitCode::FAILURE;
                 }
             },
@@ -363,15 +359,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--audit-compare" => match (args.next(), args.next()) {
-                (Some(a), Some(b)) => {
-                    audit_compare = Some((PathBuf::from(a), PathBuf::from(b)));
-                }
-                _ => {
-                    eprintln!("--audit-compare requires two audit-ladder files");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--out" | "-o" => match args.next() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => {
@@ -394,73 +381,23 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: repro run [--quick] [--jobs N] [--out DIR] [--record] \
-                     [--record-filter SPEC]\n                 \
-                     [--checkpoint-every MS] [--audit-every MS] [--resume PATH] \
-                     (all | <id>...)\n       \
-                     repro gate [--check]\n       \
-                     repro fuzz N [--seed K]\n       \
-                     repro world [--cells RxC]\n       \
-                     repro cc\n       \
-                     repro roc\n       \
-                     repro intensity [--points N]\n       \
-                     repro --audit-compare A.audit B.audit\n       \
-                     repro --list\n\n  \
-                     Subcommands expand to the flag spellings they replaced \
-                     (gate = --bench-gate,\n  \
-                     fuzz N = --fuzz N, world = --world, cc = --cc); the old \
-                     flags remain accepted.\n\n  \
-                     --experiment IDS      select artifacts: one id or a comma-separated list\n                        \
-                     (same as positional ids; zero-padded forms accepted)\n  \
-                     --record              flight-record every run into DIR/obs/\n  \
-                     --record-filter SPEC  comma-separated layers (phy|mac|transport|net)\n                        \
-                     and/or node ids; implies --record\n  \
-                     --checkpoint-every MS freeze every run at each MS of virtual time\n                        \
-                     into DIR/checkpoints/\n  \
-                     --audit-every MS      record per-layer state-hash ladders into DIR/audit/\n  \
-                     --resume PATH         a campaign directory: resume every selected run from\n                        \
-                     its checkpoint (CSVs byte-identical to an uninterrupted\n                        \
-                     campaign); a .snap file: resume that one run and print it\n  \
-                     --audit-compare A B   diff two audit ladders; non-zero exit on divergence\n  \
-                     --conform             live 802.11 invariant checking on every run; non-zero\n                        \
-                     exit on any violation (also applies to --resume FILE)\n  \
-                     --conform-no-whitelist  same, but declared greedy quirks no longer exempt\n                        \
-                     their rules (greedy scenarios are expected to fail)\n  \
-                     --fuzz N              run N randomized scenarios under the checker; shrink\n                        \
-                     violations to a 10 ms bracket in DIR/conform/\n  \
-                     --fuzz-seed K         fuzz campaign seed (default 1); same N and K give\n                        \
-                     identical verdicts and byte-identical artifacts\n  \
-                     --world               multi-cell world campaign: sweep greedy density ×\n                        \
-                     grid size, per-cell CSVs into DIR/world-RxC-gK.csv\n  \
-                     --cells RxC           restrict --world to one grid size (implies --world)\n  \
-                     --seeds N             override the seed list with 1..=N (default: 1 seed\n                        \
-                     with --quick, 5 at full fidelity)\n  \
-                     --cc                  congestion-control zoo: sweep {{newreno,cubic,bbr,\n                        \
-                     newreno+hystart}} x {{honest,nav,spoof,fake}} into\n                        \
-                     DIR/cc_matrix.csv and DIR/cc-<controller>.csv\n  \
-                     --roc                 detection science: per-detector ROC frontiers and AUC,\n                        \
-                     load-adaptive threshold validation, CUSUM/SPRT detection\n                        \
-                     delays — CSVs into DIR/roc/\n  \
-                     --intensity           attack-intensity frontiers: honest/attacked pairs per\n                        \
-                     (detector, mix, intensity), knees and the windowed-vs-\n                        \
-                     sequential crossover — CSVs into DIR/intensity/; honors\n                        \
-                     --checkpoint-every / --audit-every / --resume DIR\n  \
-                     --points N            thin the intensity grid to N points, keeping both\n                        \
-                     endpoints (implies --intensity)\n  \
-                     --fig2-check          identity gate: fig2 via 1x1 worlds must match the\n                        \
-                     direct fig2 CSV byte-for-byte\n  \
-                     --bench-gate          time the pinned perf-gate subset, write BENCH_<date>.json\n  \
-                     --check               with --bench-gate: fail on regression vs BENCH_BASELINE.json"
-                );
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
+            }
+            other if other.starts_with('-') => {
+                eprintln!("unknown option `{other}`\n\n{USAGE}");
+                return ExitCode::FAILURE;
             }
             other => ids.push(other.to_string()),
         }
     }
 
-    if let Some((a, b)) = &audit_compare {
-        return match greedy80211::audit::compare_files(a, b) {
+    if mode == Mode::Audit {
+        let [a, b] = ids.as_slice() else {
+            eprintln!("usage: repro audit A.audit B.audit");
+            return ExitCode::FAILURE;
+        };
+        return match greedy80211::audit::compare_files(Path::new(a), Path::new(b)) {
             Ok(divergence) => {
                 println!("{}", greedy80211::audit::describe(&divergence));
                 if divergence.is_none() {
@@ -470,7 +407,7 @@ fn main() -> ExitCode {
                 }
             }
             Err(e) => {
-                eprintln!("--audit-compare: {e}");
+                eprintln!("repro audit: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -478,7 +415,15 @@ fn main() -> ExitCode {
 
     // Fuzz mode: generate + run + shrink, independent of the experiment
     // registry.
-    if let Some(n) = fuzz_n {
+    if mode == Mode::Fuzz {
+        let n = match ids.as_slice() {
+            [n] => n.parse::<u64>().ok(),
+            _ => None,
+        };
+        let Some(n) = n else {
+            eprintln!("usage: repro fuzz N [--seed K]");
+            return ExitCode::FAILURE;
+        };
         if let Err(e) = std::fs::create_dir_all(&out_dir) {
             eprintln!(
                 "failed to create output directory {}: {e}",
@@ -527,10 +472,13 @@ fn main() -> ExitCode {
                     }
                     match &v.artifact {
                         Some(p) => {
-                            println!("        repro: repro --conform --resume {}", p.display())
+                            println!(
+                                "        repro: repro run --conform --resume {}",
+                                p.display()
+                            )
                         }
                         None => println!(
-                            "        repro: repro --fuzz {} --fuzz-seed {fuzz_seed}  \
+                            "        repro: repro fuzz {} --seed {fuzz_seed}  \
                              (case {i}; violation inside the first bracket)",
                             i + 1
                         ),
@@ -555,7 +503,7 @@ fn main() -> ExitCode {
     // --conform the checker rides along mid-stream (stream-dependent
     // rules disarmed, protocol-timing rules live) — how a fuzz
     // violation artifact is replayed.
-    if let Some(path) = resume.as_ref().filter(|p| p.is_file()) {
+    if let Some(path) = resume.as_ref().filter(|p| mode == Mode::Run && p.is_file()) {
         let job = conform.then(|| {
             let j = ::conform::ConformJob::new(None);
             if conform_no_whitelist {
@@ -619,26 +567,7 @@ fn main() -> ExitCode {
         };
     }
 
-    if fig2_check {
-        let quality = quality_for(quick, seeds_override);
-        let ctx = RunCtx::with_jobs(quality, jobs);
-        println!(
-            "# fig2 identity check — direct vs 1×1-world, {} job(s)\n",
-            jobs
-        );
-        return match gr_bench::fig2_check(&ctx) {
-            Ok(msg) => {
-                println!("  {msg}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("  {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if cc_zoo {
+    if mode == Mode::Cc {
         let quality = quality_for(quick, seeds_override);
         let campaign = gr_bench::CcCampaign::new(quality, jobs);
         println!(
@@ -651,7 +580,7 @@ fn main() -> ExitCode {
         let report = match campaign.run(&out_dir) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("--cc: {e}");
+                eprintln!("repro cc: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -667,7 +596,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if intensity_campaign {
+    if mode == Mode::Intensity {
         let quality = quality_for(quick, seeds_override);
         let mut campaign = gr_bench::IntensityCampaign::new(quality.clone(), jobs);
         if let Some(n) = intensity_points {
@@ -701,7 +630,7 @@ fn main() -> ExitCode {
         let report = match campaign.run_with(&ctx, &int_dir) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("--intensity: {e}");
+                eprintln!("repro intensity: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -735,7 +664,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if roc_campaign {
+    if mode == Mode::Roc {
         let quality = quality_for(quick, seeds_override);
         let campaign = gr_bench::RocCampaign::new(quality, jobs);
         println!(
@@ -749,7 +678,7 @@ fn main() -> ExitCode {
         let report = match campaign.run(&roc_dir) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("--roc: {e}");
+                eprintln!("repro roc: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -768,7 +697,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if world {
+    if mode == Mode::World {
         let quality = quality_for(quick, seeds_override);
         let mut campaign = gr_bench::WorldCampaign::new(quality, jobs);
         if let Some((r, c)) = cells {
@@ -787,7 +716,7 @@ fn main() -> ExitCode {
         let report = match campaign.run(&out_dir) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("--world: {e}");
+                eprintln!("repro world: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -832,100 +761,9 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if bench_gate {
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!(
-                "failed to create output directory {}: {e}",
-                out_dir.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "# perf gate — pinned subset {:?}, sequential, 1 seed, best of {} passes\n",
-            gate::GATE_SUBSET,
-            gate::GATE_PASSES
-        );
-        let report = gate::run_gate();
-        for st in &report.stats {
-            println!(
-                "  {:<6} {:>10.3}s  {:>10} events  {:>9.0} events/s  {:>6.1} ns/event",
-                st.id,
-                st.wall_s,
-                st.events,
-                st.events_per_sec(),
-                st.ns_per_event()
-            );
-        }
-        println!(
-            "  total  {:>10.3}s  {:>10} events  {:>9.0} events/s  {:>6.1} ns/event  (peak RSS {} KiB)",
-            report.total_wall_s(),
-            report.total_events(),
-            report.events_per_sec(),
-            report.ns_per_event(),
-            report.peak_rss_kib
-        );
-        println!(
-            "  conform pass: {:.3}s ({:+.1} % overhead), {} run(s), {} violation(s)",
-            report.conform_wall_s,
-            report.conform_overhead_pct(),
-            report.conform_runs,
-            report.conform_violations
-        );
-        println!(
-            "  world smoke: {:.0} events/s at 1 cell, {:.0} events/s at 3x3 co-channel cells",
-            report.world.cells1_events_per_sec, report.world.cells9_events_per_sec
-        );
-        println!(
-            "  cc smoke: {:.0} events/s under cubic, {:.0} events/s under bbr",
-            report.cc.cubic_events_per_sec, report.cc.bbr_events_per_sec
-        );
-        println!(
-            "  sustained: {:.0} events/s (8-station saturating hotspot)",
-            report.sustained_events_per_sec
-        );
-        println!(
-            "  roc smoke: {:.0} events/s (pinned detection-science campaign)",
-            report.roc_events_per_sec
-        );
-        println!(
-            "  intensity smoke: {:.0} events/s (two-point attack-intensity frontier)",
-            report.intensity_events_per_sec
-        );
-        let path = out_dir.join(format!("BENCH_{}.json", report.date));
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("  -> {}", path.display());
-        if gate_check {
-            let baseline = out_dir.join("BENCH_BASELINE.json");
-            match gate::check_against_baseline(&report, &baseline, gate::GATE_TOLERANCE) {
-                Ok(msg) => println!("  {msg}"),
-                Err(msg) => {
-                    eprintln!("  {msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            match report.conform_check(gate::CONFORM_OVERHEAD_LIMIT_PCT) {
-                Ok(msg) => println!("  {msg}"),
-                Err(msg) => {
-                    eprintln!("  {msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
     let reg = registry();
-    if list {
-        for (id, _) in &reg {
-            println!("{id}");
-        }
-        return ExitCode::SUCCESS;
-    }
     if ids.is_empty() {
-        eprintln!("no experiments selected; try `repro all` or `repro --list`");
+        eprintln!("no experiments selected; try `repro run all` or `repro --list`");
         return ExitCode::FAILURE;
     }
     let selected: Vec<&(&str, gr_bench::Generator)> = if ids.iter().any(|i| i == "all") {

@@ -1,7 +1,7 @@
 //! Congestion-control zoo campaign: controller × misbehavior damage
 //! matrix.
 //!
-//! The paper fixes the transport at TCP Reno; `repro --cc` asks how much
+//! The paper fixes the transport at TCP Reno; `repro cc` asks how much
 //! of its damage story is Reno-specific. Every controller of the zoo
 //! ({NewReno, CUBIC, BBR, NewReno+HyStart}) runs the standard two-pair
 //! TCP hotspot under every misbehavior ({honest, NAV inflation, ACK
@@ -49,7 +49,7 @@ pub fn controllers() -> Vec<CcConfig> {
     ]
 }
 
-/// A planned `--cc` campaign.
+/// A planned `repro cc` campaign.
 #[derive(Debug, Clone)]
 pub struct CcCampaign {
     /// Run length and replication seeds.
@@ -125,7 +125,7 @@ impl CcCampaign {
     }
 }
 
-/// Result of a finished `--cc` campaign.
+/// Result of a finished `repro cc` campaign.
 #[derive(Debug)]
 pub struct CcCampaignReport {
     /// One row per `(controller, attack)` cell.

@@ -1,6 +1,6 @@
 //! Deterministic scenario fuzzing under the live conformance checker.
 //!
-//! `repro --fuzz N --fuzz-seed K` generates `N` randomized scenarios —
+//! `repro fuzz N --seed K` generates `N` randomized scenarios —
 //! topology, transport, payload, loss, greedy mixes — runs each under
 //! the full invariant checker, and shrinks any violation to a 10 ms
 //! virtual-time bracket via the checkpoint subsystem: the violating run
@@ -175,7 +175,7 @@ pub struct FuzzVerdict {
     /// Layer the violated rule belongs to.
     pub layer: Option<&'static str>,
     /// Checkpoint written at the bracket floor, replayable with
-    /// `repro --conform --resume <path>`.
+    /// `repro run --conform --resume <path>`.
     pub artifact: Option<PathBuf>,
 }
 

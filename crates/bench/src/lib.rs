@@ -12,7 +12,7 @@
 //! Run everything:
 //!
 //! ```sh
-//! cargo run --release -p gr-bench --bin repro -- all
+//! cargo run --release -p gr-bench --bin repro -- run all
 //! ```
 //!
 //! or a single artifact (`fig1`, `tab2`, …), with `--quick` for a
@@ -21,7 +21,6 @@
 pub mod cc;
 pub mod experiments;
 pub mod fuzz;
-pub mod gate;
 pub mod intensity;
 pub mod quality;
 pub mod roc;
@@ -30,16 +29,12 @@ pub mod table;
 pub mod world;
 
 pub use cc::{CcCampaign, CcCampaignReport};
-pub use gate::{
-    run_gate, CcSmoke, GateReport, WorldSmoke, CONFORM_OVERHEAD_LIMIT_PCT, GATE_SUBSET,
-    GATE_TOLERANCE,
-};
 pub use intensity::{IntensityCampaign, IntensityCampaignReport, INTENSITY_GRID};
 pub use quality::Quality;
 pub use roc::{RocCampaign, RocCampaignReport};
 pub use sweep::{sweep, sweep_scalar};
 pub use table::Experiment;
-pub use world::{fig2_check, WorldCampaign, WorldCampaignReport};
+pub use world::{WorldCampaign, WorldCampaignReport};
 
 use sim::RunKey;
 

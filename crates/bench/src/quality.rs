@@ -26,7 +26,7 @@ impl Quality {
         }
     }
 
-    /// Fast pass for smoke tests and Criterion benches: one seed, 2 s.
+    /// Fast pass for smoke tests: one seed, 2 s.
     pub fn quick() -> Self {
         Quality {
             seeds: vec![1],

@@ -642,7 +642,7 @@ fn measure_windowed(
 ) -> ClassSeed {
     // The spoof cell needs a lossy channel: ACK forgery only has frames
     // to lie about when some are actually lost (same rate as `repro
-    // --cc`'s spoof cells, both classes so labels differ only by attack).
+    // cc`'s spoof cells, both classes so labels differ only by attack).
     let ber = match guard {
         Guard::Nav => 0.0,
         Guard::Spoof => LOSSY_BER,

@@ -1,6 +1,6 @@
 //! Multi-cell world campaigns: greedy density × grid size.
 //!
-//! The paper measures one hotspot at a time; `repro --world` tiles the
+//! The paper measures one hotspot at a time; `repro world` tiles the
 //! same scenario into a [`greedy80211::WorldSpec`] grid and sweeps how
 //! many cells host the greedy receiver against how many cells the world
 //! has. Every `(grid, greedy-density)` combination is one deterministic
@@ -11,11 +11,11 @@
 //! the CI smoke compares the CSVs from a `--jobs 1` and a `--jobs 8`
 //! pass byte for byte.
 //!
-//! `repro --fig2-check` is the identity gate: it regenerates fig. 2 both
+//! [`fig2_check`] is the identity check: it regenerates fig. 2 both
 //! directly and through 1×1 worlds (same labels, same derived seeds) and
 //! fails unless the two CSVs match byte for byte — the proof that the
 //! lockstep path is the single-network path when there is nothing to
-//! exchange.
+//! exchange. The unit tests run it.
 
 use std::fmt::Write as _;
 use std::io;
@@ -35,7 +35,7 @@ pub const DEFAULT_GRIDS: &[(usize, usize)] = &[(1, 1), (2, 2), (3, 3)];
 /// cells hosting the greedy receiver).
 pub const DEFAULT_GREEDY_FRACS: &[f64] = &[0.0, 0.34, 1.0];
 
-/// A planned `--world` campaign.
+/// A planned `repro world` campaign.
 #[derive(Debug, Clone)]
 pub struct WorldCampaign {
     /// Run length and template seed source (`seeds[0]`).
@@ -164,7 +164,7 @@ impl WorldCampaign {
     }
 }
 
-/// Result of a finished `--world` campaign.
+/// Result of a finished `repro world` campaign.
 #[derive(Debug)]
 pub struct WorldCampaignReport {
     /// One row per `(grid, greedy-density)` combination.
@@ -266,22 +266,18 @@ pub fn fig2_world(ctx: &RunCtx) -> Experiment {
     e
 }
 
-/// The 1×1-world identity gate: regenerates fig. 2 directly and through
+/// The 1×1-world identity check: regenerates fig. 2 directly and through
 /// [`fig2_world`] and demands byte-identical CSVs.
 ///
 /// # Errors
 ///
 /// Returns a description of the first differing line when the identity
 /// does not hold.
-pub fn fig2_check(ctx: &RunCtx) -> Result<String, String> {
+pub fn fig2_check(ctx: &RunCtx) -> Result<(), String> {
     let direct = crate::experiments::fig02::run(ctx).csv();
     let world = fig2_world(ctx).csv();
     if direct == world {
-        return Ok(format!(
-            "fig2 identity OK: 1×1 world reproduces fig2.csv byte-for-byte ({} bytes, {} rows)",
-            direct.len(),
-            direct.lines().count().saturating_sub(1)
-        ));
+        return Ok(());
     }
     let diff = direct
         .lines()
@@ -316,33 +312,9 @@ mod tests {
 
     #[test]
     fn one_by_one_world_matches_direct_sweep() {
-        // The full `--fig2-check` sweeps 11 points at campaign fidelity;
-        // this is the same identity on a 2-point, 300 ms slice.
-        let ctx = RunCtx::sequential(tiny_quality());
-        let q = tiny_quality();
-        let points: &[u32] = &[0, 10_000];
-        let direct = sweep(&ctx, "fig2", points, |&inflate, seed| {
-            let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), &q, seed);
-            let out = Run::plan(&s).execute().expect("valid scenario");
-            vec![
-                out.goodput_mbps(0),
-                out.goodput_mbps(1),
-                out.metrics.events_processed as f64,
-            ]
-        });
-        let world = sweep(&ctx, "fig2", points, |&inflate, seed| {
-            let s = nav_two_pair(true, NavInflationConfig::cts_only(inflate, 1.0), &q, seed);
-            let mut spec = WorldSpec::grid(s, 1, 1);
-            spec.greedy_cells = 1;
-            let w = Run::world(&spec).execute().expect("valid world");
-            let out = &w.cells[0].outcome;
-            vec![
-                out.goodput_mbps(0),
-                out.goodput_mbps(1),
-                out.metrics.events_processed as f64,
-            ]
-        });
-        assert_eq!(direct, world);
+        // The real fig02 generator over all 11 inflation points, direct
+        // vs through 1×1 worlds, at 300 ms per run.
+        assert_eq!(fig2_check(&RunCtx::sequential(tiny_quality())), Ok(()));
     }
 
     #[test]

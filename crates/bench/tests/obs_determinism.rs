@@ -5,7 +5,7 @@
 //! obs artifacts, and byte-compares the two trees. Recording rides the
 //! simulation without touching the scheduler or any RNG stream, and
 //! export iterates sorted structures, so every file must be identical
-//! regardless of worker count — the contract `repro --record` documents.
+//! regardless of worker count — the contract `repro run --record` documents.
 
 use std::collections::BTreeMap;
 use std::path::Path;

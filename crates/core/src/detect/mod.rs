@@ -16,10 +16,10 @@
 //! * [`FakeAckDetector`] — compares probed application loss against
 //!   `MACLoss^(maxRetries+1)`.
 //!
-//! Detector state is shared out through [`Shared`] handles (thread-safe
-//! cells) so experiments can read detection counts after a run while the
-//! observer itself lives inside the MAC — and so a network with detectors
-//! attached stays `Send` and can run on any campaign worker thread.
+//! Detector state is shared out through [`Shared`] handles (`obs::Shared`,
+//! single-threaded cells) so experiments can read detection counts after
+//! a run while the observer itself lives inside the MAC; run outcomes
+//! carry detached snapshots, never the cells.
 
 mod cross_layer;
 mod domino;

@@ -3,12 +3,11 @@
 //! it, the higher the detection likelihood).
 
 mod nav_guard;
-mod shared;
 mod spoof_guard;
 mod window;
 
 pub use nav_guard::{NavGuard, NavGuardHandle, NavGuardReport};
-pub use shared::Shared;
+pub use obs::Shared;
 pub use spoof_guard::{SpoofGuard, SpoofGuardConfig, SpoofGuardHandle, SpoofGuardReport};
 pub use window::{WindowStat, WindowTrack};
 

@@ -20,8 +20,8 @@ use crate::{Frame, FrameKind, FrameMeta, MacObserver, Msdu, NavCalculator};
 use phy::PhyParams;
 use sim::{SimDuration, SimTime};
 
-use super::shared::Shared;
 use super::window::WindowTrack;
+use super::Shared;
 
 /// Detection statistics shared out of the observer.
 #[derive(Debug, Clone, Default)]
@@ -44,8 +44,8 @@ impl NavGuardReport {
     }
 }
 
-/// Shared handle to a [`NavGuardReport`]. Thread-safe so a network with
-/// the guard attached remains `Send`.
+/// Shared handle to a [`NavGuardReport`] (single-threaded, like the run
+/// that owns it).
 pub type NavGuardHandle = Shared<NavGuardReport>;
 
 /// The NAV-sanitizing observer.

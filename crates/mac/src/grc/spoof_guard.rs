@@ -18,8 +18,8 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::{Frame, FrameKind, FrameMeta, MacObserver, Msdu, NodeId};
 
-use super::shared::Shared;
 use super::window::WindowTrack;
+use super::Shared;
 use sim::SimDuration;
 
 /// Tuning of the [`SpoofGuard`].
@@ -65,8 +65,8 @@ pub struct SpoofGuardReport {
     pub windows: Option<WindowTrack>,
 }
 
-/// Shared handle to a [`SpoofGuardReport`]. Thread-safe so a network with
-/// the guard attached remains `Send`.
+/// Shared handle to a [`SpoofGuardReport`] (single-threaded, like the run
+/// that owns it).
 pub type SpoofGuardHandle = Shared<SpoofGuardReport>;
 
 /// The sender-side ACK-vetting observer.

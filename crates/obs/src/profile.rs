@@ -3,7 +3,7 @@
 //! [`crate::span!`] brackets a code region with a named timer. When
 //! profiling is disabled (the default) a span is one relaxed atomic
 //! load and a branch — cheap enough to leave in the runtime's hot
-//! paths. When enabled (`repro --record`), spans accumulate call counts
+//! paths. When enabled (`repro run --record`), spans accumulate call counts
 //! and wall time per label into a process-wide registry that `repro`
 //! folds into `bench_summary.json`.
 //!

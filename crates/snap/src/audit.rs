@@ -11,9 +11,8 @@
 //! for a reordered event; and so on).
 //!
 //! Ladders serialize to a line-oriented text format (stable, diffable,
-//! `results/audit/<run-key>.audit`) and fold into a single *root digest*
-//! recorded by the perf gate, so CI notices any behavioural drift even
-//! without a second run to compare against.
+//! `results/audit/<run-key>.audit`) and fold into a single *root digest*,
+//! so two runs can be compared by one number before diffing ladders.
 
 use std::fmt;
 
