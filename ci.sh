@@ -21,6 +21,13 @@ cargo build --release --workspace --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> simbench (tests, then a seed-1 run per workload: pinned digests, no failed jobs)"
+cargo test --release --offline -q --manifest-path simbench/Cargo.toml
+for w in hotspot_udp paper_sweep world_cochannel; do
+  cargo run --release --offline -q --manifest-path simbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
+done
+
 echo "==> obs determinism (artifacts byte-identical across --jobs)"
 cargo test --offline -q -p gr-bench --test obs_determinism
 

@@ -133,9 +133,9 @@ impl<M: Msdu> FrameArena<M> {
         self.records.iter()
     }
 
-    /// Iterates over live `(handle, record)` pairs in ascending slot
-    /// order — the order the interferer fold in the PHY rx path relies
-    /// on for determinism.
+    /// Iterates over live `(handle, record)` pairs in unspecified order.
+    /// The PHY rx path's interferer fold is a pure `max`, so its result
+    /// does not depend on the order.
     pub fn entries(&self) -> impl Iterator<Item = (FrameId, &TxRecord<M>)> {
         self.records.entries().map(|(h, r)| (FrameId(h), r))
     }

@@ -16,7 +16,7 @@
 //!   Table I measurement justifies this), which is what makes the
 //!   fake-ACK misbehavior possible.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use mac::{
     CorruptionCause, Dcf, Frame, FrameArena, FrameId, FrameKind, MacAction, MacActions, NodeId,
@@ -157,7 +157,6 @@ pub(crate) struct NodeState {
     /// Live timer handles, densely indexed by [`TimerKind::index`].
     timers: [Option<TimerHandle>; TimerKind::COUNT],
     busy_count: u32,
-    tx_history: VecDeque<(SimTime, SimTime)>,
 }
 
 /// What a flow carries and the endpoint state machines.
@@ -230,11 +229,15 @@ pub struct Network {
     pub(crate) default_error: ErrorModel,
     pub(crate) rng: SimRng,
     sched: Scheduler<Event>,
-    /// Recent transmissions (active plus a short interference tail),
-    /// referenced from in-flight events by generation-stamped handle.
+    /// Every transmission that can still overlap a pending reception:
+    /// active frames plus those that ended less than `max_air` ago.
+    /// Referenced from in-flight events by generation-stamped handle.
     /// Frames are interned here once at transmission-start and borrowed
     /// everywhere else — steady state allocates zero frames per event.
     frames: FrameArena<Segment>,
+    /// Longest airtime transmitted so far: the window `prune_frames`
+    /// keeps finished frames for. Simulation state (snapshot format 4).
+    max_air: SimDuration,
     /// Precomputed per-pair reach and median received power (positions
     /// are fixed after assembly).
     link: LinkTable,
@@ -319,7 +322,6 @@ impl Network {
                     pos,
                     timers: [None; TimerKind::COUNT],
                     busy_count: 0,
-                    tx_history: VecDeque::new(),
                 })
                 .collect(),
             flow_timers: vec![None; flows.len()],
@@ -330,6 +332,7 @@ impl Network {
             rng,
             sched: Scheduler::new(),
             frames: FrameArena::new(),
+            max_air: SimDuration::ZERO,
             link,
             fer,
             link_em,
@@ -915,13 +918,7 @@ impl Network {
         // busy tracking, reception, tx-end bookkeeping — works through
         // the generation-stamped handle.
         let id = self.frames.insert(frame, now, end);
-        {
-            let st = &mut self.nodes[src.0 as usize];
-            st.tx_history.push_back((now, end));
-            if st.tx_history.len() > 16 {
-                st.tx_history.pop_front();
-            }
-        }
+        self.max_air = self.max_air.max(airtime);
         self.sched.arm_at(end, Event::TxEnd { tx: id });
         let onset = (now + self.cs_latency).min(end);
         for m in 0..self.nodes.len() {
@@ -950,33 +947,27 @@ impl Network {
         let rec = self.frames.get(tx).expect("rx conclude without record");
         let (a_start, a_end) = (rec.start, rec.end);
         let (a_src, a_dst, a_kind) = (rec.frame.actual_tx, rec.frame.dst, rec.frame.kind);
-        // Half-duplex: if we transmitted at any point during the frame, we
-        // heard nothing of it.
-        if self.nodes[rx]
-            .tx_history
-            .iter()
-            .any(|&(s, e)| s < a_end && a_start < e)
-        {
-            return;
+        // One pass over every frame overlapping this one. Half-duplex: if
+        // we transmitted at any point during the frame, we heard nothing
+        // of it. Otherwise track the strongest overlapping interferer
+        // (anything decodable or sensed). Arena order is arbitrary but
+        // the fold is a pure max, so the result is order-independent.
+        let mut max_other = f64::NEG_INFINITY;
+        for (h, b) in self.frames.entries() {
+            if h == tx || !(b.start < a_end && a_start < b.end) {
+                continue;
+            }
+            if b.frame.actual_tx == node {
+                return;
+            }
+            let b_src = b.frame.actual_tx.0 as usize;
+            if self.link.reach(b_src, rx) != Reach::None {
+                max_other = max_other.max(self.link.power_dbm(b_src, rx));
+            }
         }
         // Median received power doubles as the capture-comparison input
         // and the RSSI jitter center (`rx_power_dbm ≡ rssi median`).
         let p_a = self.link.power_dbm(a_src.0 as usize, rx);
-        // Strongest overlapping interferer (anything decodable or sensed).
-        // Arena order is arbitrary but the fold is a pure max, so the
-        // result is order-independent.
-        let mut max_other = f64::NEG_INFINITY;
-        for (h, b) in self.frames.entries() {
-            if h == tx || b.frame.actual_tx == node {
-                continue;
-            }
-            if b.start < a_end && a_start < b.end {
-                let b_src = b.frame.actual_tx.0 as usize;
-                if self.link.reach(b_src, rx) != Reach::None {
-                    max_other = max_other.max(self.link.power_dbm(b_src, rx));
-                }
-            }
-        }
         let rssi_dbm = self.channel.rssi().sample_from_median(p_a, &mut self.rng);
         let captured = max_other == f64::NEG_INFINITY
             || self.capture.decide(p_a, max_other) == phy::capture::CaptureOutcome::FirstCaptures;
@@ -1042,9 +1033,12 @@ impl Network {
         self.process_actions(now, node, actions);
     }
 
+    /// Drops frames that can no longer overlap a pending reception. A
+    /// frame still to conclude ends at or after `now` and lasts at most
+    /// `max_air`, so it began no earlier than `now - max_air`; a frame
+    /// that ended by then cannot overlap it.
     fn prune_frames(&mut self, now: SimTime) {
-        let horizon = SimDuration::from_millis(50);
-        self.frames.retain(|t| t.end + horizon > now);
+        self.frames.retain(|t| t.end + self.max_air > now);
     }
 
     // ------------------------------------------------------------------
@@ -1382,10 +1376,6 @@ impl NodeState {
             t.save(w);
         }
         w.u32(self.busy_count);
-        w.usize(self.tx_history.len());
-        for span in &self.tx_history {
-            span.save(w);
-        }
     }
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         self.dcf.snap_restore(r)?;
@@ -1393,16 +1383,6 @@ impl NodeState {
             *slot = Option::<TimerHandle>::load(r)?;
         }
         self.busy_count = r.u32()?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "tx history length {n} exceeds input"
-            )));
-        }
-        self.tx_history.clear();
-        for _ in 0..n {
-            self.tx_history.push_back(<(SimTime, SimTime)>::load(r)?);
-        }
         Ok(())
     }
 }
@@ -1493,6 +1473,7 @@ impl snap::SnapState for Network {
         self.rng.snap_save(w);
         self.sched.snap_save(w);
         self.frames.save(w);
+        self.max_air.save(w);
         w.usize(self.nodes.len());
         for st in &self.nodes {
             st.snap_save(w);
@@ -1507,6 +1488,7 @@ impl snap::SnapState for Network {
         self.rng.snap_restore(r)?;
         self.sched.snap_restore(r)?;
         self.frames = FrameArena::load(r)?;
+        self.max_air = SimDuration::load(r)?;
         let n = r.usize()?;
         if n != self.nodes.len() {
             return Err(snap::SnapError::Corrupt(format!(
@@ -1567,6 +1549,7 @@ impl Network {
                 st.snap_save(&mut w);
             }
             self.frames.save(&mut w);
+            self.max_air.save(&mut w);
             snap::fnv1a(w.bytes())
         };
         let transport = {

@@ -2,8 +2,8 @@
 //! restoring a mid-run snapshot into a freshly built identical network
 //! and resuming must reproduce the uninterrupted run exactly.
 
-use gr_net::{NetworkBuilder, RunHooks};
-use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
+use gr_net::{NetworkBuilder, RunArtifacts, RunHooks};
+use phy::{ChannelModel, ErrorModel, ErrorUnit, PhyParams, Position};
 use sim::{SimDuration, SimTime};
 use snap::{Dec, SnapState};
 use transport::TcpConfig;
@@ -24,8 +24,39 @@ fn build() -> (gr_net::Network, Vec<transport::FlowId>) {
     (b.build(), vec![f1, f2, f3])
 }
 
+/// Hidden senders, no RTS/CTS, and a 2 Mb/s data rate: 1500 B frames
+/// last ~6 ms and 64 B ones well under 1 ms, so short frames end early
+/// inside long ones. Whether such a long frame collides depends on the
+/// arena still holding the short frame when the long one concludes, so
+/// a resume that restored the arena's window (the longest airtime so
+/// far) too small would count different collisions.
+fn build_hidden() -> (gr_net::Network, Vec<transport::FlowId>) {
+    let phy = PhyParams {
+        data_rate_bps: 2_000_000,
+        ..PhyParams::dot11b()
+    };
+    let mut b = NetworkBuilder::new(phy)
+        .seed(43)
+        .rts(false)
+        .channel(ChannelModel::with_ranges(60.0, 60.0))
+        .default_error(ErrorModel::new(ErrorUnit::Byte, 2e-5).unwrap());
+    let a = b.add_node(Position::new(0.0, 0.0));
+    let rx = b.add_node(Position::new(50.0, 0.0));
+    let c = b.add_node(Position::new(102.0, 0.0));
+    let d = b.add_node(Position::new(120.0, 0.0));
+    let f1 = b.udp_flow(a, rx, 1500, 10_000_000);
+    let f2 = b.udp_flow(c, d, 64, 50_000);
+    let f3 = b.udp_flow(c, rx, 64, 25_000);
+    (b.build(), vec![f1, f2, f3])
+}
+
 fn fingerprint(m: &gr_net::RunMetrics, flows: &[transport::FlowId]) -> Vec<(u64, u64, u64)> {
-    let mut out = vec![(m.events_processed, 0, 0)];
+    let collisions = m
+        .nodes
+        .values()
+        .map(|n| n.counters.collision_rx.get())
+        .sum();
+    let mut out = vec![(m.events_processed, collisions, 0)];
     for f in flows {
         let fm = m.flow(*f).unwrap();
         out.push((fm.distinct_packets, fm.duplicates, fm.retransmissions));
@@ -33,45 +64,62 @@ fn fingerprint(m: &gr_net::RunMetrics, flows: &[transport::FlowId]) -> Vec<(u64,
     out
 }
 
-#[test]
-fn checkpoint_resume_matches_uninterrupted_run() {
+/// Runs `build`'s 2 s network straight through with a checkpoint every
+/// `every` and an audit rung every 250 ms, then resumes a freshly built
+/// twin from each checkpoint but the last and asserts that it reproduces
+/// the rest of the straight run exactly. Returns the straight run's
+/// artifacts.
+fn assert_resume_matches(
+    build: fn() -> (gr_net::Network, Vec<transport::FlowId>),
+    every: SimDuration,
+) -> RunArtifacts {
     let duration = SimDuration::from_secs(2);
     let hooks = RunHooks {
-        checkpoint_every: Some(SimDuration::from_millis(500)),
+        checkpoint_every: Some(every),
         audit_every: Some(SimDuration::from_millis(250)),
         ..RunHooks::default()
     };
-
     let (mut baseline, flows) = build();
     let (base_metrics, base_art) = baseline.run_hooked(duration, hooks);
-    assert_eq!(base_art.checkpoints.len(), 4);
-    assert_eq!(base_art.audit.len(), 8 * 6, "8 barriers x 6 layers");
+    let n = base_art.checkpoints.len();
+    assert!(n >= 2, "need a mid-run checkpoint");
+    for (i, (at, bytes)) in base_art.checkpoints[..n - 1].iter().enumerate() {
+        let (mut resumed, _) = build();
+        resumed.snap_restore(&mut Dec::new(bytes)).unwrap();
+        let (res_metrics, res_art) = resumed.resume_hooked(duration, hooks, *at);
 
-    // Resume from the mid-run checkpoint into a freshly built twin.
-    let (at, bytes) = base_art.checkpoints[1].clone();
-    assert_eq!(at, SimTime::from_millis(1000));
-    let (mut resumed, _) = build();
-    resumed.snap_restore(&mut Dec::new(&bytes)).unwrap();
-    let (res_metrics, res_art) = resumed.resume_hooked(duration, hooks, at);
+        assert_eq!(
+            fingerprint(&base_metrics, &flows),
+            fingerprint(&res_metrics, &flows),
+            "resumed run from {at:?} must reproduce the uninterrupted metrics"
+        );
+        // The resumed audit tail must equal the baseline rungs after `at`.
+        let tail: Vec<_> = base_art
+            .audit
+            .iter()
+            .filter(|(vt, _, _)| *vt > at.as_nanos())
+            .copied()
+            .collect();
+        assert_eq!(res_art.audit, tail, "audit ladder tails must agree");
+        // And the later checkpoints must be byte-identical.
+        assert_eq!(res_art.checkpoints, base_art.checkpoints[i + 1..]);
+        // Final states digest-equal, layer by layer.
+        assert_eq!(baseline.layer_digests(), resumed.layer_digests());
+    }
+    base_art
+}
 
-    assert_eq!(
-        fingerprint(&base_metrics, &flows),
-        fingerprint(&res_metrics, &flows),
-        "resumed run must reproduce the uninterrupted metrics"
-    );
-    // The resumed audit tail must equal the baseline rungs after `at`.
-    let tail: Vec<_> = base_art
-        .audit
-        .iter()
-        .filter(|(vt, _, _)| *vt > at.as_nanos())
-        .copied()
-        .collect();
-    assert_eq!(res_art.audit, tail, "audit ladder tails must agree");
-    // And the later checkpoints must be byte-identical.
-    let base_later: Vec<_> = base_art.checkpoints[2..].to_vec();
-    assert_eq!(res_art.checkpoints, base_later);
-    // Final states digest-equal, layer by layer.
-    assert_eq!(baseline.layer_digests(), resumed.layer_digests());
+#[test]
+fn checkpoint_resume_matches_uninterrupted_run() {
+    let art = assert_resume_matches(build, SimDuration::from_millis(500));
+    assert_eq!(art.checkpoints.len(), 4);
+    assert_eq!(art.checkpoints[1].0, SimTime::from_millis(1000));
+    assert_eq!(art.audit.len(), 8 * 6, "8 barriers x 6 layers");
+}
+
+#[test]
+fn hidden_terminal_resume_restores_the_overlap_window() {
+    assert_resume_matches(build_hidden, SimDuration::from_millis(100));
 }
 
 #[test]

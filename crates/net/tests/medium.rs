@@ -184,3 +184,37 @@ fn wireline_delay_shapes_tcp_rtt() {
         "RTT scaling off: {g100} vs {g200}"
     );
 }
+
+#[test]
+fn short_hidden_frames_still_collide_with_a_long_frame() {
+    // A saturates B with 1500 B frames without RTS/CTS; C, hidden from
+    // A but in range of B, sends a steady stream of 64 B frames to D.
+    // C's short frames end during A's long ones, so B's verdict on a long
+    // frame depends on the medium still remembering a short frame that
+    // ended before the long one did. Pinned: keeping finished frames for
+    // less than the longest airtime loses collisions and moves all three.
+    let mut b = NetworkBuilder::new(PhyParams::dot11b())
+        .seed(9)
+        .rts(false)
+        .channel(ChannelModel::with_ranges(60.0, 60.0))
+        .default_error(ErrorModel::new(ErrorUnit::Byte, 2e-5).unwrap());
+    let a = b.add_node(Position::new(0.0, 0.0));
+    let rx = b.add_node(Position::new(50.0, 0.0));
+    let c = b.add_node(Position::new(102.0, 0.0));
+    let d = b.add_node(Position::new(120.0, 0.0));
+    b.udp_flow(a, rx, 1500, 10_000_000);
+    b.udp_flow(c, d, 64, 200_000);
+    let mut net = b.build();
+    let m = net.run(SimDuration::from_secs(2));
+    let k = &m.node(rx).unwrap().counters;
+    let got = (
+        k.collision_rx.get(),
+        k.corrupted_rx.get(),
+        k.delivered_msdus.get(),
+    );
+    assert_eq!(
+        got,
+        (1041, 8, 180),
+        "B (collision_rx, corrupted_rx, delivered)"
+    );
+}

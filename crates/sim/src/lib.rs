@@ -6,9 +6,7 @@
 //! generation-stamped [`TimerHandle`]s), allocation-free hot-path storage
 //! ([`Arena`], [`Pool`]), seedable deterministic random-number generation
 //! ([`SimRng`]) and small statistics primitives used by every layer above
-//! (PHY, MAC, transport, experiments). The stable binary-heap
-//! [`EventQueue`] remains as the reference model the wheel is
-//! property-tested against.
+//! (PHY, MAC, transport, experiments).
 //!
 //! Determinism is a design goal: two runs with the same seed and the same
 //! configuration produce identical results. All ties in the event queue are
@@ -31,7 +29,6 @@
 #![warn(missing_docs)]
 pub mod error;
 pub mod pool;
-pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod stats;
@@ -40,7 +37,6 @@ mod wheel;
 
 pub use error::SimError;
 pub use pool::{Arena, ArenaHandle, Pool, PooledBox, Recycle};
-pub use queue::{EventId, EventQueue};
 pub use rng::{RunKey, SimRng};
 pub use sched::{Scheduler, TimerHandle};
 pub use stats::{Counter, Histogram, LogHistogram, Mean, TimeWeightedMean};

@@ -1,7 +1,48 @@
 //! Property-based tests of the simulation kernel.
 
-use gr_sim::{EventQueue, Scheduler, SimDuration, SimRng, SimTime};
+use gr_sim::{Scheduler, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Identifier of one [`EventQueue`] insertion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct EventId(u64);
+
+/// The pre-timing-wheel event queue: a binary min-heap keyed by
+/// `(time, insertion sequence)`, so equal timestamps pop in insertion
+/// order. The sequence is unique, so the payload never takes part in the
+/// ordering.
+struct EventQueue<E: Ord> {
+    heap: BinaryHeap<Reverse<(SimTime, u64, E)>>,
+    next_seq: u64,
+}
+
+impl<E: Ord> EventQueue<E> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn push(&mut self, time: SimTime, event: E) -> EventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((time, seq, event)));
+        EventId(seq)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, EventId, E)> {
+        self.heap
+            .pop()
+            .map(|Reverse((time, seq, event))| (time, EventId(seq), event))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// Maps raw fuzz input onto delay magnitudes that exercise every wheel
 /// path: sub-tick ties, level-0 buckets, upper levels, and (≈1 in 8)
@@ -22,7 +63,7 @@ fn shaped_nanos(raw: u64, shape: u8) -> u64 {
 /// operation against this reference model.
 struct HeapReference {
     queue: EventQueue<usize>,
-    cancelled: std::collections::HashSet<gr_sim::EventId>,
+    cancelled: std::collections::HashSet<EventId>,
 }
 
 impl HeapReference {
@@ -33,11 +74,11 @@ impl HeapReference {
         }
     }
 
-    fn push(&mut self, at: SimTime, payload: usize) -> gr_sim::EventId {
+    fn push(&mut self, at: SimTime, payload: usize) -> EventId {
         self.queue.push(at, payload)
     }
 
-    fn cancel(&mut self, id: gr_sim::EventId) {
+    fn cancel(&mut self, id: EventId) {
         self.cancelled.insert(id);
     }
 
@@ -160,7 +201,7 @@ proptest! {
         let mut s: Scheduler<usize> = Scheduler::new();
         let mut reference = HeapReference::new();
         // Live (wheel handle, reference id) pairs, index-aligned.
-        let mut live: Vec<(gr_sim::TimerHandle, gr_sim::EventId)> = Vec::new();
+        let mut live: Vec<(gr_sim::TimerHandle, EventId)> = Vec::new();
         let mut next_payload = 0usize;
         for &(op, r, shape) in &ops {
             match op % 4 {

@@ -51,7 +51,10 @@ pub const MAGIC: &[u8; 6] = b"GRSNAP";
 /// Version 3: detection-science window tracking (optional `WindowTrack`
 /// appended to both GRC guard reports, `grc_windows` field in
 /// `Scenario`).
-pub const FORMAT_VERSION: u16 = 3;
+/// Version 4: the network's frame arena keeps only frames that can still
+/// overlap a pending reception, and the longest airtime so far
+/// (`max_air`) follows it; the per-node transmission history is gone.
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Errors arising while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
