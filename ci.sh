@@ -43,6 +43,13 @@ cargo run --release --offline -p gr-bench --bin repro -- \
   run --quick --jobs 8 --resume "$CK/rec" --out "$CK/res" fig2 >/dev/null
 cmp "$CK/rec/fig2.csv" "$CK/res/fig2.csv"
 
+echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1 cmp-equal to results/)"
+cargo run --release --offline -p gr-bench --bin repro -- \
+  run --jobs 2 --out "$CK/full" fig2 fig6 tab5 abl1 >/dev/null
+for id in fig2 fig6 tab5 abl1; do
+  cmp "$CK/full/$id.csv" "results/$id.csv"
+done
+
 echo "==> audit ladders (re-recorded seeds must show zero divergence)"
 cargo run --release --offline -p gr-bench --bin repro -- \
   run --quick --audit-every 500 --out "$CK/rec2" fig2 >/dev/null

@@ -63,7 +63,12 @@ pub struct RunMetrics {
     pub flows: BTreeMap<u32, FlowMetrics>,
     /// Per-node measurements, ordered by node id.
     pub nodes: BTreeMap<u16, NodeMetrics>,
-    /// Total events the kernel dispatched.
+    /// Station-level handlers the runtime dispatched: one per MAC
+    /// timer, transport tick or timer, wire delivery, sender tx-end and
+    /// injected busy edge, plus one per station busy onset, busy end and
+    /// reception a transmission fans out to. The onset fan-out's own
+    /// scheduler entry is not counted, so the total equals the number of
+    /// per-station events the medium was once modelled with.
     pub events_processed: u64,
 }
 

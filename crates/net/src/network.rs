@@ -12,6 +12,8 @@
 //!   reception: half-duplex (own transmission overlapped → nothing),
 //!   capture among overlapping frames (strongest wins by ≥ the capture
 //!   threshold, else collision), then the per-link error model;
+//! * both edges fan out to every station in range from a single
+//!   scheduler entry (`TxOnset`, `TxEnd`), in ascending node order;
 //! * corrupted frames are delivered *with readable headers* (the paper's
 //!   Table I measurement justifies this), which is what makes the
 //!   fake-ACK misbehavior possible.
@@ -63,17 +65,23 @@ pub(crate) enum Event {
         node: NodeId,
         kind: TimerKind,
     },
+    /// End of a transmission: the sender's tx-end, then busy-end (and,
+    /// at decoding stations, the reception) at every station in range.
     TxEnd {
         tx: FrameId,
     },
+    /// Busy-medium onset injected by the world exchange (no frame).
     BusyOnset {
         node: NodeId,
     },
+    /// End of an injected busy interval.
     BusyEnd {
         node: NodeId,
     },
-    RxConclude {
-        node: NodeId,
+    /// Carrier-sense onset of a transmission at every station in range.
+    /// Not armed when the onset would not precede the end; `TxEnd` then
+    /// runs each station's onset just before its end.
+    TxOnset {
         tx: FrameId,
     },
     CbrTick {
@@ -236,8 +244,13 @@ pub struct Network {
     /// everywhere else — steady state allocates zero frames per event.
     frames: FrameArena<Segment>,
     /// Longest airtime transmitted so far: the window `prune_frames`
-    /// keeps finished frames for. Simulation state (snapshot format 4).
+    /// keeps finished frames for. Simulation state (snapshot format 4
+    /// onward).
     max_air: SimDuration,
+    /// Station-level handlers dispatched so far: one per popped event
+    /// except `TxOnset`, plus one per station onset, end or reception
+    /// in a fan-out. Reported as `RunMetrics::events_processed`.
+    dispatched: u64,
     /// Precomputed per-pair reach and median received power (positions
     /// are fixed after assembly).
     link: LinkTable,
@@ -333,6 +346,7 @@ impl Network {
             sched: Scheduler::new(),
             frames: FrameArena::new(),
             max_air: SimDuration::ZERO,
+            dispatched: 0,
             link,
             fer,
             link_em,
@@ -716,6 +730,10 @@ impl Network {
     }
 
     fn dispatch(&mut self, now: SimTime, ev: Event) {
+        // A `TxOnset` only fans out; its stations are counted one by one.
+        if !matches!(ev, Event::TxOnset { .. }) {
+            self.dispatched += 1;
+        }
         match ev {
             Event::MacTimer { node, kind } => {
                 let _span = ::obs::span!("mac/timer");
@@ -723,37 +741,10 @@ impl Network {
                 let actions = self.nodes[node.0 as usize].dcf.on_timer(now, kind);
                 self.process_actions(now, node, actions);
             }
-            Event::TxEnd { tx } => {
-                let node = self
-                    .frames
-                    .get(tx)
-                    .expect("tx end without record")
-                    .frame
-                    .actual_tx;
-                let actions = self.nodes[node.0 as usize].dcf.on_tx_end(now);
-                self.process_actions(now, node, actions);
-                self.prune_frames(now);
-            }
-            Event::BusyOnset { node } => {
-                let st = &mut self.nodes[node.0 as usize];
-                st.busy_count += 1;
-                if st.busy_count == 1 {
-                    let actions = st.dcf.on_channel_busy(now);
-                    self.process_actions(now, node, actions);
-                }
-            }
-            Event::BusyEnd { node } => {
-                let st = &mut self.nodes[node.0 as usize];
-                debug_assert!(st.busy_count > 0, "busy underflow");
-                st.busy_count = st.busy_count.saturating_sub(1);
-                if st.busy_count == 0 {
-                    let actions = st.dcf.on_channel_idle(now);
-                    self.process_actions(now, node, actions);
-                }
-            }
-            Event::RxConclude { node, tx } => {
-                self.conclude_reception(now, node, tx);
-            }
+            Event::TxEnd { tx } => self.tx_end(now, tx),
+            Event::TxOnset { tx } => self.tx_onset(now, tx),
+            Event::BusyOnset { node } => self.busy_onset(now, node),
+            Event::BusyEnd { node } => self.busy_end(now, node),
             Event::CbrTick { flow } => {
                 let (seg, interval, src, dst) = {
                     let f = &mut self.flows[flow.0 as usize];
@@ -897,6 +888,83 @@ impl Network {
         }
     }
 
+    /// How `src`'s transmissions reach station `m`; a sender does not
+    /// hear itself.
+    fn reach(&self, src: NodeId, m: usize) -> Reach {
+        if m == src.0 as usize {
+            Reach::None
+        } else {
+            self.link.reach(src.0 as usize, m)
+        }
+    }
+
+    fn busy_onset(&mut self, now: SimTime, node: NodeId) {
+        let st = &mut self.nodes[node.0 as usize];
+        st.busy_count += 1;
+        if st.busy_count == 1 {
+            let actions = st.dcf.on_channel_busy(now);
+            self.process_actions(now, node, actions);
+        }
+    }
+
+    fn busy_end(&mut self, now: SimTime, node: NodeId) {
+        let st = &mut self.nodes[node.0 as usize];
+        debug_assert!(st.busy_count > 0, "busy underflow");
+        st.busy_count = st.busy_count.saturating_sub(1);
+        if st.busy_count == 0 {
+            let actions = st.dcf.on_channel_idle(now);
+            self.process_actions(now, node, actions);
+        }
+    }
+
+    /// The carrier-sense onset of transmission `tx` at every station in
+    /// range, in ascending node order.
+    fn tx_onset(&mut self, now: SimTime, tx: FrameId) {
+        let src = self
+            .frames
+            .get(tx)
+            .expect("tx onset without record")
+            .frame
+            .actual_tx;
+        for m in 0..self.nodes.len() {
+            if self.reach(src, m) != Reach::None {
+                self.dispatched += 1;
+                self.busy_onset(now, NodeId(m as u16));
+            }
+        }
+    }
+
+    /// The end edge of transmission `tx`: the sender's tx-end, then, in
+    /// ascending node order, busy-end at every station in range and the
+    /// reception at every decoding one. When carrier sense is slower
+    /// than the frame (`onset == end`, no `TxOnset` armed) each station's
+    /// busy onset runs just before its busy end.
+    fn tx_end(&mut self, now: SimTime, tx: FrameId) {
+        let rec = self.frames.get(tx).expect("tx end without record");
+        let src = rec.frame.actual_tx;
+        let folded = rec.start + self.cs_latency >= now;
+        let actions = self.nodes[src.0 as usize].dcf.on_tx_end(now);
+        self.process_actions(now, src, actions);
+        self.prune_frames(now);
+        for m in 0..self.nodes.len() {
+            let reach = self.reach(src, m);
+            if reach == Reach::None {
+                continue;
+            }
+            let node = NodeId(m as u16);
+            if folded {
+                self.dispatched += 1;
+                self.busy_onset(now, node);
+            }
+            self.dispatched += 1;
+            self.busy_end(now, node);
+            if reach == Reach::Decode {
+                self.dispatched += 1;
+                self.conclude_reception(now, node, tx);
+            }
+        }
+    }
+
     fn start_transmission(&mut self, now: SimTime, frame: Frame<Segment>) {
         let src = frame.actual_tx;
         let airtime = frame.airtime_with(&mut self.air);
@@ -919,25 +987,13 @@ impl Network {
         // the generation-stamped handle.
         let id = self.frames.insert(frame, now, end);
         self.max_air = self.max_air.max(airtime);
+        // Two scheduler entries stand for the frame's per-station work.
+        // Each fans out in ascending node order, exactly the order the
+        // per-station events it replaces had (see DESIGN §8).
         self.sched.arm_at(end, Event::TxEnd { tx: id });
-        let onset = (now + self.cs_latency).min(end);
-        for m in 0..self.nodes.len() {
-            if m == src.0 as usize {
-                continue;
-            }
-            let node = NodeId(m as u16);
-            match self.link.reach(src.0 as usize, m) {
-                Reach::None => {}
-                Reach::Sense => {
-                    self.sched.arm_at(onset, Event::BusyOnset { node });
-                    self.sched.arm_at(end, Event::BusyEnd { node });
-                }
-                Reach::Decode => {
-                    self.sched.arm_at(onset, Event::BusyOnset { node });
-                    self.sched.arm_at(end, Event::BusyEnd { node });
-                    self.sched.arm_at(end, Event::RxConclude { node, tx: id });
-                }
-            }
+        let onset = now + self.cs_latency;
+        if onset < end && (0..self.nodes.len()).any(|m| self.reach(src, m) != Reach::None) {
+            self.sched.arm_at(onset, Event::TxOnset { tx: id });
         }
     }
 
@@ -1219,7 +1275,7 @@ impl Network {
         let end = SimTime::ZERO + duration;
         let mut metrics = RunMetrics {
             duration,
-            events_processed: self.sched.processed(),
+            events_processed: self.dispatched,
             ..RunMetrics::default()
         };
         for f in &self.flows {
@@ -1301,9 +1357,8 @@ impl snap::SnapValue for Event {
                 w.u8(3);
                 node.save(w);
             }
-            Event::RxConclude { node, tx } => {
+            Event::TxOnset { tx } => {
                 w.u8(4);
-                node.save(w);
                 tx.save(w);
             }
             Event::CbrTick { flow } => {
@@ -1345,8 +1400,7 @@ impl snap::SnapValue for Event {
             3 => Event::BusyEnd {
                 node: NodeId::load(r)?,
             },
-            4 => Event::RxConclude {
-                node: NodeId::load(r)?,
+            4 => Event::TxOnset {
                 tx: FrameId::load(r)?,
             },
             5 => Event::CbrTick {
@@ -1464,7 +1518,8 @@ impl FlowState {
 }
 
 /// Snapshot = shared RNG stream, scheduler (clock + pending events),
-/// transmission arena, per-node MAC state and per-flow transport state.
+/// dispatch count, transmission arena, per-node MAC state and per-flow
+/// transport state.
 /// PHY parameters, channel/capture models and error tables are
 /// configuration and are excluded; the owner rebuilds an identically
 /// configured network before restoring.
@@ -1472,6 +1527,7 @@ impl snap::SnapState for Network {
     fn snap_save(&self, w: &mut snap::Enc) {
         self.rng.snap_save(w);
         self.sched.snap_save(w);
+        w.u64(self.dispatched);
         self.frames.save(w);
         self.max_air.save(w);
         w.usize(self.nodes.len());
@@ -1487,6 +1543,7 @@ impl snap::SnapState for Network {
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         self.rng.snap_restore(r)?;
         self.sched.snap_restore(r)?;
+        self.dispatched = r.u64()?;
         self.frames = FrameArena::load(r)?;
         self.max_air = SimDuration::load(r)?;
         let n = r.usize()?;
@@ -1567,9 +1624,16 @@ impl Network {
             }
             snap::fnv1a(w.bytes())
         };
+        // The scheduler layer covers the dispatch count too.
+        let sched = {
+            let mut w = snap::Enc::new();
+            self.sched.snap_save(&mut w);
+            w.u64(self.dispatched);
+            snap::fnv1a(w.bytes())
+        };
         [
             ("rng", self.rng.snap_digest()),
-            ("sched", self.sched.snap_digest()),
+            ("sched", sched),
             ("phy", phy),
             ("mac", mac),
             ("transport", transport),

@@ -18,7 +18,8 @@ static RUNS_COMPLETED: AtomicU64 = AtomicU64::new(0);
 /// Point-in-time copy of the process-wide counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimStats {
-    /// Total scheduler events dispatched by completed runs.
+    /// Total [`RunMetrics::events_processed`](crate::RunMetrics::events_processed)
+    /// of completed runs.
     pub events_processed: u64,
     /// Total completed simulation runs.
     pub runs_completed: u64,

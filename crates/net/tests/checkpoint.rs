@@ -50,6 +50,29 @@ fn build_hidden() -> (gr_net::Network, Vec<transport::FlowId>) {
     (b.build(), vec![f1, f2, f3])
 }
 
+/// One collision domain sensing every transmission only after a 2 ms
+/// carrier-sense latency: a 1500 B frame at 2 Mb/s lasts ~6 ms, so a
+/// checkpoint often lands after a data frame started but before anyone
+/// sensed it, while the RTS/CTS/ACK exchanges (each shorter than the
+/// latency) are sensed only as they end.
+fn build_slow_sense() -> (gr_net::Network, Vec<transport::FlowId>) {
+    let phy = PhyParams {
+        data_rate_bps: 2_000_000,
+        ..PhyParams::dot11b()
+    };
+    let mut b = NetworkBuilder::new(phy)
+        .seed(44)
+        .cs_latency_slots(100)
+        .default_error(ErrorModel::new(ErrorUnit::Byte, 2e-5).unwrap());
+    let s1 = b.add_node(Position::new(0.0, 0.0));
+    let r1 = b.add_node(Position::new(5.0, 0.0));
+    let s2 = b.add_node(Position::new(0.0, 5.0));
+    let r2 = b.add_node(Position::new(5.0, 5.0));
+    let f1 = b.udp_flow(s1, r1, 1500, 10_000_000);
+    let f2 = b.udp_flow(s2, r2, 1500, 10_000_000);
+    (b.build(), vec![f1, f2])
+}
+
 fn fingerprint(m: &gr_net::RunMetrics, flows: &[transport::FlowId]) -> Vec<(u64, u64, u64)> {
     let collisions = m
         .nodes
@@ -120,6 +143,11 @@ fn checkpoint_resume_matches_uninterrupted_run() {
 #[test]
 fn hidden_terminal_resume_restores_the_overlap_window() {
     assert_resume_matches(build_hidden, SimDuration::from_millis(100));
+}
+
+#[test]
+fn resume_with_a_pending_carrier_sense_onset() {
+    assert_resume_matches(build_slow_sense, SimDuration::from_millis(100));
 }
 
 #[test]

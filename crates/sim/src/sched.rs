@@ -32,7 +32,6 @@ pub struct Scheduler<E> {
     now: SimTime,
     wheel: Wheel<E>,
     next_seq: u64,
-    processed: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -48,7 +47,6 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             wheel: Wheel::new(),
             next_seq: 0,
-            processed: 0,
         }
     }
 
@@ -56,11 +54,6 @@ impl<E> Scheduler<E> {
     /// [`next`](Self::next), or zero before any event ran).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events dispatched so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Number of live pending events (cancelled events leave no residue).
@@ -109,17 +102,7 @@ impl<E> Scheduler<E> {
         let (t, ev) = self.wheel.pop()?;
         debug_assert!(t >= self.now, "event queue time went backwards");
         self.now = t;
-        self.processed += 1;
         Some((t, ev))
-    }
-
-    /// Pops the next live event only if it occurs at or before `horizon`.
-    /// The clock never advances past `horizon` through this method.
-    pub fn next_until(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        match self.wheel.peek_time() {
-            Some(t) if t <= horizon => self.next(),
-            _ => None,
-        }
     }
 
     /// Timestamp of the next live event without dispatching it, or `None`
@@ -131,20 +114,18 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// Snapshot = clock + sequence counter + dispatch count + the wheel's
-/// canonical state. Outstanding [`TimerHandle`]s stay valid across a
-/// restore because the wheel serializes its slab and free list verbatim.
+/// Snapshot = clock + sequence counter + the wheel's canonical state.
+/// Outstanding [`TimerHandle`]s stay valid across a restore because the
+/// wheel serializes its slab and free list verbatim.
 impl<E: snap::SnapValue> snap::SnapState for Scheduler<E> {
     fn snap_save(&self, w: &mut snap::Enc) {
         w.u64(self.now.as_nanos());
         w.u64(self.next_seq);
-        w.u64(self.processed);
         self.wheel.snap_save(w);
     }
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         self.now = SimTime::from_nanos(r.u64()?);
         self.next_seq = r.u64()?;
-        self.processed = r.u64()?;
         self.wheel = Wheel::from_snapshot(r)?;
         Ok(())
     }
@@ -178,7 +159,6 @@ mod tests {
         assert_eq!(s.now(), SimTime::from_micros(4));
         s.next();
         assert_eq!(s.now(), SimTime::from_micros(9));
-        assert_eq!(s.processed(), 2);
     }
 
     #[test]
@@ -211,20 +191,16 @@ mod tests {
     }
 
     #[test]
-    fn next_until_respects_horizon() {
+    fn peek_leaves_the_clock_and_the_event() {
         let mut s: Scheduler<u8> = Scheduler::new();
         s.arm_at(SimTime::from_micros(5), 1);
         s.arm_at(SimTime::from_micros(15), 2);
-        assert_eq!(
-            s.next_until(SimTime::from_micros(10)),
-            Some((SimTime::from_micros(5), 1))
-        );
-        assert_eq!(s.next_until(SimTime::from_micros(10)), None);
-        assert_eq!(s.pending(), 1);
-        assert_eq!(
-            s.next_until(SimTime::from_micros(20)),
-            Some((SimTime::from_micros(15), 2))
-        );
+        assert_eq!(s.peek_time(), Some(SimTime::from_micros(5)));
+        assert_eq!(s.now(), SimTime::ZERO);
+        assert_eq!(s.pending(), 2);
+        assert_eq!(s.next(), Some((SimTime::from_micros(5), 1)));
+        assert_eq!(s.peek_time(), Some(SimTime::from_micros(15)));
+        assert_eq!(s.now(), SimTime::from_micros(5));
     }
 
     #[test]
@@ -267,7 +243,6 @@ mod tests {
         let mut b: Scheduler<u8> = Scheduler::new();
         b.snap_restore(&mut Dec::new(&bytes)).unwrap();
         assert_eq!(a.now(), b.now());
-        assert_eq!(a.processed(), b.processed());
         assert_eq!(a.pending(), b.pending());
         assert_eq!(a.snap_digest(), b.snap_digest());
         // Future arms assign identical (slot, generation) handles, so

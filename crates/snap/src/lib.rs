@@ -54,7 +54,11 @@ pub const MAGIC: &[u8; 6] = b"GRSNAP";
 /// Version 4: the network's frame arena keeps only frames that can still
 /// overlap a pending reception, and the longest airtime so far
 /// (`max_air`) follows it; the per-node transmission history is gone.
-pub const FORMAT_VERSION: u16 = 4;
+/// Version 5: one scheduler entry per transmission edge (event tag 4 is
+/// the carrier-sense onset fan-out, the per-station reception event is
+/// gone), and the dispatch count moved from the scheduler's encoding to
+/// the network's.
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Errors arising while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -514,15 +518,16 @@ mod tests {
             Dec::with_header(b"NOTSNAP").unwrap_err(),
             SnapError::BadMagic
         );
-        let mut bad = Enc::new();
-        bad.buf.extend_from_slice(MAGIC);
-        bad.u16(FORMAT_VERSION + 1);
-        assert_eq!(
-            Dec::with_header(bad.bytes()).unwrap_err(),
-            SnapError::BadVersion {
-                found: FORMAT_VERSION + 1
-            }
-        );
+        // Both an older and a newer version are rejected, typed.
+        for found in [FORMAT_VERSION - 1, FORMAT_VERSION + 1] {
+            let mut bad = Enc::new();
+            bad.buf.extend_from_slice(MAGIC);
+            bad.u16(found);
+            assert_eq!(
+                Dec::with_header(bad.bytes()).unwrap_err(),
+                SnapError::BadVersion { found }
+            );
+        }
     }
 
     #[test]
