@@ -43,12 +43,17 @@ cargo run --release --offline -p gr-bench --bin repro -- \
   run --quick --jobs 8 --resume "$CK/rec" --out "$CK/res" fig2 >/dev/null
 cmp "$CK/rec/fig2.csv" "$CK/res/fig2.csv"
 
-echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1 cmp-equal to results/)"
+echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1/ext2 cmp-equal to results/)"
 cargo run --release --offline -p gr-bench --bin repro -- \
-  run --jobs 2 --out "$CK/full" fig2 fig6 tab5 abl1 >/dev/null
-for id in fig2 fig6 tab5 abl1; do
+  run --jobs 2 --out "$CK/full" fig2 fig6 tab5 abl1 ext2 >/dev/null
+for id in fig2 fig6 tab5 abl1 ext2; do
   cmp "$CK/full/$id.csv" "results/$id.csv"
 done
+
+echo "==> conformance checking leaves ext2's DOMINO column alone (full fidelity)"
+cargo run --release --offline -p gr-bench --bin repro -- \
+  run --jobs 2 --conform --out "$CK/fullconf" ext2 >/dev/null
+cmp "$CK/fullconf/ext2.csv" results/ext2.csv
 
 echo "==> audit ladders (re-recorded seeds must show zero divergence)"
 cargo run --release --offline -p gr-bench --bin repro -- \
@@ -121,5 +126,5 @@ diff -r "$CK/int1/intensity" "$CK/int8/intensity"
 echo "==> planted NAV bug is caught and shrunk (fault injection)"
 cargo test --offline -q -p gr-bench --test conform --features inject-nav-bug
 
-echo "==> cargo doc"
-cargo doc --workspace --no-deps --offline -q
+echo "==> cargo doc (-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q

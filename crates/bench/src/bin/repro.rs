@@ -1,4 +1,4 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's tables and figures, and runs custom scenarios.
 //!
 //! ```sh
 //! repro run all                # every artifact at full fidelity
@@ -16,10 +16,19 @@
 //!                              # misbehavior knob to its detector's knee
 //! repro audit A.audit B.audit  # diff two audit ladders
 //! repro --list                 # available experiment ids
+//!
+//! # Two TCP pairs, receiver 1 inflates CTS NAV by 10 ms, GRC on:
+//! repro scenario --pairs 2 --greedy 1:nav:10000 --grc mitigate
+//! # Shared AP, four UDP receivers, receiver 3 fakes ACKs, lossy channel:
+//! repro scenario --shared-ap --pairs 4 --transport udp --ber 2e-4 \
+//!                --greedy 3:fake --duration 20
 //! ```
 //!
 //! The first argument picks the mode: a subcommand, `--list` or
-//! `--help`; anything else prints the usage and exits non-zero.
+//! `--help`; anything else prints the usage and exits non-zero. Every
+//! option is checked against one table ([`OPTS`]) that names the
+//! subcommands accepting it: an option outside its subcommand, or a
+//! positional argument for a subcommand that takes none, is an error.
 //! Zero-padded ids (`fig06`) are accepted anywhere an id is.
 //!
 //! Outputs are independent of `--jobs`: every simulation run draws from
@@ -61,10 +70,17 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use gr_bench::{fuzz, registry, ConformCampaign, ObsCampaign, Quality, RunCtx};
+use greedy80211::{
+    CampaignSpec, GreedyConfig, InflatedFrames, NavInflationConfig, RunOutcome, Scenario,
+    TransportKind,
+};
 use net::stats;
+use phy::PhyStandard;
+use sim::{RunKey, SimDuration};
 
 /// Per-experiment timing record for `bench_summary.json`.
 struct Timing {
@@ -153,20 +169,6 @@ fn export_obs(out_dir: &Path, campaign: &ObsCampaign) -> std::io::Result<usize> 
     Ok(n)
 }
 
-/// Fidelity selected by `--quick`, with the seed list overridden by
-/// `--seeds N` (seeds 1..=N) when given.
-fn quality_for(quick: bool, seeds_override: Option<u64>) -> Quality {
-    let mut q = if quick {
-        Quality::quick()
-    } else {
-        Quality::full()
-    };
-    if let Some(n) = seeds_override {
-        q.seeds = (1..=n).collect();
-    }
-    q
-}
-
 /// Parses a grid spec like `3x3` into positive `(rows, cols)`.
 fn parse_grid(spec: &str) -> Option<(usize, usize)> {
     let (r, c) = spec.split_once('x')?;
@@ -174,28 +176,275 @@ fn parse_grid(spec: &str) -> Option<(usize, usize)> {
     (r > 0 && c > 0).then_some((r, c))
 }
 
-/// The mode a subcommand selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Run,
-    Fuzz,
-    World,
-    Cc,
-    Roc,
-    Intensity,
-    Audit,
+/// One command-line option: its spellings (canonical first), whether it
+/// takes a value, and the subcommands that accept it.
+struct Opt {
+    names: &'static [&'static str],
+    value: bool,
+    modes: &'static [&'static str],
+}
+
+const fn opt(names: &'static [&'static str], value: bool, modes: &'static [&'static str]) -> Opt {
+    Opt {
+        names,
+        value,
+        modes,
+    }
+}
+
+const ALL: &[&str] = &[
+    "run",
+    "fuzz",
+    "world",
+    "cc",
+    "roc",
+    "intensity",
+    "audit",
+    "scenario",
+];
+const CAMPAIGNS: &[&str] = &["run", "world", "cc", "roc", "intensity"];
+const WRITERS: &[&str] = &["run", "fuzz", "world", "cc", "roc", "intensity"];
+const HOOKED: &[&str] = &["run", "intensity"];
+const CHECKED: &[&str] = &["run", "world"];
+const SCENARIO: &[&str] = &["scenario"];
+
+/// Every option `repro` knows. Values are read back through [`Args`].
+const OPTS: &[Opt] = &[
+    opt(&["--help", "-h"], false, ALL),
+    opt(&["--quick", "-q"], false, CAMPAIGNS),
+    opt(&["--jobs", "-j"], true, CAMPAIGNS),
+    opt(&["--seeds"], true, CAMPAIGNS),
+    opt(&["--out", "-o"], true, WRITERS),
+    opt(&["--experiment", "-e"], true, &["run"]),
+    opt(&["--record"], false, &["run"]),
+    opt(&["--record-filter"], true, &["run"]),
+    opt(&["--checkpoint-every"], true, HOOKED),
+    opt(&["--audit-every"], true, HOOKED),
+    opt(&["--resume"], true, HOOKED),
+    opt(&["--conform"], false, CHECKED),
+    opt(&["--conform-no-whitelist"], false, CHECKED),
+    opt(&["--points"], true, &["intensity"]),
+    opt(&["--cells"], true, &["world"]),
+    opt(&["--seed"], true, &["fuzz", "scenario"]),
+    opt(&["--phy"], true, SCENARIO),
+    opt(&["--transport"], true, SCENARIO),
+    opt(&["--pairs"], true, SCENARIO),
+    opt(&["--shared-ap"], false, SCENARIO),
+    opt(&["--no-rts"], false, SCENARIO),
+    opt(&["--ber"], true, SCENARIO),
+    opt(&["--duration"], true, SCENARIO),
+    opt(&["--wire"], true, SCENARIO),
+    opt(&["--greedy"], true, SCENARIO),
+    opt(&["--grc"], true, SCENARIO),
+    opt(&["--probes"], false, SCENARIO),
+];
+
+/// Subcommands that take positional arguments: experiment ids for `run`,
+/// the case count for `fuzz`, the two ladder files for `audit`.
+const POSITIONAL: &[&str] = &["run", "fuzz", "audit"];
+
+/// A subcommand's arguments, checked against [`OPTS`]: the options in
+/// command-line order under their canonical spelling, and the
+/// positional arguments.
+struct Args {
+    opts: Vec<(&'static str, Option<String>)>,
+    positionals: Vec<String>,
+}
+
+impl Args {
+    fn parse(mode: &str, mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+        let mut args = Args {
+            opts: Vec::new(),
+            positionals: Vec::new(),
+        };
+        while let Some(arg) = argv.next() {
+            if !arg.starts_with('-') {
+                if !POSITIONAL.contains(&mode) {
+                    return Err(format!("`repro {mode}` takes no argument `{arg}`"));
+                }
+                args.positionals.push(arg);
+                continue;
+            }
+            let opt = OPTS
+                .iter()
+                .find(|o| o.names.contains(&arg.as_str()))
+                .ok_or_else(|| format!("unknown option `{arg}` (see --help)"))?;
+            if !opt.modes.contains(&mode) {
+                return Err(format!("option `{arg}` is not accepted by `repro {mode}`"));
+            }
+            let value = opt
+                .value
+                .then(|| argv.next().ok_or_else(|| format!("{arg} requires a value")))
+                .transpose()?;
+            args.opts.push((opt.names[0], value));
+        }
+        Ok(args)
+    }
+
+    /// Whether the option was given.
+    fn has(&self, name: &str) -> bool {
+        self.opts.iter().any(|(n, _)| *n == name)
+    }
+
+    /// Every value given for the option, in command-line order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        self.opts
+            .iter()
+            .filter(move |(n, _)| *n == name)
+            .filter_map(|(_, v)| v.as_deref())
+    }
+
+    /// The option's last value, parsed by `parse`.
+    fn get_with<T>(
+        &self,
+        name: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.values(name)
+            .last()
+            .map(|v| parse(v).map_err(|e| format!("{name}: {e}")))
+            .transpose()
+    }
+
+    /// The option's last value, parsed with [`FromStr`].
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get_with(name, |v| {
+            v.parse().map_err(|_| format!("invalid value `{v}`"))
+        })
+    }
+
+    /// `--out`, defaulting to `results`.
+    fn out_dir(&self) -> Result<PathBuf, String> {
+        Ok(self
+            .get("--out")?
+            .unwrap_or_else(|| PathBuf::from("results")))
+    }
+
+    /// `--jobs`, defaulting to the machine's parallelism.
+    fn jobs(&self) -> Result<usize, String> {
+        Ok(self
+            .get_with("--jobs", positive)?
+            .unwrap_or_else(runner::available_jobs))
+    }
+
+    /// Fidelity selected by `--quick`, with the seed list overridden by
+    /// `--seeds N` (seeds 1..=N) when given.
+    fn quality(&self) -> Result<Quality, String> {
+        let mut q = if self.has("--quick") {
+            Quality::quick()
+        } else {
+            Quality::full()
+        };
+        if let Some(n) = self.get_with("--seeds", positive::<u64>)? {
+            q.seeds = (1..=n).collect();
+        }
+        Ok(q)
+    }
+
+    /// Whether `--conform` or `--conform-no-whitelist` arms the checker.
+    fn conform(&self) -> bool {
+        self.has("--conform") || self.has("--conform-no-whitelist")
+    }
+
+    /// Applies `--resume DIR`, or `--checkpoint-every`/`--audit-every`
+    /// recording under `dir`, to `ctx`. Returns the banner suffix.
+    fn hooks(&self, ctx: RunCtx, dir: &Path) -> Result<(RunCtx, &'static str), String> {
+        let every = |name| Ok::<_, String>(self.get(name)?.map(SimDuration::from_millis));
+        let (ckpt, audit) = (every("--checkpoint-every")?, every("--audit-every")?);
+        Ok(if let Some(from) = self.get::<PathBuf>("--resume")? {
+            (
+                ctx.with_checkpoints(CampaignSpec::resume_from(from)),
+                ", resuming from checkpoints",
+            )
+        } else if ckpt.is_some() || audit.is_some() {
+            (
+                ctx.with_checkpoints(CampaignSpec::record(dir, ckpt, audit)),
+                ", checkpointing",
+            )
+        } else {
+            (ctx, "")
+        })
+    }
+}
+
+/// Parses a strictly positive number.
+fn positive<T: FromStr + PartialOrd + Default>(v: &str) -> Result<T, String> {
+    v.parse()
+        .ok()
+        .filter(|n| *n > T::default())
+        .ok_or_else(|| format!("expected a positive integer, got `{v}`"))
+}
+
+fn create_dir(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| format!("failed to create output directory {}: {e}", dir.display()))
+}
+
+/// Prints every violation in `reports`, or one clean line; returns the
+/// violation count. `unit` names what one report covers.
+fn print_conform(reports: &[(Option<RunKey>, conform::ConformReport)], unit: &str) -> u64 {
+    let violations: u64 = reports.iter().map(|(_, r)| r.violation_count()).sum();
+    if violations == 0 {
+        let whitelisted: u64 = reports.iter().map(|(_, r)| r.whitelisted).sum();
+        println!(
+            "  conform: {} {unit}(s) clean ({whitelisted} whitelist exemption(s))",
+            reports.len()
+        );
+        return 0;
+    }
+    println!(
+        "  conform: {violations} violation(s) across {} {unit}(s):",
+        reports.len()
+    );
+    for (key, report) in reports {
+        for v in &report.violations {
+            match key {
+                Some(k) => println!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed),
+                None => println!("    {v}"),
+            }
+        }
+    }
+    violations
+}
+
+/// Prints a run's per-receiver goodput, then its GRC verdicts and probe
+/// losses when the run had them.
+fn print_outcome(out: &RunOutcome) {
+    for i in 0..out.flows.len() {
+        println!("  R{i:<3} {:>8.3} Mb/s", out.goodput_mbps(i));
+    }
+    if !out.grc.is_empty() {
+        println!(
+            "GRC: {} NAV detections, {} spoofed-ACK flags",
+            out.nav_detections(),
+            out.spoof_flags()
+        );
+    }
+    for (i, pf) in out.probe_flows.iter().enumerate() {
+        if let Some(loss) = out.metrics.flow(*pf).and_then(|f| f.probe_app_loss) {
+            println!("probe loss R{i}: {loss:.3}");
+        }
+    }
 }
 
 const USAGE: &str = "\
-usage: repro run [--quick] [--jobs N] [--out DIR] [--record] [--record-filter SPEC]
-                 [--checkpoint-every MS] [--audit-every MS] [--resume PATH] (all | <id>...)
-       repro fuzz N [--seed K]
-       repro world [--cells RxC]
-       repro cc
-       repro roc
-       repro intensity [--points N]
+usage: repro run [--quick] [--jobs N] [--seeds N] [--out DIR] [--record] [--record-filter SPEC]
+                 [--checkpoint-every MS] [--audit-every MS] [--resume PATH]
+                 [--conform | --conform-no-whitelist] (all | <id>... | --experiment IDS)
+       repro fuzz N [--seed K] [--out DIR]
+       repro world [--quick] [--jobs N] [--seeds N] [--out DIR] [--cells RxC]
+                   [--conform | --conform-no-whitelist]
+       repro cc [--quick] [--jobs N] [--seeds N] [--out DIR]
+       repro roc [--quick] [--jobs N] [--seeds N] [--out DIR]
+       repro intensity [--quick] [--jobs N] [--seeds N] [--out DIR] [--points N]
+                       [--checkpoint-every MS] [--audit-every MS] [--resume DIR]
+       repro scenario [--phy 11b|11a] [--transport udp|tcp] [--pairs N] [--shared-ap]
+                      [--no-rts] [--ber RATE] [--duration SECS] [--seed N] [--wire MS]
+                      [--greedy I:KIND[:ARG]]... [--grc detect|mitigate] [--probes]
        repro audit A.audit B.audit
        repro --list
+
+Each subcommand accepts only the options on its line.
 
   --experiment IDS      select artifacts: one id or a comma-separated list
                         (same as positional ids; zero-padded forms accepted)
@@ -230,587 +479,490 @@ usage: repro run [--quick] [--jobs N] [--out DIR] [--record] [--record-filter SP
                         delays — CSVs into DIR/roc/
   intensity             attack-intensity frontiers: honest/attacked pairs per
                         (detector, mix, intensity), knees and the windowed-vs-
-                        sequential crossover — CSVs into DIR/intensity/; honors
-                        --checkpoint-every / --audit-every / --resume DIR;
+                        sequential crossover — CSVs into DIR/intensity/;
                         --points N thins the grid to N points, keeping both ends
+  scenario              simulate one hotspot and print per-receiver goodput:
+    --phy 11b|11a         PHY standard (default 11b)
+    --transport udp|tcp   transport for all flows (default tcp)
+    --pairs N             sender/receiver pairs (default 2)
+    --shared-ap           one AP serves all receivers
+    --no-rts              disable RTS/CTS
+    --ber RATE            per-byte error rate (default 0)
+    --duration SECS       virtual seconds (default 10)
+    --seed N              random seed (default 1)
+    --wire MS             wired latency behind senders (remote TCP)
+    --greedy I:KIND[:ARG] make receiver I greedy, repeatable; kinds:
+                          nav[:INFLATE_US[:GP%]], spoof[:GP%], fake[:GP%]
+    --grc detect|mitigate arm GRC on honest nodes
+    --probes              add ping probes per pair (fake-ACK detector)
   audit A B             diff two audit ladders; non-zero exit on divergence";
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mode = match args.next().as_deref() {
-        Some("run") => Mode::Run,
-        Some("fuzz") => Mode::Fuzz,
-        Some("world") => Mode::World,
-        Some("cc") => Mode::Cc,
-        Some("roc") => Mode::Roc,
-        Some("intensity") => Mode::Intensity,
-        Some("audit") => Mode::Audit,
-        Some("--list" | "-l") => {
+    match dispatch(std::env::args().skip(1)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("repro: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn dispatch(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
+    let mode = argv.next().unwrap_or_default();
+    let subcommand: fn(&Args) -> Result<(), String> = match mode.as_str() {
+        "--list" | "-l" => {
             for (id, _) in &registry() {
                 println!("{id}");
             }
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
-        Some("--help" | "-h") => {
+        "--help" | "-h" => {
             println!("{USAGE}");
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        "run" => run_experiments,
+        "fuzz" => fuzz_cases,
+        "world" => world,
+        "cc" => cc,
+        "roc" => roc,
+        "intensity" => intensity,
+        "audit" => audit,
+        "scenario" => scenario,
+        _ => return Err(format!("expected a subcommand\n\n{USAGE}")),
     };
-    let mut quick = false;
-    let mut out_dir = PathBuf::from("results");
-    let mut jobs = runner::available_jobs();
-    let mut record = false;
-    let mut filter = obs::Filter::all();
-    let mut checkpoint_every: Option<u64> = None;
-    let mut audit_every: Option<u64> = None;
-    let mut resume: Option<PathBuf> = None;
-    let mut conform = false;
-    let mut conform_no_whitelist = false;
-    let mut intensity_points: Option<usize> = None;
-    let mut seeds_override: Option<u64> = None;
-    let mut cells: Option<(usize, usize)> = None;
-    let mut fuzz_seed: u64 = 1;
-    // Positional arguments: experiment ids for `run`, the case count for
-    // `fuzz`, the two ladder files for `audit`.
-    let mut ids: Vec<String> = Vec::new();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" | "-q" => quick = true,
-            "--record" => record = true,
-            "--conform" => conform = true,
-            "--conform-no-whitelist" => {
-                conform = true;
-                conform_no_whitelist = true;
-            }
-            "--points" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n > 0 => intensity_points = Some(n),
-                _ => {
-                    eprintln!("--points requires a positive grid-point count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cells" => match args.next().as_deref().and_then(parse_grid) {
-                Some(grid) => cells = Some(grid),
-                None => {
-                    eprintln!("--cells requires a grid like 3x3");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(k)) => fuzz_seed = k,
-                _ => {
-                    eprintln!("--seed requires a 64-bit seed");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--record-filter" => match args.next() {
-                Some(spec) => match obs::Filter::parse(&spec) {
-                    Ok(f) => {
-                        filter = f;
-                        record = true;
-                    }
-                    Err(e) => {
-                        eprintln!("--record-filter: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => {
-                    eprintln!("--record-filter requires a spec (e.g. phy,mac or 0,3)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--experiment" | "-e" => match args.next() {
-                // Accepts a comma-separated list (`-e fig02,fig06,tab5`);
-                // each entry goes through the same zero-padded-id
-                // normalization as positional ids.
-                Some(list) => ids.extend(
-                    list.split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from),
-                ),
-                None => {
-                    eprintln!("--experiment requires an id (see --list)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--checkpoint-every" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(ms)) => checkpoint_every = Some(ms),
-                _ => {
-                    eprintln!("--checkpoint-every requires an interval in ms of virtual time");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--audit-every" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(ms)) => audit_every = Some(ms),
-                _ => {
-                    eprintln!("--audit-every requires an interval in ms of virtual time");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--resume" => match args.next() {
-                Some(p) => resume = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--resume requires a checkpoint file or a campaign directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" | "-o" => match args.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
-                None => {
-                    eprintln!("--out requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seeds" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) if n > 0 => seeds_override = Some(n),
-                _ => {
-                    eprintln!("--seeds requires a positive seed count");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" | "-j" => match args.next().as_deref().map(str::parse) {
-                Some(Ok(n)) => jobs = n,
-                _ => {
-                    eprintln!("--jobs requires a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with('-') => {
-                eprintln!("unknown option `{other}`\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-            other => ids.push(other.to_string()),
-        }
+    let args = Args::parse(&mode, argv)?;
+    if args.has("--help") {
+        println!("{USAGE}");
+        return Ok(());
     }
+    subcommand(&args)
+}
 
-    if mode == Mode::Audit {
-        let [a, b] = ids.as_slice() else {
-            eprintln!("usage: repro audit A.audit B.audit");
-            return ExitCode::FAILURE;
-        };
-        return match greedy80211::audit::compare_files(Path::new(a), Path::new(b)) {
-            Ok(divergence) => {
-                println!("{}", greedy80211::audit::describe(&divergence));
-                if divergence.is_none() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("repro audit: {e}");
-                ExitCode::FAILURE
-            }
-        };
+fn audit(args: &Args) -> Result<(), String> {
+    let [a, b] = args.positionals.as_slice() else {
+        return Err("usage: repro audit A.audit B.audit".into());
+    };
+    let divergence = greedy80211::audit::compare_files(Path::new(a), Path::new(b))
+        .map_err(|e| format!("audit: {e}"))?;
+    println!("{}", greedy80211::audit::describe(&divergence));
+    match divergence {
+        None => Ok(()),
+        Some(_) => Err("audit ladders diverge".into()),
     }
+}
 
-    // Fuzz mode: generate + run + shrink, independent of the experiment
-    // registry.
-    if mode == Mode::Fuzz {
-        let n = match ids.as_slice() {
-            [n] => n.parse::<u64>().ok(),
-            _ => None,
-        };
-        let Some(n) = n else {
-            eprintln!("usage: repro fuzz N [--seed K]");
-            return ExitCode::FAILURE;
-        };
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!(
-                "failed to create output directory {}: {e}",
-                out_dir.display()
+/// Fuzz mode: generate + run + shrink, independent of the experiment
+/// registry.
+fn fuzz_cases(args: &Args) -> Result<(), String> {
+    let n = match args.positionals.as_slice() {
+        [n] => n.parse::<u64>().ok(),
+        _ => None,
+    }
+    .ok_or("usage: repro fuzz N [--seed K] [--out DIR]")?;
+    let seed: u64 = args.get("--seed")?.unwrap_or(1);
+    let out_dir = args.out_dir()?;
+    create_dir(&out_dir)?;
+    println!("# conformance fuzz — {n} case(s), campaign seed {seed}\n");
+    let mut dirty = 0u64;
+    for i in 0..n {
+        let case = fuzz::generate_case(seed, i);
+        let desc = case.desc.clone();
+        let v = fuzz::run_case(case, &out_dir).map_err(|e| format!("case {i}: {e}"))?;
+        if v.is_clean() {
+            println!(
+                "  case {i:>3} ok    {desc}  ({} events, {} whitelisted)",
+                v.events_checked, v.whitelisted
             );
-            return ExitCode::FAILURE;
+            continue;
         }
-        println!("# conformance fuzz — {n} case(s), campaign seed {fuzz_seed}\n");
-        let mut dirty = 0u64;
-        for i in 0..n {
-            let case = fuzz::generate_case(fuzz_seed, i);
-            let desc = case.desc.clone();
-            match fuzz::run_case(case, &out_dir) {
-                Ok(v) if v.is_clean() => {
-                    println!(
-                        "  case {i:>3} ok    {desc}  ({} events, {} whitelisted)",
-                        v.events_checked, v.whitelisted
-                    );
-                }
-                Ok(v) => {
-                    dirty += 1;
-                    println!("  case {i:>3} FAIL  {desc}");
-                    println!(
-                        "        {} violation(s); first: {}",
-                        v.violations.len(),
-                        v.violations[0]
-                    );
-                    if let Some((lo, hi)) = v.bracket_ms {
-                        println!(
-                            "        shrunk to [{lo}, {hi}) ms of virtual time, layer `{}`",
-                            v.layer.unwrap_or("?")
-                        );
-                    }
-                    if let Some((ilo, ihi)) = v.intensity_bracket {
-                        if ihi == 0.0 {
-                            println!(
-                                "        violates even with the attack scaled to zero \
-                                 (attack-independent)"
-                            );
-                        } else {
-                            println!(
-                                "        minimal violating intensity in ({ilo:.4}, {ihi:.4}] \
-                                 of the case's attack strength"
-                            );
-                        }
-                    }
-                    match &v.artifact {
-                        Some(p) => {
-                            println!(
-                                "        repro: repro run --conform --resume {}",
-                                p.display()
-                            )
-                        }
-                        None => println!(
-                            "        repro: repro fuzz {} --seed {fuzz_seed}  \
-                             (case {i}; violation inside the first bracket)",
-                            i + 1
-                        ),
-                    }
-                }
-                Err(e) => {
-                    eprintln!("  case {i}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        dirty += 1;
+        println!("  case {i:>3} FAIL  {desc}");
+        println!(
+            "        {} violation(s); first: {}",
+            v.violations.len(),
+            v.violations[0]
+        );
+        if let Some((lo, hi)) = v.bracket_ms {
+            println!(
+                "        shrunk to [{lo}, {hi}) ms of virtual time, layer `{}`",
+                v.layer.unwrap_or("?")
+            );
         }
-        println!("\n{} of {n} case(s) violated an invariant", dirty);
-        return if dirty == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    // A .snap file resumes one run directly; a directory switches the
-    // whole campaign into resume mode (handled below via RunCtx). With
-    // --conform the checker rides along mid-stream (stream-dependent
-    // rules disarmed, protocol-timing rules live) — how a fuzz
-    // violation artifact is replayed.
-    if let Some(path) = resume.as_ref().filter(|p| mode == Mode::Run && p.is_file()) {
-        let job = conform.then(|| {
-            let j = ::conform::ConformJob::new(None);
-            if conform_no_whitelist {
-                j.without_whitelist()
-            } else {
-                j
-            }
-        });
-        let result = {
-            let _obs_guard = job.as_ref().map(|_| {
-                obs::ambient::install(
-                    obs::ObsSpec {
-                        capacity: 0,
-                        probe_interval: None,
-                        filter: obs::Filter::all(),
-                    }
-                    .recorder(),
-                )
-            });
-            let _cf_guard = job.as_ref().map(|j| ::conform::ambient::install(j.clone()));
-            greedy80211::Run::resume(path)
-        };
-        return match result {
-            Ok(out) => {
+        if let Some((ilo, ihi)) = v.intensity_bracket {
+            if ihi == 0.0 {
                 println!(
-                    "resumed {} (point {}, seed {}) to {} ms of virtual time",
-                    out.key.experiment,
-                    out.key.point,
-                    out.key.seed,
-                    out.duration.as_nanos() / 1_000_000
+                    "        violates even with the attack scaled to zero \
+                     (attack-independent)"
                 );
-                for i in 0..out.flows.len() {
-                    println!("  flow {}: {:.3} Mb/s", i, out.goodput_mbps(i));
-                }
-                let mut failed = false;
-                if let Some(job) = job {
-                    for (_, report) in job.drain() {
-                        if report.is_clean() {
-                            println!(
-                                "  conform: clean ({} events, {} whitelisted)",
-                                report.events_checked, report.whitelisted
-                            );
-                        } else {
-                            failed = true;
-                            for v in &report.violations {
-                                println!("  conform: {v}");
-                            }
-                        }
-                    }
-                }
-                if failed {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
-            }
-            Err(e) => {
-                eprintln!("--resume: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    if mode == Mode::Cc {
-        let quality = quality_for(quick, seeds_override);
-        let campaign = gr_bench::CcCampaign::new(quality, jobs);
-        println!(
-            "# congestion-control zoo — {} controller(s) × {} attack(s), {} job(s)\n",
-            campaign.ccs.len(),
-            gr_bench::cc::ATTACKS.len(),
-            jobs,
-        );
-        let t = Instant::now();
-        let report = match campaign.run(&out_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("repro cc: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.matrix.render());
-        for path in &report.controller_csvs {
-            println!("  -> {}", path.display());
-        }
-        println!(
-            "  -> {} ({:.1}s)",
-            out_dir.join("cc_matrix.csv").display(),
-            t.elapsed().as_secs_f64()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if mode == Mode::Intensity {
-        let quality = quality_for(quick, seeds_override);
-        let mut campaign = gr_bench::IntensityCampaign::new(quality.clone(), jobs);
-        if let Some(n) = intensity_points {
-            campaign = campaign.with_points(n);
-        }
-        let int_dir = out_dir.join("intensity");
-        let mut ctx = RunCtx::with_jobs(quality, jobs);
-        if let Some(dir) = &resume {
-            ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::resume_from(dir));
-        } else if checkpoint_every.is_some() || audit_every.is_some() {
-            ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::record(
-                &int_dir,
-                checkpoint_every.map(sim::SimDuration::from_millis),
-                audit_every.map(sim::SimDuration::from_millis),
-            ));
-        }
-        println!(
-            "# attack-intensity frontiers — {} detector cell(s) × {} intensities × 2 classes, {} job(s){}\n",
-            gr_bench::roc::CELLS.len(),
-            campaign.grid.len(),
-            jobs,
-            if resume.is_some() {
-                ", resuming from checkpoints"
-            } else if ctx.checkpoint.is_some() {
-                ", checkpointing"
             } else {
-                ""
+                println!(
+                    "        minimal violating intensity in ({ilo:.4}, {ihi:.4}] \
+                     of the case's attack strength"
+                );
+            }
+        }
+        match &v.artifact {
+            Some(p) => println!(
+                "        repro: repro run --conform --resume {}",
+                p.display()
+            ),
+            None => println!(
+                "        repro: repro fuzz {} --seed {seed}  \
+                 (case {i}; violation inside the first bracket)",
+                i + 1
+            ),
+        }
+    }
+    println!("\n{dirty} of {n} case(s) violated an invariant");
+    if dirty == 0 {
+        Ok(())
+    } else {
+        Err(format!("{dirty} fuzz case(s) violated an invariant"))
+    }
+}
+
+/// Resumes one checkpoint file and prints the run. With `--conform` the
+/// checker rides along mid-stream (stream-dependent rules disarmed,
+/// protocol-timing rules live) — how a fuzz violation artifact is
+/// replayed.
+fn resume_file(path: &Path, args: &Args) -> Result<(), String> {
+    let job = args.conform().then(|| {
+        let j = ::conform::ConformJob::new(None);
+        if args.has("--conform-no-whitelist") {
+            j.without_whitelist()
+        } else {
+            j
+        }
+    });
+    let out = {
+        let _obs_guard = job.as_ref().map(|_| {
+            obs::ambient::install(
+                obs::ObsSpec {
+                    capacity: 0,
+                    probe_interval: None,
+                    filter: obs::Filter::all(),
+                }
+                .recorder(),
+            )
+        });
+        let _cf_guard = job.as_ref().map(|j| ::conform::ambient::install(j.clone()));
+        greedy80211::Run::resume(path)
+    }
+    .map_err(|e| format!("--resume: {e}"))?;
+    println!(
+        "resumed {} (point {}, seed {}) to {} ms of virtual time",
+        out.key.experiment,
+        out.key.point,
+        out.key.seed,
+        out.duration.as_nanos() / 1_000_000
+    );
+    print_outcome(&out);
+    match job {
+        Some(job) if print_conform(&job.drain(), "run") > 0 => {
+            Err("invariant violations found; see the conform lines above".into())
+        }
+        _ => Ok(()),
+    }
+}
+
+fn cc(args: &Args) -> Result<(), String> {
+    let (jobs, out_dir) = (args.jobs()?, args.out_dir()?);
+    let campaign = gr_bench::CcCampaign::new(args.quality()?, jobs);
+    println!(
+        "# congestion-control zoo — {} controller(s) × {} attack(s), {} job(s)\n",
+        campaign.ccs.len(),
+        gr_bench::cc::ATTACKS.len(),
+        jobs,
+    );
+    let t = Instant::now();
+    let report = campaign.run(&out_dir).map_err(|e| format!("cc: {e}"))?;
+    print!("{}", report.matrix.render());
+    for path in &report.controller_csvs {
+        println!("  -> {}", path.display());
+    }
+    println!(
+        "  -> {} ({:.1}s)",
+        out_dir.join("cc_matrix.csv").display(),
+        t.elapsed().as_secs_f64()
+    );
+    Ok(())
+}
+
+fn intensity(args: &Args) -> Result<(), String> {
+    let (jobs, quality) = (args.jobs()?, args.quality()?);
+    let mut campaign = gr_bench::IntensityCampaign::new(quality.clone(), jobs);
+    if let Some(n) = args.get_with("--points", positive)? {
+        campaign = campaign.with_points(n);
+    }
+    let int_dir = args.out_dir()?.join("intensity");
+    let (ctx, hooks) = args.hooks(RunCtx::with_jobs(quality, jobs), &int_dir)?;
+    println!(
+        "# attack-intensity frontiers — {} detector cell(s) × {} intensities × 2 classes, {} job(s){hooks}\n",
+        gr_bench::roc::CELLS.len(),
+        campaign.grid.len(),
+        jobs,
+    );
+    let t = Instant::now();
+    let report = campaign
+        .run_with(&ctx, &int_dir)
+        .map_err(|e| format!("intensity: {e}"))?;
+    for table in &report.frontiers {
+        print!("{}", table.render());
+    }
+    print!("{}", report.knees.render());
+    for cf in &report.cells {
+        match cf.knee {
+            Some(k) => println!(
+                "  {}/{}: minimal detectable intensity {k:.2}{}",
+                cf.cell.detector,
+                cf.cell.mix,
+                match cf.crossover {
+                    Some((lo, hi)) => format!(", sequential-only regime [{lo:.2}, {hi:.2}]"),
+                    None => String::new(),
+                },
+            ),
+            None => println!(
+                "  {}/{}: never reliably detectable on this grid",
+                cf.cell.detector, cf.cell.mix
+            ),
+        }
+    }
+    for path in &report.csvs {
+        println!("  -> {}", path.display());
+    }
+    println!("  ({:.1}s)", t.elapsed().as_secs_f64());
+    Ok(())
+}
+
+fn roc(args: &Args) -> Result<(), String> {
+    let jobs = args.jobs()?;
+    let campaign = gr_bench::RocCampaign::new(args.quality()?, jobs);
+    println!(
+        "# detection science — {} detector cell(s) × {} adaptive load(s), {} job(s)\n",
+        gr_bench::roc::CELLS.len(),
+        gr_bench::roc::ADAPTIVE_LOADS_BPS.len(),
+        jobs,
+    );
+    let t = Instant::now();
+    let roc_dir = args.out_dir()?.join("roc");
+    let report = campaign.run(&roc_dir).map_err(|e| format!("roc: {e}"))?;
+    print!("{}", report.auc.render());
+    print!("{}", report.adaptive.render());
+    print!("{}", report.delays.render());
+    for path in &report.roc_csvs {
+        println!("  -> {}", path.display());
+    }
+    println!("  -> {}", report.obs_dir.display());
+    println!(
+        "  -> {} ({:.1}s)",
+        roc_dir.join("auc_summary.csv").display(),
+        t.elapsed().as_secs_f64()
+    );
+    Ok(())
+}
+
+fn world(args: &Args) -> Result<(), String> {
+    let (jobs, out_dir) = (args.jobs()?, args.out_dir()?);
+    let mut campaign = gr_bench::WorldCampaign::new(args.quality()?, jobs);
+    let grid = args.get_with("--cells", |v| {
+        parse_grid(v).ok_or_else(|| format!("expected a grid like 3x3, got `{v}`"))
+    })?;
+    if let Some((r, c)) = grid {
+        campaign = campaign.with_grid(r, c);
+    }
+    campaign.conform = args.conform();
+    campaign.honor_whitelist = !args.has("--conform-no-whitelist");
+    println!(
+        "# multi-cell world campaign — {} grid(s) × {} greedy densities, {} job(s){}\n",
+        campaign.grids.len(),
+        campaign.greedy_fracs.len(),
+        jobs,
+        if campaign.conform {
+            ", conformance-checked"
+        } else {
+            ""
+        },
+    );
+    let t = Instant::now();
+    let report = campaign.run(&out_dir).map_err(|e| format!("world: {e}"))?;
+    print!("{}", report.summary.render());
+    report
+        .summary
+        .write_csv(&out_dir)
+        .map_err(|e| format!("failed to write world.csv: {e}"))?;
+    for path in &report.cell_csvs {
+        println!("  -> {}", path.display());
+    }
+    println!(
+        "  -> {} ({:.1}s)",
+        out_dir.join("world.csv").display(),
+        t.elapsed().as_secs_f64()
+    );
+    if campaign.conform && print_conform(&report.conform_reports, "cell") > 0 {
+        return Err("invariant violations found; see the conform lines above".into());
+    }
+    Ok(())
+}
+
+/// Parses a `--greedy I:KIND[:ARG]` spec. Spoofing victims are left for
+/// the caller to resolve.
+fn parse_greedy(spec: &str) -> Result<(usize, GreedyConfig), String> {
+    let mut parts = spec.split(':');
+    let idx = parts
+        .next()
+        .and_then(|i| i.parse().ok())
+        .ok_or_else(|| format!("bad receiver index in `{spec}`"))?;
+    let kind = parts
+        .next()
+        .ok_or("missing misbehavior kind (nav|spoof|fake)")?;
+    let rest: Vec<&str> = parts.collect();
+    let gp = |i: usize| match rest.get(i) {
+        None => Ok(1.0),
+        Some(v) => v
+            .trim_end_matches('%')
+            .parse::<f64>()
+            .map(|x| x / 100.0)
+            .map_err(|_| format!("bad greedy percentage `{v}`")),
+    };
+    let cfg = match kind {
+        "nav" => GreedyConfig::nav_inflation(NavInflationConfig {
+            inflate_us: match rest.first() {
+                None => 10_000,
+                Some(v) => v.parse().map_err(|_| format!("bad inflation `{v}`"))?,
             },
-        );
-        let t = Instant::now();
-        let report = match campaign.run_with(&ctx, &int_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("repro intensity: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for table in &report.frontiers {
-            print!("{}", table.render());
-        }
-        print!("{}", report.knees.render());
-        for cf in &report.cells {
-            match cf.knee {
-                Some(k) => println!(
-                    "  {}/{}: minimal detectable intensity {k:.2}{}",
-                    cf.cell.detector,
-                    cf.cell.mix,
-                    match cf.crossover {
-                        Some((lo, hi)) => {
-                            format!(", sequential-only regime [{lo:.2}, {hi:.2}]")
-                        }
-                        None => String::new(),
-                    },
-                ),
-                None => println!(
-                    "  {}/{}: never reliably detectable on this grid",
-                    cf.cell.detector, cf.cell.mix
-                ),
-            }
-        }
-        for path in &report.csvs {
-            println!("  -> {}", path.display());
-        }
-        println!("  ({:.1}s)", t.elapsed().as_secs_f64());
-        return ExitCode::SUCCESS;
-    }
+            gp: gp(1)?,
+            frames: InflatedFrames::CTS,
+        }),
+        "spoof" => GreedyConfig::ack_spoofing(Vec::new(), gp(0)?),
+        "fake" => GreedyConfig::fake_acks(gp(0)?),
+        other => return Err(format!("unknown misbehavior `{other}`")),
+    };
+    Ok((idx, cfg))
+}
 
-    if mode == Mode::Roc {
-        let quality = quality_for(quick, seeds_override);
-        let campaign = gr_bench::RocCampaign::new(quality, jobs);
-        println!(
-            "# detection science — {} detector cell(s) × {} adaptive load(s), {} job(s)\n",
-            gr_bench::roc::CELLS.len(),
-            gr_bench::roc::ADAPTIVE_LOADS_BPS.len(),
-            jobs,
-        );
-        let t = Instant::now();
-        let roc_dir = out_dir.join("roc");
-        let report = match campaign.run(&roc_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("repro roc: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.auc.render());
-        print!("{}", report.adaptive.render());
-        print!("{}", report.delays.render());
-        for path in &report.roc_csvs {
-            println!("  -> {}", path.display());
-        }
-        println!("  -> {}", report.obs_dir.display());
-        println!(
-            "  -> {} ({:.1}s)",
-            roc_dir.join("auc_summary.csv").display(),
-            t.elapsed().as_secs_f64()
-        );
-        return ExitCode::SUCCESS;
+/// Runs one custom hotspot scenario and prints its outcome.
+fn scenario(args: &Args) -> Result<(), String> {
+    let mut s = Scenario::default();
+    let phy = args.get_with("--phy", |v| match v {
+        "11b" | "b" => Ok(PhyStandard::Dot11b),
+        "11a" | "a" => Ok(PhyStandard::Dot11a),
+        other => Err(format!("unknown PHY `{other}`")),
+    })?;
+    s.phy = phy.unwrap_or(s.phy);
+    let udp = args.get_with("--transport", |v| match v {
+        "udp" => Ok(true),
+        "tcp" => Ok(false),
+        other => Err(format!("unknown transport `{other}`")),
+    })?;
+    if udp == Some(true) {
+        s.transport = TransportKind::SATURATING_UDP;
     }
-
-    if mode == Mode::World {
-        let quality = quality_for(quick, seeds_override);
-        let mut campaign = gr_bench::WorldCampaign::new(quality, jobs);
-        if let Some((r, c)) = cells {
-            campaign = campaign.with_grid(r, c);
-        }
-        campaign.conform = conform;
-        campaign.honor_whitelist = !conform_no_whitelist;
-        println!(
-            "# multi-cell world campaign — {} grid(s) × {} greedy densities, {} job(s){}\n",
-            campaign.grids.len(),
-            campaign.greedy_fracs.len(),
-            jobs,
-            if conform { ", conformance-checked" } else { "" },
-        );
-        let t = Instant::now();
-        let report = match campaign.run(&out_dir) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("repro world: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", report.summary.render());
-        if let Err(e) = report.summary.write_csv(&out_dir) {
-            eprintln!("failed to write world.csv: {e}");
-            return ExitCode::FAILURE;
-        }
-        for path in &report.cell_csvs {
-            println!("  -> {}", path.display());
-        }
-        println!(
-            "  -> {} ({:.1}s)",
-            out_dir.join("world.csv").display(),
-            t.elapsed().as_secs_f64()
-        );
-        if conform {
-            let runs = report.conform_reports.len();
-            let violations = report.conform_violations();
-            let whitelisted: u64 = report
-                .conform_reports
+    s.pairs = args.get("--pairs")?.unwrap_or(s.pairs);
+    s.shared_sender = args.has("--shared-ap");
+    s.rts = !args.has("--no-rts");
+    s.byte_error_rate = args.get("--ber")?.unwrap_or(s.byte_error_rate);
+    if let Some(secs) = args.get("--duration")? {
+        s.duration = SimDuration::from_secs(secs);
+    }
+    s.seed = args.get("--seed")?.unwrap_or(s.seed);
+    s.wire_delay = args.get("--wire")?.map(SimDuration::from_millis);
+    s.grc = args.get_with("--grc", |v| match v {
+        "detect" => Ok(false),
+        "mitigate" => Ok(true),
+        other => Err(format!("expected detect|mitigate, got `{other}`")),
+    })?;
+    s.probes = args.has("--probes");
+    // Spoofers target every other receiver; a probe build resolves the
+    // receivers' node ids, as the fuzzer's case generator does.
+    let receivers = s.build().map_err(|e| e.to_string())?.receivers;
+    for spec in args.values("--greedy") {
+        let (idx, mut cfg) = parse_greedy(spec).map_err(|e| format!("--greedy: {e}"))?;
+        if let Some(spoof) = &mut cfg.spoof {
+            spoof.victims = receivers
                 .iter()
-                .map(|(_, r)| r.whitelisted)
-                .sum();
-            if violations == 0 {
-                println!("  conform: {runs} cell(s) clean ({whitelisted} whitelist exemption(s))");
-            } else {
-                println!("  conform: {violations} violation(s) across {runs} cell(s):");
-                for (key, r) in &report.conform_reports {
-                    for v in &r.violations {
-                        match key {
-                            Some(k) => {
-                                println!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed)
-                            }
-                            None => println!("    {v}"),
-                        }
-                    }
-                }
-                return ExitCode::FAILURE;
-            }
+                .enumerate()
+                .filter(|&(i, _)| i != idx)
+                .map(|(_, &r)| r)
+                .collect();
         }
-        return ExitCode::SUCCESS;
+        s.greedy.push((idx, cfg));
     }
+    let out = greedy80211::Run::plan(&s)
+        .execute()
+        .map_err(|e| e.to_string())?;
+    let greedy: Vec<String> = s.greedy.iter().map(|(i, _)| format!("R{i}")).collect();
+    println!(
+        "# {} pairs, {:?}, {}s, seed {}{}",
+        s.pairs,
+        s.phy,
+        s.duration.as_secs_f64(),
+        s.seed,
+        if greedy.is_empty() {
+            String::new()
+        } else {
+            format!(", greedy {}", greedy.join(" "))
+        }
+    );
+    print_outcome(&out);
+    Ok(())
+}
 
-    let reg = registry();
-    if ids.is_empty() {
-        eprintln!("no experiments selected; try `repro run all` or `repro --list`");
-        return ExitCode::FAILURE;
+/// Runs the selected registry experiments and writes their CSVs.
+fn run_experiments(args: &Args) -> Result<(), String> {
+    // A .snap file resumes one run directly; a directory switches the
+    // whole campaign into resume mode (handled below via RunCtx).
+    if let Some(path) = args.get::<PathBuf>("--resume")?.filter(|p| p.is_file()) {
+        return resume_file(&path, args);
     }
-    let selected: Vec<&(&str, gr_bench::Generator)> = if ids.iter().any(|i| i == "all") {
+    let ids: Vec<&str> = args
+        .values("--experiment")
+        .flat_map(|list| list.split(','))
+        .chain(args.positionals.iter().map(String::as_str))
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+        .collect();
+    if ids.is_empty() {
+        return Err("no experiments selected; try `repro run all` or `repro --list`".into());
+    }
+    let reg = registry();
+    let selected: Vec<&(&str, gr_bench::Generator)> = if ids.contains(&"all") {
         reg.iter().collect()
     } else {
-        let mut sel = Vec::new();
-        for id in &ids {
-            let canonical = normalize_id(id);
-            match reg.iter().find(|(rid, _)| *rid == canonical) {
-                Some(entry) => sel.push(entry),
-                None => {
-                    let valid: Vec<&str> = reg.iter().map(|(rid, _)| *rid).collect();
-                    eprintln!(
-                        "unknown experiment id `{id}`; valid ids: all, {}",
-                        valid.join(", ")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        sel
+        ids.iter()
+            .map(|id| {
+                let canonical = normalize_id(id);
+                reg.iter()
+                    .find(|(rid, _)| *rid == canonical)
+                    .ok_or_else(|| {
+                        let valid: Vec<&str> = reg.iter().map(|(rid, _)| *rid).collect();
+                        format!(
+                            "unknown experiment id `{id}`; valid ids: all, {}",
+                            valid.join(", ")
+                        )
+                    })
+            })
+            .collect::<Result<_, _>>()?
     };
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!(
-            "failed to create output directory {}: {e}",
-            out_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
-
-    let quality = quality_for(quick, seeds_override);
+    let (quick, jobs, out_dir) = (args.has("--quick"), args.jobs()?, args.out_dir()?);
+    create_dir(&out_dir)?;
+    let filter = args.get_with("--record-filter", obs::Filter::parse)?;
+    let record = args.has("--record") || filter.is_some();
     let campaign = record.then(|| {
         obs::profile::reset();
         obs::profile::set_enabled(true);
         ObsCampaign::new(obs::ObsSpec {
-            filter: filter.clone(),
+            filter: filter.unwrap_or_default(),
             ..obs::ObsSpec::default()
         })
     });
-    let mut ctx = RunCtx::with_jobs(quality, jobs);
+    let mut ctx = RunCtx::with_jobs(args.quality()?, jobs);
     if let Some(camp) = &campaign {
         ctx = ctx.with_record(camp.clone());
     }
-    let conform_camp = conform.then(|| {
+    let conform_camp = args.conform().then(|| {
         let c = ConformCampaign::new();
-        if conform_no_whitelist {
+        if args.has("--conform-no-whitelist") {
             c.without_whitelist()
         } else {
             c
@@ -819,27 +971,15 @@ fn main() -> ExitCode {
     if let Some(c) = &conform_camp {
         ctx = ctx.with_conform(c.clone());
     }
-    let checkpointing = checkpoint_every.is_some() || audit_every.is_some();
-    if let Some(dir) = &resume {
-        ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::resume_from(dir));
-    } else if checkpointing {
-        ctx = ctx.with_checkpoints(greedy80211::CampaignSpec::record(
-            &out_dir,
-            checkpoint_every.map(sim::SimDuration::from_millis),
-            audit_every.map(sim::SimDuration::from_millis),
-        ));
-    }
+    let (ctx, hooks) = args.hooks(ctx, &out_dir)?;
     println!(
-        "# greedy80211 reproduction — {} experiment(s), {} fidelity, {} job(s){}{}{}\n",
+        "# greedy80211 reproduction — {} experiment(s), {} fidelity, {} job(s){}{}{hooks}\n",
         selected.len(),
         if quick { "quick" } else { "full" },
         jobs,
         if record { ", recording" } else { "" },
-        if conform { ", conformance-checked" } else { "" },
-        if resume.is_some() {
-            ", resuming from checkpoints"
-        } else if checkpointing {
-            ", checkpointing"
+        if conform_camp.is_some() {
+            ", conformance-checked"
         } else {
             ""
         },
@@ -854,50 +994,25 @@ fn main() -> ExitCode {
         let used = stats::snapshot().since(before);
         let wall_s = t.elapsed().as_secs_f64();
         print!("{}", experiment.render());
-        match experiment.write_csv(&out_dir) {
-            Ok(()) => println!(
-                "  -> {} ({:.1}s, {:.0} events/s)\n",
-                out_dir.join(format!("{id}.csv")).display(),
-                wall_s,
-                used.events_processed as f64 / wall_s.max(1e-9),
-            ),
-            Err(e) => {
-                eprintln!("failed to write CSV for {id}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        experiment
+            .write_csv(&out_dir)
+            .map_err(|e| format!("failed to write CSV for {id}: {e}"))?;
+        println!(
+            "  -> {} ({:.1}s, {:.0} events/s)\n",
+            out_dir.join(format!("{id}.csv")).display(),
+            wall_s,
+            used.events_processed as f64 / wall_s.max(1e-9),
+        );
         if let Some(camp) = &campaign {
-            match export_obs(&out_dir, camp) {
-                Ok(0) => {}
-                Ok(n) => println!("  -> {} ({n} run(s))\n", out_dir.join("obs").display()),
-                Err(e) => {
-                    eprintln!("failed to write obs artifacts for {id}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let n = export_obs(&out_dir, camp)
+                .map_err(|e| format!("failed to write obs artifacts for {id}: {e}"))?;
+            if n > 0 {
+                println!("  -> {} ({n} run(s))\n", out_dir.join("obs").display());
             }
         }
         if let Some(camp) = &conform_camp {
-            let reports = camp.take_reports();
-            let runs = reports.len();
-            let violations: u64 = reports.iter().map(|(_, r)| r.violation_count()).sum();
-            let whitelisted: u64 = reports.iter().map(|(_, r)| r.whitelisted).sum();
-            if violations == 0 {
-                println!("  conform: {runs} run(s) clean ({whitelisted} whitelist exemption(s))\n");
-            } else {
-                conform_failed = true;
-                println!("  conform: {violations} violation(s) across {runs} run(s):");
-                for (key, report) in &reports {
-                    for v in &report.violations {
-                        match key {
-                            Some(k) => {
-                                println!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed)
-                            }
-                            None => println!("    {v}"),
-                        }
-                    }
-                }
-                println!();
-            }
+            conform_failed |= print_conform(&camp.take_reports(), "run") > 0;
+            println!();
         }
         timings.push(Timing {
             id: id.to_string(),
@@ -909,14 +1024,11 @@ fn main() -> ExitCode {
     let total_s = t_all.elapsed().as_secs_f64();
     println!("total: {total_s:.1}s");
     let profile = campaign.as_ref().map(|_| obs::profile::snapshot());
-    if let Err(e) = write_summary(&out_dir, jobs, quick, &timings, total_s, profile.as_deref()) {
-        eprintln!("failed to write bench_summary.json: {e}");
-        return ExitCode::FAILURE;
-    }
+    write_summary(&out_dir, jobs, quick, &timings, total_s, profile.as_deref())
+        .map_err(|e| format!("failed to write bench_summary.json: {e}"))?;
     println!("  -> {}", out_dir.join("bench_summary.json").display());
     if conform_failed {
-        eprintln!("invariant violations found; see the conform lines above");
-        return ExitCode::FAILURE;
+        return Err("invariant violations found; see the conform lines above".into());
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

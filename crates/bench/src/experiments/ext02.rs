@@ -13,6 +13,7 @@ use greedy80211::{
     DominoDetector, GrcObserver, GreedyConfig, GreedySenderPolicy, NavInflationConfig,
 };
 use net::NetworkBuilder;
+use phy::obs::TxLog;
 use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 
 use crate::table::Experiment;
@@ -62,11 +63,10 @@ fn run_case(q: &Quality, seed: u64, attack: Attack) -> Vec<f64> {
     b.udp_flow(s0, r0, 1024, 10_000_000);
     b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
-    net.enable_trace(2_000_000);
+    let log = TxLog::default();
+    net.tap(Box::new(log.clone()));
     net.run(q.duration);
-    let domino = DominoDetector::new(params);
-    let trace = net.trace().expect("trace enabled");
-    let report = domino.analyze(&trace);
+    let report = DominoDetector::new(params).analyze(&log.events());
     let nav: u64 = handles
         .iter()
         .map(|h| h.nav.borrow().total_detections())

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use gr_bench::{registry, ObsCampaign, Quality, RunCtx};
+use gr_bench::{registry, ConformCampaign, ObsCampaign, Quality, RunCtx};
 use sim::SimDuration;
 
 /// Short-run quality so the test stays fast in debug builds.
@@ -89,4 +89,34 @@ fn obs_artifacts_are_byte_identical_across_job_counts() {
         );
     }
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// `ext2`'s DOMINO column reads the run's transmission starts through its
+/// own tap, so neither a conformance checker's zero-capacity recorder
+/// nor a recording filter that drops the PHY layer can starve it.
+#[test]
+fn ext2_table_is_independent_of_recording_and_checking() {
+    let (_, gen) = *registry()
+        .iter()
+        .find(|(id, _)| *id == "ext2")
+        .expect("ext2 registered");
+    let plain = gen(&RunCtx::sequential(Quality::quick())).render();
+    let cheat_flags = plain
+        .lines()
+        .find_map(|l| l.trim_start().strip_prefix("greedy_sender"))
+        .and_then(|rest| rest.split_whitespace().next());
+    assert_eq!(
+        cheat_flags,
+        Some("1"),
+        "DOMINO must flag the backoff cheat:\n{plain}"
+    );
+    let checked =
+        gen(&RunCtx::sequential(Quality::quick()).with_conform(ConformCampaign::new())).render();
+    assert_eq!(checked, plain, "--conform must not change ext2");
+    let mac_only = ObsCampaign::new(obs::ObsSpec {
+        filter: obs::Filter::parse("mac").expect("layer name"),
+        ..obs::ObsSpec::default()
+    });
+    let recorded = gen(&RunCtx::sequential(Quality::quick()).with_record(mac_only)).render();
+    assert_eq!(recorded, plain, "--record-filter mac must not change ext2");
 }

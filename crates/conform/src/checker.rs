@@ -14,7 +14,7 @@
 //! airtimes or NAV horizons are *truncated* microseconds. The mirror
 //! therefore treats payload-derived instants as lower bounds: ends of
 //! our own transmissions can be up to 1 \u{b5}s later than computed, so
-//! windows that depend on them get [`SLOP_NS`] of tolerance, always in
+//! windows that depend on them get `SLOP_NS` of tolerance, always in
 //! the lenient direction. Event-to-event spacings (SIFS responses) are
 //! checked exactly.
 //!

@@ -4,9 +4,10 @@
 //! DOMINO monitors transmission *timing*: a station whose transmissions
 //! consume less idle (countdown) time than the protocol demands is
 //! backing off too little. We reconstruct the measurement offline from a
-//! [`net::Trace`], *freeze-aware*: 802.11 counters pause during busy
-//! periods, so each idle gap beyond DIFS is credited to every contending
-//! sender's countdown, and a sender's backoff estimate at its own
+//! run's `tx_start` events (collected by a [`phy::obs::TxLog`] tap),
+//! *freeze-aware*: 802.11 counters pause during busy periods, so each
+//! idle gap beyond DIFS is credited to every contending sender's
+//! countdown, and a sender's backoff estimate at its own
 //! transmission is the idle time accrued since its previous transmission.
 //! A sender whose average estimate falls below a fraction of the honest
 //! expectation (CWmin/2 slots) is flagged.
@@ -19,11 +20,11 @@
 
 use std::collections::BTreeMap;
 
-use mac::FrameKind;
-use net::{Trace, TraceKind};
+use obs::ObsEvent;
+use phy::obs::{FRAME_DATA, FRAME_RTS, TX_START};
 use phy::PhyParams;
 
-/// The trace-based backoff monitor.
+/// The transmission-log backoff monitor.
 #[derive(Debug, Clone)]
 pub struct DominoDetector {
     /// PHY timing in effect.
@@ -59,19 +60,20 @@ pub struct DominoReport {
 }
 
 impl DominoDetector {
-    /// Analyzes a trace.
-    pub fn analyze(&self, trace: &Trace) -> DominoReport {
+    /// Analyzes a run's events. Only [`TX_START`] events count; their
+    /// payload is `[dst, frame code, airtime µs]`.
+    pub fn analyze(&self, events: &[ObsEvent]) -> DominoReport {
         let slot_us = self.params.slot.as_micros().max(1);
         let difs_us = self.params.difs.as_micros();
+        let tx_starts = || events.iter().filter(|e| std::ptr::eq(e.kind, &TX_START));
+        // RTS, or DATA when RTS/CTS is off: the frames that end a
+        // contention round (CTS/ACK are SIFS responses).
+        let is_access = |e: &ObsEvent| matches!(e.vals[1] as u8, FRAME_RTS | FRAME_DATA);
         // First pass: the contending senders are the stations that ever
-        // transmit an access frame (RTS, or DATA when RTS/CTS is off —
-        // both are the frames that end a contention round; CTS/ACK are
-        // SIFS responses).
+        // transmit an access frame.
         let mut senders: BTreeMap<u16, ()> = BTreeMap::new();
-        for r in trace.records() {
-            if r.kind == TraceKind::TxStart && matches!(r.frame, FrameKind::Rts | FrameKind::Data) {
-                senders.insert(r.node.0, ());
-            }
+        for e in tx_starts().filter(|e| is_access(e)) {
+            senders.insert(e.node, ());
         }
         // Second pass, freeze-aware: every idle gap beyond DIFS advances
         // every contender's countdown; a sender's estimate at its own
@@ -81,12 +83,9 @@ impl DominoDetector {
         let mut counts: BTreeMap<u16, usize> = BTreeMap::new();
         let cap = self.params.cw_max as f64;
         let mut busy_until_us: u64 = 0;
-        for r in trace.records() {
-            if r.kind != TraceKind::TxStart {
-                continue;
-            }
-            let start = r.at.as_micros();
-            let end = start + r.airtime.as_micros();
+        for e in tx_starts() {
+            let start = e.at.as_micros();
+            let end = start + e.vals[2] as u64;
             if start > busy_until_us + difs_us {
                 let usable = (start - busy_until_us - difs_us) as f64 / slot_us as f64;
                 for (_, acc) in accrued.iter_mut() {
@@ -98,14 +97,13 @@ impl DominoDetector {
                     accrued.entry(node).or_insert(usable.min(cap));
                 }
             }
-            let is_access = matches!(r.frame, FrameKind::Rts | FrameKind::Data);
-            if is_access && senders.contains_key(&r.node.0) {
-                let acc = accrued.entry(r.node.0).or_insert(0.0);
+            if is_access(e) && senders.contains_key(&e.node) {
+                let acc = accrued.entry(e.node).or_insert(0.0);
                 let estimate = *acc;
                 *acc = 0.0;
                 if estimate < cap {
-                    *sums.entry(r.node.0).or_insert(0.0) += estimate;
-                    *counts.entry(r.node.0).or_insert(0) += 1;
+                    *sums.entry(e.node).or_insert(0.0) += estimate;
+                    *counts.entry(e.node).or_insert(0) += 1;
                 }
             }
             busy_until_us = busy_until_us.max(end);
@@ -127,26 +125,26 @@ impl DominoDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mac::NodeId;
-    use net::TraceRecord;
-    use sim::{SimDuration, SimTime};
+    use sim::SimTime;
 
-    fn synthetic_trace(backoff_slots: &[(u16, u64)]) -> Trace {
-        // Build a trace where each listed access waits DIFS + k slots
-        // after the previous frame ends.
-        let mut t = Trace::new(10_000);
+    /// An RTS from `node` at `at_us`, 352 µs long.
+    fn rts(at_us: u64, node: u16) -> ObsEvent {
+        ObsEvent::new(
+            SimTime::from_micros(at_us),
+            node,
+            &TX_START,
+            &[99.0, FRAME_RTS as f64, 352.0],
+        )
+    }
+
+    fn synthetic_trace(backoff_slots: &[(u16, u64)]) -> Vec<ObsEvent> {
+        // Each listed access waits DIFS + k slots after the previous
+        // frame ends.
+        let mut t = Vec::new();
         let mut now = 0u64;
         for &(node, slots) in backoff_slots {
             now += 50 + slots * 20; // DIFS + backoff (802.11b)
-            t.push(TraceRecord {
-                at: SimTime::from_micros(now),
-                kind: TraceKind::TxStart,
-                node: NodeId(node),
-                tx: NodeId(node),
-                dst: NodeId(99),
-                frame: FrameKind::Rts,
-                airtime: SimDuration::from_micros(352),
-            });
+            t.push(rts(now, node));
             now += 352;
         }
         t
@@ -238,18 +236,8 @@ mod tests {
     #[test]
     fn long_idle_gaps_excluded() {
         // One access after a huge idle period must not bias the average.
-        let mut t = Trace::new(100);
-        t.push(TraceRecord {
-            at: SimTime::from_secs(5),
-            kind: TraceKind::TxStart,
-            node: NodeId(0),
-            tx: NodeId(0),
-            dst: NodeId(1),
-            frame: FrameKind::Rts,
-            airtime: SimDuration::from_micros(352),
-        });
         let det = DominoDetector::new(PhyParams::dot11b());
-        let report = det.analyze(&t);
+        let report = det.analyze(&[rts(5_000_000, 0)]);
         // The estimate is capped: a single post-idle access contributes a
         // CWmax-capped (hence discarded) sample, never a flag.
         assert!(report.flagged.is_empty());

@@ -112,9 +112,8 @@ impl Run {
     /// Builds the network, simulates to completion, and snapshots the
     /// result into a plain-data [`RunOutcome`].
     ///
-    /// When a campaign installed an ambient
-    /// [`checkpoint::JobSpec`](crate::checkpoint::JobSpec) for this
-    /// thread, the run additionally records its checkpoint and audit
+    /// When a campaign installed an ambient [`checkpoint::JobSpec`] for
+    /// this thread, the run additionally records its checkpoint and audit
     /// files under the campaign's artifact root — or, in resume mode,
     /// restores its own checkpoint and simulates only the tail.
     ///

@@ -1,7 +1,7 @@
 //! Generational arena for in-flight frames.
 //!
 //! The network layer keeps every active transmission in a [`FrameArena`]
-//! and threads [`FrameId`] handles — not owned [`Frame`](crate::Frame)
+//! and threads [`FrameId`] handles — not owned [`Frame`]
 //! clones — through its event queue and down into the PHY rx path. In
 //! steady state a frame is written into its slot once, at
 //! transmission-start, and every later touch (busy tracking, reception,

@@ -11,7 +11,6 @@ pub mod cell;
 pub mod metrics;
 pub mod network;
 pub mod stats;
-pub mod trace;
 
 pub use builder::NetworkBuilder;
 pub use cell::{Cell, TxInterval};
@@ -21,4 +20,3 @@ pub use network::{
     GAUGE_QUEUE_LEN,
 };
 pub use stats::SimStats;
-pub use trace::{Trace, TraceKind, TraceRecord};

@@ -36,7 +36,6 @@ use transport::{
 };
 
 use crate::metrics::{FlowMetrics, NodeMetrics, RunMetrics};
-use crate::trace::Trace;
 
 /// Probe gauge: MAC interface-queue depth, sampled per node.
 pub const GAUGE_QUEUE_LEN: &str = "queue_len";
@@ -397,7 +396,7 @@ impl Network {
             let shared = ::conform::SharedChecker::new(checker);
             recorder
                 .borrow_mut()
-                .set_tap(Box::new(::conform::CheckerTap(shared.clone())));
+                .add_tap(Box::new(::conform::CheckerTap(shared.clone())));
             self.conform = Some((job, shared));
         }
         self.recorder = Some(recorder);
@@ -408,31 +407,23 @@ impl Network {
         self.recorder.as_ref()
     }
 
-    /// Enables frame-level tracing, keeping at most `capacity` events.
-    ///
-    /// Compatibility shim over the flight recorder: installs a PHY-only
-    /// recorder (no probes) unless one is already present, in which case
-    /// the existing recorder — which already captures PHY events — backs
-    /// [`Network::trace`] and this is a no-op.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        if self.recorder.is_none() {
-            self.recorder = Some(
+    /// Attaches a live tap to the run's event stream, beside any tap
+    /// already attached (the conformance checker's, for one). Without a
+    /// recorder, installs a PHY-only recorder that buffers nothing and
+    /// samples no gauges, so the tap sees every PHY emission and the MAC
+    /// and transport layers stay unrecorded.
+    pub fn tap(&mut self, tap: Box<dyn ::obs::EventTap>) {
+        self.recorder
+            .get_or_insert_with(|| {
                 ::obs::ObsSpec {
-                    capacity,
+                    capacity: 0,
                     probe_interval: None,
                     filter: ::obs::Filter::layers(&[::obs::Layer::Phy]),
                 }
-                .recorder(),
-            );
-        }
-    }
-
-    /// The collected frame trace, if a recorder is installed: rebuilt
-    /// from the recorder's PHY events on each call.
-    pub fn trace(&self) -> Option<Trace> {
-        let rec = self.recorder.as_ref()?;
-        let r = rec.borrow();
-        Some(Trace::from_events(r.events(), r.dropped(), r.capacity()))
+                .recorder()
+            })
+            .borrow_mut()
+            .add_tap(tap);
     }
 
     /// Immutable access to a node's DCF (counters, NAV, …).
@@ -655,7 +646,7 @@ impl Network {
         crate::stats::record_run(metrics.events_processed);
         if let Some((job, checker)) = self.conform.take() {
             if let Some(rec) = &self.recorder {
-                let _ = rec.borrow_mut().take_tap();
+                rec.borrow_mut().clear_taps();
             }
             job.deposit(checker.borrow_mut().finish_report());
         }

@@ -150,9 +150,10 @@ impl ObsSpec {
 
 /// A live subscriber to a recorder's event stream.
 ///
-/// The tap sees **every** emitted event, before the filter and before
-/// ring eviction — a conformance checker attached here misses nothing
-/// even when the ring is tiny or a `--record-filter` is active.
+/// A tap sees **every** emitted event, before the filter and before
+/// ring eviction — a conformance checker or a DOMINO transmission log
+/// attached here misses nothing even when the ring is tiny or a
+/// `--record-filter` is active.
 pub trait EventTap {
     /// Called for each event at its emission site.
     fn on_event(&mut self, ev: &ObsEvent);
@@ -165,7 +166,7 @@ pub struct Recorder {
     dropped: u64,
     hists: BTreeMap<&'static str, LogHistogram>,
     series: BTreeMap<(&'static str, u16), Vec<(SimTime, f64)>>,
-    tap: Option<Box<dyn EventTap>>,
+    taps: Vec<Box<dyn EventTap>>,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -174,7 +175,7 @@ impl std::fmt::Debug for Recorder {
             .field("spec", &self.spec)
             .field("events", &self.events.len())
             .field("dropped", &self.dropped)
-            .field("tap", &self.tap.is_some())
+            .field("taps", &self.taps.len())
             .finish()
     }
 }
@@ -189,26 +190,29 @@ impl Recorder {
             dropped: 0,
             hists: BTreeMap::new(),
             series: BTreeMap::new(),
-            tap: None,
+            taps: Vec::new(),
         }
     }
 
-    /// Attaches a live [`EventTap`], replacing any previous one.
-    pub fn set_tap(&mut self, tap: Box<dyn EventTap>) {
-        self.tap = Some(tap);
+    /// Attaches a live [`EventTap`] after the ones already attached.
+    pub fn add_tap(&mut self, tap: Box<dyn EventTap>) {
+        self.taps.push(tap);
     }
 
-    /// Detaches and returns the current tap, if any.
-    pub fn take_tap(&mut self) -> Option<Box<dyn EventTap>> {
-        self.tap.take()
+    /// Detaches every tap.
+    pub fn clear_taps(&mut self) {
+        self.taps.clear();
     }
 
     /// Records one event if the filter passes, evicting the oldest event
-    /// when the ring is full. An attached [`EventTap`] sees the event
-    /// first, regardless of filter or capacity.
+    /// when the ring is full. Attached [`EventTap`]s see the event first,
+    /// in attachment order, regardless of filter or capacity.
     pub fn emit(&mut self, at: SimTime, node: u16, kind: &'static EventKind, vals: &[f64]) {
-        if let Some(tap) = self.tap.as_mut() {
-            tap.on_event(&ObsEvent::new(at, node, kind, vals));
+        if !self.taps.is_empty() {
+            let ev = ObsEvent::new(at, node, kind, vals);
+            for tap in &mut self.taps {
+                tap.on_event(&ev);
+            }
         }
         if !self.spec.filter.allows(kind.layer, node) {
             return;
@@ -244,11 +248,6 @@ impl Recorder {
     /// The configured gauge sampling period, if probing is on.
     pub fn probe_interval(&self) -> Option<SimDuration> {
         self.spec.probe_interval
-    }
-
-    /// The configured ring-buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.spec.capacity
     }
 
     /// The event filter.
@@ -368,15 +367,16 @@ mod tests {
         let mut s = spec(1);
         s.filter = Filter::layers(&[Layer::Phy]);
         let mut r = Recorder::new(s);
-        r.set_tap(Box::new(Counting(seen.clone())));
+        r.add_tap(Box::new(Counting(seen.clone())));
+        r.add_tap(Box::new(Counting(seen.clone())));
         for i in 0..5u64 {
             r.emit(SimTime::from_micros(i), 0, &K_MAC, &[0.0]); // filtered out
             r.emit(SimTime::from_micros(i), 0, &K_PHY, &[]); // kept, ring of 1
         }
-        assert_eq!(seen.get(), 10, "tap must see every emission");
+        assert_eq!(seen.get(), 20, "each tap must see every emission");
         assert_eq!(r.len(), 1);
-        assert!(r.take_tap().is_some());
+        r.clear_taps();
         r.emit(SimTime::ZERO, 0, &K_PHY, &[]);
-        assert_eq!(seen.get(), 10, "detached tap sees nothing");
+        assert_eq!(seen.get(), 20, "detached taps see nothing");
     }
 }

@@ -7,10 +7,14 @@
 //! decoded, was corrupted by noise, or lost the capture race.
 //!
 //! Frame kinds travel as compact codes (see [`frame code`](FRAME_RTS)
-//! constants) because the PHY does not know the MAC's `FrameKind` enum;
-//! the `net::trace` adapter maps codes back.
+//! constants) because the PHY does not know the MAC's `FrameKind` enum.
+//!
+//! A [`TxLog`] tap collects the [`TX_START`] events of one run: what a
+//! sender-side timing monitor such as DOMINO reads.
 
-use ::obs::{EventKind, Layer, RecorderHandle};
+use std::cell::Ref;
+
+use ::obs::{EventKind, EventTap, Layer, ObsEvent, RecorderHandle, Shared};
 use sim::{SimDuration, SimTime};
 
 /// Frame code for RTS in event payloads.
@@ -74,6 +78,33 @@ pub enum RxOutcome {
     Collision,
 }
 
+/// An [`EventTap`] keeping every [`TX_START`] event of a run, whatever
+/// the recorder's capacity or filter. Clones share one log: attach one
+/// clone, read through another.
+#[derive(Clone, Debug)]
+pub struct TxLog(Shared<Vec<ObsEvent>>);
+
+impl Default for TxLog {
+    fn default() -> Self {
+        TxLog(Shared::new(Vec::new()))
+    }
+}
+
+impl TxLog {
+    /// The transmission starts logged so far, in emission order.
+    pub fn events(&self) -> Ref<'_, Vec<ObsEvent>> {
+        self.0.borrow()
+    }
+}
+
+impl EventTap for TxLog {
+    fn on_event(&mut self, ev: &ObsEvent) {
+        if std::ptr::eq(ev.kind, &TX_START) {
+            self.0.borrow_mut().push(*ev);
+        }
+    }
+}
+
 /// Records a transmission start.
 pub fn record_tx_start(
     rec: &RecorderHandle,
@@ -92,7 +123,7 @@ pub fn record_tx_start(
 }
 
 /// Records a reception outcome at `node`.
-#[allow(clippy::too_many_arguments)] // mirrors the trace-record tuple
+#[allow(clippy::too_many_arguments)] // one argument per payload field
 pub fn record_rx(
     rec: &RecorderHandle,
     at: SimTime,
@@ -152,5 +183,36 @@ mod tests {
         assert_eq!(report.events[0].kind.name, "tx_start");
         assert_eq!(report.events[1].kind.name, "rx_ok");
         assert_eq!(report.events[1].vals[2], FRAME_RTS as f64);
+    }
+
+    #[test]
+    fn tx_log_keeps_only_transmission_starts() {
+        let rec = ObsSpec {
+            capacity: 0,
+            ..ObsSpec::default()
+        }
+        .recorder();
+        let log = TxLog::default();
+        rec.borrow_mut().add_tap(Box::new(log.clone()));
+        let air = SimDuration::from_micros(352);
+        record_tx_start(&rec, SimTime::from_micros(10), 0, 1, FRAME_RTS, air);
+        record_rx(
+            &rec,
+            SimTime::from_micros(362),
+            1,
+            0,
+            1,
+            FRAME_RTS,
+            RxOutcome::Ok,
+            air,
+        );
+        let events = log.events();
+        assert_eq!(
+            events.len(),
+            1,
+            "a zero-capacity recorder still feeds the tap"
+        );
+        assert_eq!(events[0].node, 0);
+        assert_eq!(events[0].vals[..3], [1.0, FRAME_RTS as f64, 352.0]);
     }
 }

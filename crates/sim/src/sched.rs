@@ -1,8 +1,8 @@
 //! Cancellable scheduler: a hierarchical timing wheel plus a simulation
 //! clock.
 //!
-//! Events are stored in the [`wheel`](crate::wheel) — O(1) to arm and O(1)
-//! to cancel through generation-stamped [`TimerHandle`]s, with dispatch
+//! Events are stored in the timing wheel (`wheel.rs`) — O(1) to arm and
+//! O(1) to cancel through generation-stamped [`TimerHandle`]s, with dispatch
 //! order identical to a stable `(time, insertion)` priority queue. Unlike
 //! the old lazy-`HashSet` cancellation scheme, a cancel reclaims the
 //! event's slot immediately: cancelling an event that already fired is a

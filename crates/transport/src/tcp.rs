@@ -6,7 +6,8 @@
 //! without leaving recovery, so a burst of drops costs one RTT per drop
 //! instead of a retransmission timeout) and RTO-based recovery with
 //! Karn's rule and exponential backoff. Every congestion-window
-//! *decision* is delegated to the [`cc::CongestionController`] selected
+//! *decision* is delegated to the
+//! [`cc::CongestionController`](crate::cc::CongestionController) selected
 //! by [`TcpConfig::cc`] — NewReno (the paper's baseline, byte-identical
 //! to the formerly-inlined arithmetic), CUBIC, BBR, or NewReno/CUBIC
 //! with HyStart. The receiver delivers in order, buffers out-of-order

@@ -2,8 +2,7 @@
 //!
 //! Runs four hotspots — honest, backoff-cheating *sender*, NAV-inflating
 //! *receiver*, ACK-spoofing *receiver* — with both detectors armed, and
-//! prints the coverage matrix plus the airtime shares the frame trace
-//! reveals. This is the paper's motivation in one run: sender-side
+//! prints the coverage matrix beside both pairs' goodput. This is the paper's motivation in one run: sender-side
 //! monitors cannot see receiver misbehavior.
 //!
 //! ```sh
@@ -59,10 +58,10 @@ fn run(attack: Attack) -> (f64, f64, usize, u64, u64) {
     let f0 = b.udp_flow(s0, r0, 1024, 10_000_000);
     let f1 = b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
-    net.enable_trace(2_000_000);
+    let log = phy::obs::TxLog::default();
+    net.tap(Box::new(log.clone()));
     let m = net.run(SimDuration::from_secs(10));
-    let trace = net.trace().expect("trace on");
-    let report = DominoDetector::new(params).analyze(&trace);
+    let report = DominoDetector::new(params).analyze(&log.events());
     let nav: u64 = handles
         .iter()
         .map(|h| h.nav.borrow().total_detections())

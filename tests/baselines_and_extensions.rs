@@ -1,10 +1,11 @@
 //! End-to-end tests of the beyond-the-paper components: the greedy
-//! *sender* baseline + DOMINO detection, tracing, and ARF rate
+//! *sender* baseline + DOMINO detection, transmission logs, and ARF rate
 //! adaptation interacting with the misbehaviors.
 
 use greedy80211_repro::{DominoDetector, GreedyConfig, GreedySenderPolicy, NavInflationConfig};
 use mac::ArfConfig;
 use net::NetworkBuilder;
+use phy::obs::TxLog;
 use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 use sim::SimDuration;
 
@@ -41,10 +42,10 @@ fn domino_flags_greedy_sender_not_honest_nodes() {
     b.udp_flow(s_greedy, r1, 1024, 10_000_000);
     b.udp_flow(s_honest, r2, 1024, 10_000_000);
     let mut net = b.build();
-    net.enable_trace(1_000_000);
+    let log = TxLog::default();
+    net.tap(Box::new(log.clone()));
     net.run(SimDuration::from_secs(5));
-    let trace = net.trace().unwrap();
-    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&trace);
+    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&log.events());
     assert!(
         report.flagged.contains(&s_greedy.0),
         "DOMINO must flag the backoff cheat: {report:?}"
@@ -68,13 +69,13 @@ fn domino_is_blind_to_nav_inflating_receivers() {
     let f1 = b.udp_flow(s1, r1, 1024, 10_000_000);
     let f2 = b.udp_flow(s2, r2, 1024, 10_000_000);
     let mut net = b.build();
-    net.enable_trace(1_000_000);
+    let log = TxLog::default();
+    net.tap(Box::new(log.clone()));
     let m = net.run(SimDuration::from_secs(5));
     // The attack works…
     assert!(m.goodput_mbps(f2) > m.goodput_mbps(f1) * 3.0);
     // …but DOMINO sees honest timing everywhere.
-    let trace = net.trace().unwrap();
-    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&trace);
+    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&log.events());
     assert!(
         report.flagged.is_empty(),
         "DOMINO must not flag receiver misbehavior: {report:?}"
@@ -94,18 +95,27 @@ fn trace_reveals_airtime_monopoly() {
     b.udp_flow(s1, r1, 1024, 10_000_000);
     b.udp_flow(s2, r2, 1024, 10_000_000);
     let mut net = b.build();
-    net.enable_trace(1_000_000);
+    let log = TxLog::default();
+    net.tap(Box::new(log.clone()));
     net.run(SimDuration::from_secs(3));
-    let trace = net.trace().unwrap();
-    let greedy_air = trace.airtime_of(s2).as_secs_f64();
-    let honest_air = trace.airtime_of(s1).as_secs_f64();
+    // Seconds on air per transmitter: `tx_start` payload 2 is the
+    // frame's airtime in µs.
+    let airtime_of = |node: Option<u16>| -> f64 {
+        log.events()
+            .iter()
+            .filter(|e| node.is_none_or(|n| e.node == n))
+            .map(|e| e.vals[2] * 1e-6)
+            .sum()
+    };
+    let greedy_air = airtime_of(Some(s2.0));
+    let honest_air = airtime_of(Some(s1.0));
     assert!(
         greedy_air > honest_air * 10.0,
         "airtime shares must expose the monopoly: {greedy_air} vs {honest_air}"
     );
     // Utilization sanity: the winning pair keeps the channel busy, and
     // the double-counting bound keeps the figure finite.
-    let u = trace.utilization(SimDuration::from_secs(3));
+    let u = airtime_of(None) / 3.0;
     assert!((0.5..1.5).contains(&u), "utilization {u}");
 }
 
