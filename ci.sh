@@ -66,13 +66,17 @@ done
 echo "==> golden-trace corpus (structural fixtures)"
 cargo test --offline -q -p gr-net --test golden
 
-echo "==> world determinism (3x3 per-cell CSVs byte-identical across --jobs)"
+echo "==> world determinism (3x3 CSVs cmp-equal to results/world/ at --jobs 1 and 8)"
 cargo run --release --offline -p gr-bench --bin repro -- \
   world --cells 3x3 --quick --jobs 1 --out "$CK/wa" >/dev/null
 cargo run --release --offline -p gr-bench --bin repro -- \
   world --cells 3x3 --quick --jobs 8 --out "$CK/wb" >/dev/null
-for f in "$CK"/wa/world*.csv; do
+for f in results/world/*.csv; do
+  cmp "$f" "$CK/wa/$(basename "$f")"
   cmp "$f" "$CK/wb/$(basename "$f")"
+done
+for f in "$CK"/wa/world*.csv; do
+  [ -f "results/world/$(basename "$f")" ] || { echo "uncommitted world CSV: $f" >&2; exit 1; }
 done
 
 echo "==> world conformance (honest 2x2 cells must check clean per-cell)"

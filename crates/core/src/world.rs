@@ -269,6 +269,16 @@ impl WorldRun {
     /// [`SimError::InvalidConfig`] for an empty grid, a zero epoch, a
     /// non-positive coupling range, or a malformed cell template.
     pub fn execute(self) -> Result<WorldOutcome, SimError> {
+        self.execute_with(Exchange::after_epoch)
+    }
+
+    /// [`execute`](WorldRun::execute) with the exchange step supplied:
+    /// `exchange(coupling, epoch, reports)` returns each cell's injection
+    /// batch for the epoch just completed.
+    fn execute_with<X>(self, mut exchange: X) -> Result<WorldOutcome, SimError>
+    where
+        X: FnMut(&Exchange, usize, &[Vec<TxInterval>]) -> Vec<Vec<(NodeId, SimTime, SimTime)>>,
+    {
         let WorldRun {
             spec,
             jobs,
@@ -380,22 +390,15 @@ impl WorldRun {
             conform,
             explicit_record: spec.template.record.is_some(),
         };
-        let shift = spec.epoch;
-        let exchange = move |_epoch: usize, reports: Vec<Vec<TxInterval>>| {
-            let mut inject: Vec<Vec<(NodeId, SimTime, SimTime)>> = vec![Vec::new(); n];
-            for a in 0..n {
-                for (j, &b) in neighbors[a].iter().enumerate() {
-                    let map = &coupling[a][j];
-                    for &(src, start, end) in &reports[b] {
-                        for &dst in &map[src.0 as usize] {
-                            inject[a].push((dst, start + shift, end + shift));
-                        }
-                    }
-                }
-            }
-            inject
+        let coupled = Exchange {
+            neighbors,
+            coupling,
+            shift: spec.epoch,
+            epochs,
         };
-        let outs = Runner::new(jobs).run_lockstep(&proto, plans, epochs, exchange);
+        let outs = Runner::new(jobs).run_lockstep(&proto, plans, epochs, |epoch, reports| {
+            exchange(&coupled, epoch, &reports)
+        });
         Ok(WorldOutcome {
             rows: spec.rows,
             cols: spec.cols,
@@ -403,6 +406,55 @@ impl WorldRun {
             duration,
             cells: outs,
         })
+    }
+}
+
+/// The boundary exchange: static coupling maps and the one-epoch lag.
+struct Exchange {
+    /// `neighbors[a]`: ascending ids of the co-channel cells coupled to
+    /// cell `a`.
+    neighbors: Vec<Vec<usize>>,
+    /// `coupling[a][j][bi]`: the nodes of cell `a` that node `bi` of
+    /// cell `neighbors[a][j]` raises carrier sense at.
+    coupling: Vec<Vec<Vec<Vec<NodeId>>>>,
+    /// How late neighbor transmissions are replayed: one epoch.
+    shift: SimDuration,
+    /// Epochs in the run.
+    epochs: usize,
+}
+
+impl Exchange {
+    /// Every cell's injection batch for the epoch that produced
+    /// `reports`: each reported interval, shifted one epoch later, at
+    /// every coupled node, in `(cell, neighbor, report order)` order.
+    fn couple(&self, reports: &[Vec<TxInterval>]) -> Vec<Vec<(NodeId, SimTime, SimTime)>> {
+        let shift = self.shift;
+        let mut inject: Vec<Vec<(NodeId, SimTime, SimTime)>> = vec![Vec::new(); reports.len()];
+        for (a, batch) in inject.iter_mut().enumerate() {
+            for (map, &b) in self.coupling[a].iter().zip(&self.neighbors[a]) {
+                for &(src, start, end) in &reports[b] {
+                    for &dst in &map[src.0 as usize] {
+                        batch.push((dst, start + shift, end + shift));
+                    }
+                }
+            }
+        }
+        inject
+    }
+
+    /// The exchange after epoch `epoch`. The last epoch's intervals
+    /// would start after the run ends and never be dispatched, so its
+    /// batches are empty.
+    fn after_epoch(
+        &self,
+        epoch: usize,
+        reports: &[Vec<TxInterval>],
+    ) -> Vec<Vec<(NodeId, SimTime, SimTime)>> {
+        if epoch + 1 == self.epochs {
+            vec![Vec::new(); reports.len()]
+        } else {
+            self.couple(reports)
+        }
     }
 }
 
@@ -549,6 +601,32 @@ mod tests {
     }
 
     #[test]
+    fn skipping_the_final_exchange_changes_nothing() {
+        // The run ends flush with an epoch horizon and with a ragged
+        // last epoch.
+        for duration_ms in [400, 395] {
+            let mut spec = spec_1x3();
+            spec.template.duration = SimDuration::from_millis(duration_ms);
+            let audited = || Run::world(&spec).audit_every(SimDuration::from_millis(100));
+            let skipped = audited().execute().unwrap();
+            let mut last_batch = 0;
+            let full = audited()
+                .execute_with(|x, epoch, reports| {
+                    let inject = x.couple(reports);
+                    if epoch + 1 == x.epochs {
+                        last_batch = inject.iter().map(Vec::len).sum();
+                    }
+                    inject
+                })
+                .unwrap();
+            assert!(last_batch > 0, "the final exchange must have had work");
+            let fingerprints =
+                |w: &WorldOutcome| w.cells.iter().map(cell_fingerprint).collect::<Vec<_>>();
+            assert_eq!(fingerprints(&skipped), fingerprints(&full));
+        }
+    }
+
+    #[test]
     fn greedy_cells_spread_evenly() {
         let mut spec = WorldSpec::grid(template(), 3, 3);
         spec.greedy_cells = 3;
@@ -685,9 +763,7 @@ impl Lockstep for WorldProto {
     }
 
     fn absorb(&self, shard: &mut CellShard, inject: Self::Inject) {
-        for (node, start, end) in inject {
-            shard.cell.inject(node, start, end);
-        }
+        shard.cell.inject(&inject);
     }
 
     fn finish(&self, shard: CellShard) -> CellOutcome {

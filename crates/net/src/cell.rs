@@ -7,8 +7,8 @@
 //!
 //! * [`step`](Cell::step) — advance to a common horizon and hand back the
 //!   transmissions of the elapsed epoch for the boundary exchange;
-//! * [`inject`](Cell::inject) — arm neighbor-cell busy intervals computed
-//!   by the exchange;
+//! * [`inject`](Cell::inject) — arm the batch of neighbor-cell busy
+//!   intervals computed by the exchange;
 //! * [`finish`](Cell::finish) — collect metrics and deposit reports.
 //!
 //! A cell never talks to another cell directly; the world coordinator
@@ -106,10 +106,11 @@ impl Cell {
         self.net.drain_tx_log()
     }
 
-    /// Arms a neighbor-cell interference interval on `node`; see
-    /// [`Network::inject_busy`] for the boundary nudge.
-    pub fn inject(&mut self, node: NodeId, start: SimTime, end: SimTime) {
-        self.net.inject_busy(node, start, end);
+    /// Arms the epoch's neighbor-cell interference, one `(node, start,
+    /// end)` busy interval per entry; see [`Network::inject_busy`] for
+    /// the boundary nudge and the per-station fusion.
+    pub fn inject(&mut self, batch: &[(NodeId, SimTime, SimTime)]) {
+        self.net.inject_busy(batch);
     }
 
     /// Ends the run: collects metrics over `duration` of virtual time

@@ -69,11 +69,12 @@ pub(crate) enum Event {
     TxEnd {
         tx: FrameId,
     },
-    /// Busy-medium onset injected by the world exchange (no frame).
+    /// Busy-medium onset injected by the world exchange (no frame): the
+    /// first onset of a fused union of neighbor-cell intervals.
     BusyOnset {
         node: NodeId,
     },
-    /// End of an injected busy interval.
+    /// End of an injected busy interval: the last end of a fused union.
     BusyEnd {
         node: NodeId,
     },
@@ -248,8 +249,16 @@ pub struct Network {
     max_air: SimDuration,
     /// Station-level handlers dispatched so far: one per popped event
     /// except `TxOnset`, plus one per station onset, end or reception
-    /// in a fan-out. Reported as `RunMetrics::events_processed`.
+    /// in a fan-out, plus one per injected busy edge fused away.
+    /// Reported as `RunMetrics::events_processed`.
     dispatched: u64,
+    /// Instants of the injected busy edges [`Network::inject_busy`]
+    /// fused away, ascending. Each is credited to `dispatched` once the
+    /// event loop has passed it, as if the edge had been dispatched:
+    /// those before a hook's instant just before the hook fires, those
+    /// at or before the horizon when `advance` returns. Simulation state
+    /// (snapshot format 6 onward).
+    uncredited: Vec<SimTime>,
     /// Precomputed per-pair reach and median received power (positions
     /// are fixed after assembly).
     link: LinkTable,
@@ -346,6 +355,7 @@ impl Network {
             frames: FrameArena::new(),
             max_air: SimDuration::ZERO,
             dispatched: 0,
+            uncredited: Vec::new(),
             link,
             fer,
             link_em,
@@ -571,7 +581,8 @@ impl Network {
     /// `horizon`, firing due hooks in virtual-time order before each.
     /// Hooks due at or before the horizon but after the last event fire
     /// before this returns, so a subsequent [`Network::inject_busy`] for
-    /// the next epoch cannot slip in front of them. Idempotent at a
+    /// the next epoch cannot slip in front of them; so are the credits of
+    /// fused-away busy edges at or before the horizon. Idempotent at a
     /// fixed horizon; callable repeatedly with increasing horizons.
     pub fn advance(&mut self, cursor: &mut HookCursor, horizon: SimTime) {
         let _span = ::obs::span!("net/run");
@@ -588,6 +599,7 @@ impl Network {
                 .filter_map(|(t, kind)| t.filter(|&t| t <= upto).map(|t| (t, kind)))
                 .min();
                 let Some((at, kind)) = due else { break };
+                self.credit_elided(|t| t < at);
                 match kind {
                     HOOK_GAUGE => {
                         self.sample_gauges(at);
@@ -632,6 +644,27 @@ impl Network {
             debug_assert_eq!(now, t, "pop disagrees with peek");
             self.dispatch(now, ev);
         }
+        self.credit_elided(|t| t <= horizon);
+    }
+
+    /// Injected busy edges fused away whose instants the event loop has
+    /// not yet passed, so they are not yet in `events_processed`.
+    pub fn pending_credits(&self) -> usize {
+        self.uncredited.len()
+    }
+
+    /// Credits to the dispatch count every fused-away busy edge whose
+    /// instant satisfies `passed` (a prefix of the ascending queue), and
+    /// moves the clock up to the last of them, where dispatching the
+    /// edges would have left it (the next epoch's nudge reads it).
+    fn credit_elided(&mut self, passed: impl Fn(SimTime) -> bool) {
+        let k = self.uncredited.partition_point(|&t| passed(t));
+        if k == 0 {
+            return;
+        }
+        self.dispatched += k as u64;
+        self.sched.advance_clock(self.uncredited[k - 1]);
+        self.uncredited.drain(..k);
     }
 
     /// Ends an epoch-driven run: collects metrics over `duration` of
@@ -653,25 +686,77 @@ impl Network {
         (metrics, cursor.artifacts)
     }
 
-    /// Marks the medium busy at `node` over `[start, end)` without any
-    /// frame behind it — cross-cell interference injected by the world's
-    /// epoch exchange. A `start` at or before the current clock (the
-    /// exchange clips intervals to epoch boundaries, so a neighbor's
-    /// transmission can abut the boundary exactly) is nudged one
-    /// nanosecond past `now` so the scheduler never sees a stale event;
-    /// intervals the nudge empties are dropped.
-    pub fn inject_busy(&mut self, node: NodeId, start: SimTime, end: SimTime) {
-        let now = self.sched.now();
-        let onset = if start <= now {
-            now + SimDuration::from_nanos(1)
-        } else {
-            start
-        };
-        if end <= onset {
-            return;
+    /// Marks the medium busy over each `(node, start, end)` interval of
+    /// `batch` without any frame behind it — cross-cell interference
+    /// injected by the world's epoch exchange.
+    ///
+    /// A `start` at or before the current clock (the exchange clips
+    /// intervals to epoch boundaries, so a neighbor's transmission can
+    /// abut the boundary exactly) is nudged one nanosecond past `now` so
+    /// the scheduler never sees a stale event; intervals the nudge
+    /// empties are dropped.
+    ///
+    /// Per station, intervals that overlap *strictly* (in `(start,
+    /// batch index)` order, a start before the latest end so far) are
+    /// fused into their union: only its first onset (least `(start,
+    /// index)`) and last end (greatest `(end, index)`) are armed. Every
+    /// other edge of the union would only move the station's busy count
+    /// between positive values, so the count changes sign on the same
+    /// events as with every edge armed. Intervals that merely touch are
+    /// not fused: at that instant the station may go idle and busy again.
+    /// Surviving edges are armed in batch order, onset before end, so
+    /// their relative sequence order is the one all edges would have
+    /// had. A fused-away edge's instant is queued and credited to the
+    /// dispatch count once the event loop passes it, which keeps
+    /// `events_processed` exact. A batch of one never fuses.
+    pub fn inject_busy(&mut self, batch: &[(NodeId, SimTime, SimTime)]) {
+        const ONSET: u8 = 1;
+        const END: u8 = 2;
+        let nudged = self.sched.now() + SimDuration::from_nanos(1);
+        let onset = |start: SimTime| start.max(nudged);
+        // `(node, onset, batch index)` of every interval the nudge
+        // leaves non-empty, grouped by station in union-sweep order.
+        let mut order: Vec<(NodeId, SimTime, u32)> = batch
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(_, start, end))| end > onset(start))
+            .map(|(i, &(node, start, _))| (node, onset(start), i as u32))
+            .collect();
+        order.sort_unstable();
+        let mut keep = vec![0u8; batch.len()];
+        for &(_, _, i) in &order {
+            keep[i as usize] = ONSET | END;
         }
-        self.sched.arm_at(onset, Event::BusyOnset { node });
-        self.sched.arm_at(end, Event::BusyEnd { node });
+        let mut k = 0;
+        while k < order.len() {
+            let (node, _, first) = order[k];
+            // The union's latest end so far, as `(end, batch index)`.
+            let mut last = (batch[first as usize].2, first);
+            k += 1;
+            while k < order.len() && order[k].0 == node && order[k].1 < last.0 {
+                let (_, at, i) = order[k];
+                keep[i as usize] &= !ONSET;
+                self.uncredited.push(at);
+                let later = (batch[i as usize].2, i);
+                let shadowed = if later > last {
+                    std::mem::replace(&mut last, later)
+                } else {
+                    later
+                };
+                keep[shadowed.1 as usize] &= !END;
+                self.uncredited.push(shadowed.0);
+                k += 1;
+            }
+        }
+        for (&(node, start, end), keep) in batch.iter().zip(keep) {
+            if keep & ONSET != 0 {
+                self.sched.arm_at(onset(start), Event::BusyOnset { node });
+            }
+            if keep & END != 0 {
+                self.sched.arm_at(end, Event::BusyEnd { node });
+            }
+        }
+        self.uncredited.sort_unstable();
     }
 
     /// Samples every probe gauge at virtual instant `at`. Values reflect
@@ -1509,8 +1594,8 @@ impl FlowState {
 }
 
 /// Snapshot = shared RNG stream, scheduler (clock + pending events),
-/// dispatch count, transmission arena, per-node MAC state and per-flow
-/// transport state.
+/// dispatch count and its pending credits, transmission arena, per-node
+/// MAC state and per-flow transport state.
 /// PHY parameters, channel/capture models and error tables are
 /// configuration and are excluded; the owner rebuilds an identically
 /// configured network before restoring.
@@ -1519,6 +1604,7 @@ impl snap::SnapState for Network {
         self.rng.snap_save(w);
         self.sched.snap_save(w);
         w.u64(self.dispatched);
+        self.uncredited.save(w);
         self.frames.save(w);
         self.max_air.save(w);
         w.usize(self.nodes.len());
@@ -1535,6 +1621,7 @@ impl snap::SnapState for Network {
         self.rng.snap_restore(r)?;
         self.sched.snap_restore(r)?;
         self.dispatched = r.u64()?;
+        self.uncredited = Vec::<SimTime>::load(r)?;
         self.frames = FrameArena::load(r)?;
         self.max_air = SimDuration::load(r)?;
         let n = r.usize()?;
@@ -1615,11 +1702,13 @@ impl Network {
             }
             snap::fnv1a(w.bytes())
         };
-        // The scheduler layer covers the dispatch count too.
+        // The scheduler layer covers the dispatch count and its pending
+        // credits too.
         let sched = {
             let mut w = snap::Enc::new();
             self.sched.snap_save(&mut w);
             w.u64(self.dispatched);
+            self.uncredited.save(&mut w);
             snap::fnv1a(w.bytes())
         };
         [
@@ -1630,5 +1719,86 @@ impl Network {
             ("transport", transport),
             ("detect", detect),
         ]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetworkBuilder;
+
+    /// Injects `batch` at `now` and pops every armed event, as
+    /// `(time, station, onset?)` in dispatch order.
+    fn armed(
+        now: SimTime,
+        batch: &[(NodeId, SimTime, SimTime)],
+        fused: bool,
+    ) -> Vec<(u64, u16, bool)> {
+        let mut b = NetworkBuilder::new(PhyParams::dot11b());
+        for i in 0..4 {
+            b.add_node(Position::new(i as f64, 0.0));
+        }
+        let mut net = b.build();
+        net.sched.advance_clock(now);
+        if fused {
+            net.inject_busy(batch);
+        } else {
+            for iv in batch {
+                net.inject_busy(std::slice::from_ref(iv));
+            }
+        }
+        std::iter::from_fn(|| net.sched.next())
+            .map(|(t, ev)| match ev {
+                Event::BusyOnset { node } => (t.as_nanos(), node.0, true),
+                Event::BusyEnd { node } => (t.as_nanos(), node.0, false),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The edges of `popped` that move a station's busy count between
+    /// zero and one — the only ones the DCF sees.
+    fn transitions(popped: &[(u64, u16, bool)]) -> Vec<(u64, u16, bool)> {
+        let mut count = [0u32; 4];
+        popped
+            .iter()
+            .copied()
+            .filter(|&(_, node, onset)| {
+                let c = &mut count[node as usize];
+                if onset {
+                    *c += 1;
+                    *c == 1
+                } else {
+                    *c -= 1;
+                    *c == 0
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fusion_keeps_every_busy_transition_in_order() {
+        let mut rng = SimRng::new(9);
+        let now = SimTime::from_micros(100);
+        let mut fused_away = 0;
+        for _ in 0..300 {
+            // A coarse 10 µs grid makes equal instants, touching
+            // intervals and cross-station ties common; some starts fall
+            // at or before `now`.
+            let grid = |rng: &mut SimRng| SimTime::from_micros(10 * rng.uniform_usize(40) as u64);
+            let batch: Vec<_> = (0..1 + rng.uniform_usize(30))
+                .map(|_| {
+                    let node = NodeId(rng.uniform_usize(4) as u16);
+                    let start = grid(&mut rng) + SimDuration::from_micros(50);
+                    let end = start + SimDuration::from_micros(10 * rng.uniform_usize(12) as u64);
+                    (node, start, end)
+                })
+                .collect();
+            let single = armed(now, &batch, false);
+            let fused = armed(now, &batch, true);
+            assert_eq!(transitions(&single), transitions(&fused), "{batch:?}");
+            fused_away += single.len() - fused.len();
+        }
+        assert!(fused_away > 1_000, "{fused_away}");
     }
 }

@@ -2,8 +2,8 @@
 //! restoring a mid-run snapshot into a freshly built identical network
 //! and resuming must reproduce the uninterrupted run exactly.
 
-use gr_net::{NetworkBuilder, RunArtifacts, RunHooks};
-use phy::{ChannelModel, ErrorModel, ErrorUnit, PhyParams, Position};
+use gr_net::{Cell, NetworkBuilder, RunArtifacts, RunHooks};
+use phy::{ChannelIndex, ChannelModel, ErrorModel, ErrorUnit, PhyParams, Position};
 use sim::{SimDuration, SimTime};
 use snap::{Dec, SnapState};
 use transport::TcpConfig;
@@ -205,4 +205,115 @@ fn hooks_do_not_change_the_simulation() {
     );
     assert_eq!(art.checkpoints.len(), 10);
     assert_eq!(plain.layer_digests(), hooked.layer_digests());
+}
+
+/// One cell of a two-cell co-channel world: two saturating basic-access
+/// pairs whose frames collide often, so the neighbor's busy intervals
+/// overlap at each station and fuse.
+fn build_world_cell(seed: u64) -> gr_net::Network {
+    let mut b = NetworkBuilder::new(PhyParams::dot11b())
+        .seed(seed)
+        .rts(false)
+        .default_error(ErrorModel::new(ErrorUnit::Byte, 1e-4).unwrap());
+    let s1 = b.add_node(Position::new(0.0, 0.0));
+    let r1 = b.add_node(Position::new(5.0, 0.0));
+    let s2 = b.add_node(Position::new(0.0, 5.0));
+    let r2 = b.add_node(Position::new(5.0, 5.0));
+    b.udp_flow(s1, r1, 1024, 4_000_000);
+    b.udp_flow(s2, r2, 1024, 4_000_000);
+    b.build()
+}
+
+#[test]
+fn world_cell_resumes_with_pending_fusion_credits() {
+    let epoch = SimDuration::from_millis(5);
+    let duration = SimDuration::from_millis(200);
+    let epochs = (duration.as_nanos() / epoch.as_nanos()) as usize;
+    let horizon = |k: usize| SimTime::from_nanos((k as u64 + 1) * epoch.as_nanos());
+    // Checkpoints on a grid that mostly falls mid-epoch.
+    let hooks = RunHooks {
+        checkpoint_every: Some(SimDuration::from_micros(1_300)),
+        audit_every: Some(SimDuration::from_millis(10)),
+        ..RunHooks::default()
+    };
+    let mut cells = [
+        Cell::new(
+            0,
+            ChannelIndex(0),
+            Position::new(0.0, 0.0),
+            build_world_cell(3),
+            hooks,
+        ),
+        Cell::new(
+            1,
+            ChannelIndex(0),
+            Position::new(60.0, 0.0),
+            build_world_cell(7),
+            RunHooks::default(),
+        ),
+    ];
+    // Every node of one cell is within 99 m of every node of the other,
+    // so the exchange replays each neighbor frame at all four stations,
+    // one epoch late; cell 0's batches are kept for the resumed twin.
+    let mut batches = Vec::new();
+    for k in 0..epochs {
+        let reports: Vec<Vec<gr_net::TxInterval>> =
+            cells.iter_mut().map(|c| c.step(horizon(k))).collect();
+        if k + 1 == epochs {
+            break;
+        }
+        for (a, cell) in cells.iter_mut().enumerate() {
+            let batch: Vec<_> = reports[1 - a]
+                .iter()
+                .flat_map(|&(_, start, end)| {
+                    (0..4).map(move |dst| (mac::NodeId(dst), start + epoch, end + epoch))
+                })
+                .collect();
+            cell.inject(&batch);
+            if a == 0 {
+                batches.push(batch);
+            }
+        }
+    }
+    let [c0, _] = cells;
+    let base_digests = c0.network().layer_digests();
+    let (base_metrics, base_art) = c0.finish(duration);
+
+    let mut resumed_from = 0;
+    for (at, bytes) in &base_art.checkpoints {
+        let mut net = build_world_cell(3);
+        net.snap_restore(&mut Dec::new(bytes)).unwrap();
+        if net.pending_credits() == 0 || at.as_nanos() % epoch.as_nanos() == 0 {
+            continue;
+        }
+        resumed_from += 1;
+        let mut cursor = net.begin_hooked(hooks, Some(*at));
+        // The epoch the checkpoint fell in, then the rest with the same
+        // injections at the same barriers.
+        let first = (at.as_nanos() / epoch.as_nanos()) as usize;
+        for k in first..epochs {
+            net.advance(&mut cursor, horizon(k));
+            if let Some(batch) = batches.get(k) {
+                net.inject_busy(batch);
+            }
+        }
+        let digests = net.layer_digests();
+        let (metrics, art) = net.finish_hooked(cursor, duration);
+        assert_eq!(
+            metrics.events_processed, base_metrics.events_processed,
+            "resumed from {at:?}"
+        );
+        assert_eq!(digests, base_digests, "resumed from {at:?}");
+        let tail: Vec<_> = base_art
+            .audit
+            .iter()
+            .filter(|(vt, _, _)| *vt > at.as_nanos())
+            .copied()
+            .collect();
+        assert_eq!(art.audit, tail, "audit ladder tail from {at:?}");
+    }
+    assert!(
+        resumed_from >= 10,
+        "want several mid-epoch checkpoints holding credits, got {resumed_from}"
+    );
 }

@@ -202,16 +202,18 @@ fn two_cell_co_channel_interference() {
         // Merge in fixed (cell, neighbor, report order) order, one epoch
         // late — the exchange the lockstep runner performs.
         for (a, cell) in cells.iter_mut().enumerate() {
+            let mut batch = Vec::new();
             for (b, report) in reports.iter().enumerate() {
                 if a == b {
                     continue;
                 }
                 for &(src, start, end) in report {
                     for dst in coupled(a, b, src.0) {
-                        cell.inject(mac::NodeId(dst), start + epoch, end + epoch);
+                        batch.push((mac::NodeId(dst), start + epoch, end + epoch));
                     }
                 }
             }
+            cell.inject(&batch);
         }
     }
     let [c0, c1] = cells;

@@ -105,6 +105,20 @@ impl<E> Scheduler<E> {
         Some((t, ev))
     }
 
+    /// Moves the clock forward to `at` without dispatching anything, as
+    /// if an event at `at` had just run; a clock already past `at` stays.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if a pending event is due before `at`.
+    pub fn advance_clock(&mut self, at: SimTime) {
+        debug_assert!(
+            self.wheel.peek_time().is_none_or(|t| t >= at),
+            "clock moved past a pending event"
+        );
+        self.now = self.now.max(at);
+    }
+
     /// Timestamp of the next live event without dispatching it, or `None`
     /// when the queue is exhausted. Takes `&mut self` because peeking may
     /// drain wheel buckets into the staging buffer (the clock and the
@@ -201,6 +215,19 @@ mod tests {
         assert_eq!(s.next(), Some((SimTime::from_micros(5), 1)));
         assert_eq!(s.peek_time(), Some(SimTime::from_micros(15)));
         assert_eq!(s.now(), SimTime::from_micros(5));
+    }
+
+    #[test]
+    fn advance_clock_moves_forward_only() {
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.arm_at(SimTime::from_micros(10), 1);
+        s.advance_clock(SimTime::from_micros(7));
+        assert_eq!(s.now(), SimTime::from_micros(7));
+        s.advance_clock(SimTime::from_micros(3));
+        assert_eq!(s.now(), SimTime::from_micros(7), "never backwards");
+        s.arm(SimDuration::from_micros(1), 2);
+        assert_eq!(s.next(), Some((SimTime::from_micros(8), 2)));
+        assert_eq!(s.next(), Some((SimTime::from_micros(10), 1)));
     }
 
     #[test]

@@ -58,7 +58,10 @@ pub const MAGIC: &[u8; 6] = b"GRSNAP";
 /// the carrier-sense onset fan-out, the per-station reception event is
 /// gone), and the dispatch count moved from the scheduler's encoding to
 /// the network's.
-pub const FORMAT_VERSION: u16 = 5;
+/// Version 6: injected busy intervals fuse per station, and the instants
+/// of the edges fused away (not yet credited to the dispatch count)
+/// follow the dispatch count.
+pub const FORMAT_VERSION: u16 = 6;
 
 /// Errors arising while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
