@@ -83,9 +83,17 @@ echo "==> world conformance (honest 2x2 cells must check clean per-cell)"
 cargo run --release --offline -p gr-bench --bin repro -- \
   world --cells 2x2 --quick --conform --out "$CK/wconf" >/dev/null
 
-echo "==> conformance: invariant-on replays of fig2/fig6/tab5"
+echo "==> conformance: invariant-on and recorded replays of fig2/fig6/tab5 match the plain run"
+cargo run --release --offline -p gr-bench --bin repro -- \
+  run --quick --out "$CK/plain" fig2 fig6 tab5 >/dev/null
 cargo run --release --offline -p gr-bench --bin repro -- \
   run --quick --conform --out "$CK/conf" fig2 fig6 tab5 >/dev/null
+cargo run --release --offline -p gr-bench --bin repro -- \
+  run --quick --record --out "$CK/recd" fig2 fig6 tab5 >/dev/null
+for id in fig2 fig6 tab5; do
+  cmp "$CK/plain/$id.csv" "$CK/conf/$id.csv"
+  cmp "$CK/plain/$id.csv" "$CK/recd/$id.csv"
+done
 
 echo "==> conformance: whitelist-removal drill must fail on fig2"
 if cargo run --release --offline -p gr-bench --bin repro -- \

@@ -78,7 +78,7 @@ use greedy80211::{
     CampaignSpec, GreedyConfig, InflatedFrames, NavInflationConfig, RunOutcome, Scenario,
     TransportKind,
 };
-use net::stats;
+use net::{stats, JobContext};
 use phy::PhyStandard;
 use sim::{RunKey, SimDuration};
 
@@ -627,7 +627,7 @@ fn fuzz_cases(args: &Args) -> Result<(), String> {
 /// replayed.
 fn resume_file(path: &Path, args: &Args) -> Result<(), String> {
     let job = args.conform().then(|| {
-        let j = ::conform::ConformJob::new(None);
+        let j = ::conform::ConformJob::new();
         if args.has("--conform-no-whitelist") {
             j.without_whitelist()
         } else {
@@ -635,17 +635,11 @@ fn resume_file(path: &Path, args: &Args) -> Result<(), String> {
         }
     });
     let out = {
-        let _obs_guard = job.as_ref().map(|_| {
-            obs::ambient::install(
-                obs::ObsSpec {
-                    capacity: 0,
-                    probe_interval: None,
-                    filter: obs::Filter::all(),
-                }
-                .recorder(),
-            )
-        });
-        let _cf_guard = job.as_ref().map(|j| ::conform::ambient::install(j.clone()));
+        let _job = JobContext {
+            conform: job.clone(),
+            ..JobContext::default()
+        }
+        .install();
         greedy80211::Run::resume(path)
     }
     .map_err(|e| format!("--resume: {e}"))?;

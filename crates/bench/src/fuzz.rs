@@ -29,6 +29,7 @@ use greedy80211::checkpoint::run_file_stem;
 use greedy80211::{
     CcConfig, Checkpoint, GreedyConfig, NavInflationConfig, Run, Scenario, TransportKind,
 };
+use net::JobContext;
 use sim::{RunKey, SimDuration, SimError};
 
 /// Width of the virtual-time bracket a violation is shrunk to.
@@ -186,24 +187,20 @@ impl FuzzVerdict {
     }
 }
 
-/// Runs `scenario` once under the checker (a capacity-0 recorder feeds
-/// the checker's tap without retaining anything) and returns its report.
+/// Runs `scenario` once under the checker and returns its report.
 fn check_scenario(
     scenario: &Scenario,
     key: &RunKey,
     honor_whitelist: bool,
 ) -> Result<conform::ConformReport, SimError> {
-    let mut job = conform::ConformJob::new(Some(key.clone()));
+    let mut job = conform::ConformJob::new();
     job.honor_whitelist = honor_whitelist;
     {
-        let rec = obs::ObsSpec {
-            capacity: 0,
-            probe_interval: None,
-            filter: obs::Filter::all(),
+        let _job = JobContext {
+            conform: Some(job.clone()),
+            ..JobContext::keyed(key.clone())
         }
-        .recorder();
-        let _obs_guard = obs::ambient::install(rec);
-        let _cf_guard = conform::ambient::install(job.clone());
+        .install();
         Run::plan(scenario).keyed(key.clone()).execute()?;
     }
     let mut reports = job.drain();

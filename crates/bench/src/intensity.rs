@@ -206,8 +206,6 @@ impl IntensityCampaign {
     pub fn run_with(&self, ctx: &RunCtx, out_dir: &Path) -> io::Result<IntensityCampaignReport> {
         std::fs::create_dir_all(out_dir)?;
         let q = &ctx.quality;
-        let n_seeds = q.seeds.len();
-        assert!(n_seeds > 0, "at least one seed");
         let window = self.window;
         let grid = &self.grid;
 
@@ -222,46 +220,21 @@ impl IntensityCampaign {
                     .flat_map(move |ii| [false, true].map(|attacked| JobPoint { ci, ii, attacked }))
             })
             .collect();
-        let checkpoint = ctx.checkpoint.as_ref();
-        let jobs: Vec<_> = points
-            .iter()
-            .enumerate()
-            .flat_map(|(pi, point)| {
-                let point = *point;
-                let intensity = grid[point.ii];
-                (0..n_seeds).map(move |si| {
-                    let job_key = RunKey::new("intensity/runs", pi as u64, si as u64);
-                    let sim_key = RunKey::new(
-                        "intensity/pair",
-                        (point.ci * grid.len() + point.ii) as u64,
-                        si as u64,
-                    );
-                    let checkpoint = checkpoint.cloned();
-                    move || {
-                        let _ck_guard = checkpoint.map(|spec| {
-                            greedy80211::checkpoint::ambient::install(spec.job(job_key))
-                        });
-                        measure_class(
-                            &CELLS[point.ci],
-                            q,
-                            window,
-                            sim_key,
-                            intensity,
-                            point.attacked,
-                        )
-                    }
-                })
-            })
-            .collect();
-        let mut flat = ctx.runner.execute_all(jobs).into_iter();
-        let per_point: Vec<Vec<ClassSeed>> = points
-            .iter()
-            .map(|_| {
-                (0..n_seeds)
-                    .map(|_| flat.next().expect("job count"))
-                    .collect()
-            })
-            .collect();
+        let per_point = crate::sweep::collect(ctx, "intensity/runs", &points, |point, job_key| {
+            let sim_key = RunKey::new(
+                "intensity/pair",
+                (point.ci * grid.len() + point.ii) as u64,
+                job_key.seed,
+            );
+            measure_class(
+                &CELLS[point.ci],
+                q,
+                window,
+                sim_key,
+                grid[point.ii],
+                point.attacked,
+            )
+        });
         let class_seeds = |ci: usize, ii: usize, attacked: bool| -> &Vec<ClassSeed> {
             &per_point[(ci * grid.len() + ii) * 2 + usize::from(attacked)]
         };

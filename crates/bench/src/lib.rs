@@ -75,71 +75,51 @@ impl ObsCampaign {
     /// empty.
     pub fn take_reports(&self) -> Vec<(RunKey, obs::ObsReport)> {
         let mut v = std::mem::take(&mut *self.sink.lock().expect("campaign sink poisoned"));
-        v.sort_by(|(a, _), (b, _)| {
-            (a.experiment.as_str(), a.point, a.seed).cmp(&(b.experiment.as_str(), b.point, b.seed))
-        });
+        v.sort_by(|(a, _), (b, _)| a.cmp(b));
         v
     }
 }
 
-/// Campaign-wide conformance checking: every sweep job installs a
-/// [`conform::ConformJob`] keyed by its [`RunKey`], the network attaches
-/// a live checker to that run's recorder, and the finished
-/// [`conform::ConformReport`]s accumulate in the shared sink here.
+/// Campaign-wide conformance checking: every sweep job carries this
+/// campaign's [`conform::ConformJob`] in its [`net::JobContext`], each
+/// network built during the job arms one live checker on its recorder,
+/// and the finished [`conform::ConformReport`]s accumulate, filed under
+/// the job's [`RunKey`], in the shared sink here.
 ///
-/// When the run context records nothing, conformance jobs still need a
-/// recorder for the checker to tap; [`sweep()`] installs a zero-capacity
-/// one (the tap sees every event before ring eviction, so capacity does
-/// not affect checking).
-#[derive(Debug, Clone)]
+/// When the run context records nothing, the network gives the checker
+/// a silent recorder of its own to tap (the tap sees every event before
+/// ring eviction, so capacity does not affect checking).
+#[derive(Debug, Clone, Default)]
 pub struct ConformCampaign {
-    honor_whitelist: bool,
-    sink: conform::ConformSink,
-}
-
-impl Default for ConformCampaign {
-    fn default() -> Self {
-        ConformCampaign::new()
-    }
+    job: conform::ConformJob,
 }
 
 impl ConformCampaign {
     /// An empty campaign honoring per-scenario greedy whitelists.
     pub fn new() -> Self {
-        ConformCampaign {
-            honor_whitelist: true,
-            sink: std::sync::Arc::new(std::sync::Mutex::new(Vec::new())),
-        }
+        ConformCampaign::default()
     }
 
     /// Same campaign with every rule re-armed even for declared greedy
     /// quirks — for whitelist-removal tests, where greedy runs *must*
     /// produce violations.
-    pub fn without_whitelist(mut self) -> Self {
-        self.honor_whitelist = false;
-        self
-    }
-
-    /// The per-run job a sweep worker installs around one run.
-    pub fn job(&self, key: RunKey) -> conform::ConformJob {
-        conform::ConformJob {
-            key: Some(key),
-            sink: self.sink.clone(),
-            honor_whitelist: self.honor_whitelist,
+    pub fn without_whitelist(self) -> Self {
+        ConformCampaign {
+            job: self.job.without_whitelist(),
         }
     }
 
+    /// The job every sweep worker carries in its context.
+    pub fn job(&self) -> conform::ConformJob {
+        self.job.clone()
+    }
+
     /// Takes every report deposited so far, sorted by run key so the
-    /// verdict order is independent of worker scheduling.
+    /// verdict order is independent of worker scheduling. The sort is
+    /// stable: a job's several reports keep their deposit order.
     pub fn take_reports(&self) -> Vec<(Option<RunKey>, conform::ConformReport)> {
-        let mut v = std::mem::take(&mut *self.sink.lock().expect("conform sink poisoned"));
-        v.sort_by(|(a, _), (b, _)| {
-            let k = |key: &Option<RunKey>| {
-                key.as_ref()
-                    .map(|k| (k.experiment.clone(), k.point, k.seed))
-            };
-            k(a).cmp(&k(b))
-        });
+        let mut v = self.job.drain();
+        v.sort_by(|(a, _), (b, _)| a.cmp(b));
         v
     }
 }
@@ -156,7 +136,7 @@ pub struct RunCtx {
     pub record: Option<ObsCampaign>,
     /// Checkpoint/audit campaign spec; `None` (the default) records no
     /// checkpoints and resumes nothing.
-    pub checkpoint: Option<greedy80211::checkpoint::CampaignSpec>,
+    pub checkpoint: Option<net::CampaignSpec>,
     /// Conformance campaign; `None` (the default) checks nothing.
     pub conform: Option<ConformCampaign>,
 }
@@ -164,13 +144,7 @@ pub struct RunCtx {
 impl RunCtx {
     /// Context running `quality` sequentially on the calling thread.
     pub fn sequential(quality: Quality) -> Self {
-        RunCtx {
-            quality,
-            runner: runner::Runner::sequential(),
-            record: None,
-            checkpoint: None,
-            conform: None,
-        }
+        RunCtx::with_jobs(quality, 1)
     }
 
     /// Context running `quality` on a pool of `jobs` workers.
@@ -191,8 +165,8 @@ impl RunCtx {
     }
 
     /// Same context with checkpoint/audit recording (or resuming) under
-    /// `spec`; see [`greedy80211::checkpoint::CampaignSpec`].
-    pub fn with_checkpoints(mut self, spec: greedy80211::checkpoint::CampaignSpec) -> Self {
+    /// `spec`; see [`net::CampaignSpec`].
+    pub fn with_checkpoints(mut self, spec: net::CampaignSpec) -> Self {
         self.checkpoint = Some(spec);
         self
     }
@@ -276,6 +250,31 @@ mod tests {
         for n in 1..=9 {
             assert!(seen.contains(format!("tab{n}").as_str()), "missing tab{n}");
         }
+    }
+
+    #[test]
+    fn conform_reports_sort_by_key_keeping_deposit_order() {
+        let camp = ConformCampaign::new();
+        let report = |events_checked| conform::ConformReport {
+            events_checked,
+            ..Default::default()
+        };
+        for (key, n) in [
+            (("b", 0, 0), 1),
+            (("a", 1, 0), 2),
+            (("b", 0, 0), 3),
+            (("a", 0, 5), 4),
+        ] {
+            camp.job()
+                .deposit(Some(RunKey::new(key.0, key.1, key.2)), report(n));
+        }
+        camp.job().deposit(None, report(5));
+        let order: Vec<u64> = camp
+            .take_reports()
+            .iter()
+            .map(|(_, r)| r.events_checked)
+            .collect();
+        assert_eq!(order, [5, 4, 2, 1, 3]);
     }
 
     #[test]

@@ -44,6 +44,7 @@ use phy::{PhyParams, Position};
 use sim::{RunKey, SimDuration, SimTime};
 
 use crate::cc::LOSSY_BER;
+use crate::sweep::collect;
 use crate::table::Experiment;
 use crate::{Quality, RunCtx};
 
@@ -466,44 +467,6 @@ pub struct CellSeed {
     pub honest_windows: Vec<WindowStat>,
     /// Merged per-window greedy series (windowed detectors only).
     pub greedy_windows: Vec<WindowStat>,
-}
-
-/// Like [`crate::sweep()`], but returns every raw per-seed measurement (no
-/// medians) and hands each job its [`RunKey`] so `Run::plan(..).keyed`
-/// derives the seed from the key alone. Results are regrouped per point
-/// in submission order, so aggregation is independent of `--jobs`.
-///
-/// # Panics
-///
-/// Panics when `ctx.quality.seeds` is empty.
-pub fn collect<P, T, F>(ctx: &RunCtx, label: &str, points: &[P], measure: F) -> Vec<Vec<T>>
-where
-    P: Sync,
-    T: Send,
-    F: Fn(&P, RunKey) -> T + Sync,
-{
-    let n_seeds = ctx.quality.seeds.len();
-    assert!(n_seeds > 0, "at least one seed");
-    let measure = &measure;
-    let jobs: Vec<_> = points
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, point)| {
-            (0..n_seeds).map(move |si| {
-                let key = RunKey::new(label, pi as u64, si as u64);
-                move || measure(point, key)
-            })
-        })
-        .collect();
-    let mut flat = ctx.runner.execute_all(jobs).into_iter();
-    points
-        .iter()
-        .map(|_| {
-            (0..n_seeds)
-                .map(|_| flat.next().expect("job count"))
-                .collect()
-        })
-        .collect()
 }
 
 /// Which windowed guard a cell reads.

@@ -14,6 +14,7 @@
 //! must give each a distinct label (e.g. `"abl1/cs"` and `"abl1/fair"`),
 //! or the sweeps would replay identical RNG streams.
 
+use net::JobContext;
 use sim::RunKey;
 
 use crate::RunCtx;
@@ -34,98 +35,94 @@ where
     P: Sync,
     F: Fn(&P, u64) -> Vec<f64> + Sync,
 {
+    collect(ctx, label, points, |point, key| {
+        measure(point, key.stream_seed())
+    })
+    .iter()
+    .map(|chunk| {
+        let arity = chunk[0].len();
+        (0..arity)
+            .map(|i| {
+                let column: Vec<f64> = chunk
+                    .iter()
+                    .map(|v| {
+                        assert_eq!(v.len(), arity, "inconsistent measurement arity");
+                        v[i]
+                    })
+                    .collect();
+                sim::stats::median(&column).expect("at least one seed")
+            })
+            .collect()
+    })
+    .collect()
+}
+
+/// The one points × seeds job expander: runs `measure(point, key)` for
+/// every point and seed index, keyed `(label, point index, seed index)`,
+/// on the [`RunCtx`]'s worker pool, and returns every raw measurement
+/// regrouped per point in submission order — so aggregation is
+/// independent of `--jobs`.
+///
+/// Each job runs under a [`JobContext`] carrying its key and the
+/// context's instrumentation: a fresh recorder when the context
+/// records (its report is deposited into the campaign sink under the
+/// key), the conformance job, and the checkpoint spec. Every network
+/// and `Run` inside `measure` picks them up without signature changes,
+/// and the key alone names each job's reports and checkpoint files.
+///
+/// # Panics
+///
+/// Panics when `ctx.quality.seeds` is empty.
+pub fn collect<P, T, F>(ctx: &RunCtx, label: &str, points: &[P], measure: F) -> Vec<Vec<T>>
+where
+    P: Sync,
+    T: Send,
+    F: Fn(&P, RunKey) -> T + Sync,
+{
     let n_seeds = ctx.quality.seeds.len();
     assert!(n_seeds > 0, "at least one seed");
     let measure = &measure;
-    let record = ctx.record.as_ref();
-    let checkpoint = ctx.checkpoint.as_ref();
-    let conform_camp = ctx.conform.as_ref();
+    let (record, conform, checkpoint) = (&ctx.record, &ctx.conform, &ctx.checkpoint);
     let jobs: Vec<_> = points
         .iter()
         .enumerate()
         .flat_map(|(pi, point)| {
             (0..n_seeds).map(move |si| {
                 let key = RunKey::new(label, pi as u64, si as u64);
-                let seed = key.stream_seed();
-                let record = record.cloned();
-                let checkpoint = checkpoint.cloned();
-                let conform_camp = conform_camp.cloned();
                 move || {
-                    // The checkpoint spec rides the same thread-ambient
-                    // channel as the flight recorder: installed around
-                    // the job so `Run::execute` inside `measure` records
-                    // (or resumes) this run's checkpoint/audit files,
-                    // named by the job's RunKey.
-                    let _ck_guard = checkpoint.map(|spec| {
-                        greedy80211::checkpoint::ambient::install(spec.job(key.clone()))
-                    });
-                    // Conformance rides the same channel again; the
-                    // network attaches the checker when it wires its
-                    // recorder, so a recorder must exist — hence the
-                    // zero-capacity fallback in the unrecorded arm.
-                    let _cf_guard = conform_camp
-                        .as_ref()
-                        .map(|camp| conform::ambient::install(camp.job(key.clone())));
-                    match record {
-                        Some(camp) => {
-                            // One fresh recorder per job, installed as the
-                            // worker thread's ambient recorder so every
-                            // `Scenario::build` inside `measure` picks it up
-                            // without signature changes. The report lands in
-                            // the campaign sink keyed by the job's RunKey —
-                            // content depends only on the key, never on
-                            // which worker ran it.
-                            let rec = camp.spec.recorder();
-                            let out = {
-                                let _guard = obs::ambient::install(rec.clone());
-                                measure(point, seed)
-                            };
-                            let report = rec.borrow_mut().drain_report();
-                            let empty = report.events.is_empty()
-                                && report.hists.is_empty()
-                                && report.series.is_empty();
-                            if !empty {
-                                camp.deposit(key, report);
-                            }
-                            out
+                    let recorder = record.as_ref().map(|camp| camp.spec.recorder());
+                    let out = {
+                        let _job = JobContext {
+                            key: Some(key.clone()),
+                            recorder: recorder.clone(),
+                            conform: conform.as_ref().map(|camp| camp.job()),
+                            checkpoint: checkpoint.clone(),
                         }
-                        None if conform_camp.is_some() => {
-                            // No telemetry wanted, but the checker needs
-                            // an event stream: a capacity-0 recorder
-                            // keeps nothing while its tap still sees
-                            // every emission.
-                            let rec = obs::ObsSpec {
-                                capacity: 0,
-                                probe_interval: None,
-                                filter: obs::Filter::all(),
-                            }
-                            .recorder();
-                            let _guard = obs::ambient::install(rec);
-                            measure(point, seed)
+                        .install();
+                        measure(point, key.clone())
+                    };
+                    if let (Some(camp), Some(rec)) = (record, recorder) {
+                        // Content depends only on the key, never on which
+                        // worker ran the job.
+                        let report = rec.borrow_mut().drain_report();
+                        let empty = report.events.is_empty()
+                            && report.hists.is_empty()
+                            && report.series.is_empty();
+                        if !empty {
+                            camp.deposit(key, report);
                         }
-                        None => measure(point, seed),
                     }
+                    out
                 }
             })
         })
         .collect();
-    let per_run = ctx.runner.execute_all(jobs);
-
-    per_run
-        .chunks(n_seeds)
-        .map(|chunk| {
-            let arity = chunk[0].len();
-            (0..arity)
-                .map(|i| {
-                    let column: Vec<f64> = chunk
-                        .iter()
-                        .map(|v| {
-                            assert_eq!(v.len(), arity, "inconsistent measurement arity");
-                            v[i]
-                        })
-                        .collect();
-                    sim::stats::median(&column).expect("at least one seed")
-                })
+    let mut flat = ctx.runner.execute_all(jobs).into_iter();
+    points
+        .iter()
+        .map(|_| {
+            (0..n_seeds)
+                .map(|_| flat.next().expect("job count"))
                 .collect()
         })
         .collect()
@@ -147,19 +144,13 @@ where
 mod tests {
     use super::*;
     use crate::Quality;
-    use runner::Runner;
 
     fn ctx(jobs: usize) -> RunCtx {
-        RunCtx {
-            quality: Quality {
-                seeds: vec![1, 2, 3],
-                ..Quality::quick()
-            },
-            runner: Runner::new(jobs),
-            record: None,
-            checkpoint: None,
-            conform: None,
-        }
+        let quality = Quality {
+            seeds: vec![1, 2, 3],
+            ..Quality::quick()
+        };
+        RunCtx::with_jobs(quality, jobs)
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl WorldCampaign {
     pub fn run(&self, out_dir: &Path) -> io::Result<WorldCampaignReport> {
         std::fs::create_dir_all(out_dir)?;
         let job = self.conform.then(|| {
-            let j = ::conform::ConformJob::new(None);
+            let j = ::conform::ConformJob::new();
             if self.honor_whitelist {
                 j
             } else {

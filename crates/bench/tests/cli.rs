@@ -125,3 +125,29 @@ fn experiment_ids_fuzz_seeds_and_audit_files_still_parse() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn resumed_checkpoint_replays_under_the_checker() {
+    let dir = fresh_dir("resume-conform");
+    let out = repro(&[
+        "run",
+        "--quick",
+        "--checkpoint-every",
+        "500",
+        "--out",
+        dir.to_str().unwrap(),
+        "fig2",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let ckpt = dir.join("checkpoints/fig2-p0000-s0000.snap");
+    let out = repro(&["run", "--resume", ckpt.to_str().unwrap(), "--conform"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(
+        stdout(&out),
+        "resumed fig2 (point 0, seed 0) to 2000 ms of virtual time\n  \
+         R0      1.827 Mb/s\n  \
+         R1      1.794 Mb/s\n  \
+         conform: 1 run(s) clean (0 whitelist exemption(s))\n"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

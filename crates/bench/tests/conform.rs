@@ -13,14 +13,11 @@ use sim::{RunKey, SimDuration};
 #[cfg(not(feature = "inject-nav-bug"))]
 fn check_run(scenario: &Scenario, job: conform::ConformJob) -> conform::ConformReport {
     {
-        let rec = obs::ObsSpec {
-            capacity: 0,
-            probe_interval: None,
-            filter: obs::Filter::all(),
+        let _job = net::JobContext {
+            conform: Some(job.clone()),
+            ..net::JobContext::default()
         }
-        .recorder();
-        let _obs_guard = obs::ambient::install(rec);
-        let _cf_guard = conform::ambient::install(job.clone());
+        .install();
         Run::plan(scenario).execute().expect("scenario runs");
     }
     let mut reports = job.drain();
@@ -52,7 +49,7 @@ fn nav_drill_scenario() -> Scenario {
 #[test]
 fn greedy_run_is_clean_only_via_the_whitelist() {
     let scenario = nav_drill_scenario();
-    let honored = check_run(&scenario, conform::ConformJob::new(None));
+    let honored = check_run(&scenario, conform::ConformJob::new());
     assert!(
         honored.is_clean(),
         "whitelisted greedy run must be clean; got: {}",
@@ -63,10 +60,7 @@ fn greedy_run_is_clean_only_via_the_whitelist() {
         "the declared quirk never fired — the whitelist was not exercised"
     );
 
-    let rearmed = check_run(
-        &scenario,
-        conform::ConformJob::new(None).without_whitelist(),
-    );
+    let rearmed = check_run(&scenario, conform::ConformJob::new().without_whitelist());
     assert!(
         !rearmed.is_clean(),
         "with the whitelist removed the same run must violate"
@@ -85,10 +79,7 @@ fn honest_run_is_clean_without_any_whitelist() {
         duration: SimDuration::from_millis(300),
         ..Scenario::default()
     };
-    let report = check_run(
-        &scenario,
-        conform::ConformJob::new(None).without_whitelist(),
-    );
+    let report = check_run(&scenario, conform::ConformJob::new().without_whitelist());
     assert!(
         report.is_clean(),
         "honest run violated: {}",

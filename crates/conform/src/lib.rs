@@ -20,9 +20,11 @@
 //!   other rule armed. [`Checker::without_whitelist`] drops the
 //!   exemptions, so a greedy run must then fail — the test that the
 //!   checker actually sees the misbehavior.
-//! * [`ambient`] — a per-thread conformance slot mirroring
-//!   `obs::ambient`, so campaign sweeps and the CLI can arm checking
-//!   without threading a parameter through every experiment signature.
+//! * [`ConformJob`] — a campaign's request to check its runs and the
+//!   shared sink their reports land in. It rides in the network's
+//!   per-job context (`net::JobContext`), so campaign sweeps and the CLI
+//!   arm checking without threading a parameter through every
+//!   experiment signature.
 //! * [`golden`] — structural trace normalization and diffing for the
 //!   golden-trace corpus (readable fixture files of expected event
 //!   sequences).
@@ -57,13 +59,13 @@
 
 #![warn(missing_docs)]
 
-pub mod ambient;
 pub mod checker;
 pub mod golden;
+pub mod job;
 pub mod rules;
 pub mod timing;
 
-pub use ambient::{ConformJob, ConformSink};
 pub use checker::{Checker, CheckerTap, NodeProfile, SharedChecker};
+pub use job::{ConformJob, ConformSink};
 pub use rules::{ConformReport, RuleId, Violation};
 pub use timing::Timing;

@@ -1,4 +1,4 @@
-//! Versioned run checkpoints and the per-campaign checkpoint spec.
+//! Versioned run checkpoints.
 //!
 //! A [`Checkpoint`] is a self-contained, resumable description of one
 //! run frozen at a virtual-time barrier: the campaign [`RunKey`], the
@@ -9,9 +9,9 @@
 //! decode time rather than as silent corruption.
 //!
 //! Campaigns enable checkpointing the same way they enable flight
-//! recording: [`sweep`] installs a per-job [`JobSpec`] into this
-//! module's thread-[`ambient`] slot, and [`Run::execute`] picks it up
-//! without any experiment-signature changes. In record mode each run
+//! recording: [`sweep`] installs a per-job [`net::JobContext`] carrying
+//! a [`CampaignSpec`], and [`Run::execute`] picks it up without any
+//! experiment-signature changes. In record mode each run
 //! writes its newest checkpoint to `<dir>/checkpoints/<run>.snap` and
 //! its audit ladder to `<dir>/audit/<run>.audit`; in resume mode a run
 //! whose checkpoint file exists restores it and simulates only the tail
@@ -23,10 +23,11 @@
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+pub use net::{run_file_stem, CampaignSpec};
 use net::{RunArtifacts, RunHooks};
-use sim::{RunKey, SimDuration, SimError, SimTime};
+use sim::{RunKey, SimError, SimTime};
 use snap::SnapValue as _;
 
 use crate::scenario::{Scenario, ScenarioOutcome};
@@ -118,101 +119,6 @@ impl Checkpoint {
     }
 }
 
-/// Filesystem-safe stem naming one run within a campaign, e.g.
-/// `fig6-p0003-s0001` (sweep labels may contain `/`).
-pub fn run_file_stem(key: &RunKey) -> String {
-    let label: String = key
-        .experiment
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{label}-p{:04}-s{:04}", key.point, key.seed)
-}
-
-/// Campaign-wide checkpoint/audit configuration, shared by every job of
-/// a sweep.
-#[derive(Debug, Clone)]
-pub struct CampaignSpec {
-    /// Checkpoint barrier interval; `None` records no checkpoints.
-    pub every: Option<SimDuration>,
-    /// Audit-ladder barrier interval; `None` records no ladder.
-    pub audit_every: Option<SimDuration>,
-    /// Artifact root: checkpoints land in `<dir>/checkpoints/`, audit
-    /// ladders in `<dir>/audit/`.
-    pub dir: PathBuf,
-    /// Resume mode: instead of recording, each run looks for its own
-    /// checkpoint file and, when present, restores it and simulates only
-    /// the tail.
-    pub resume: bool,
-}
-
-impl CampaignSpec {
-    /// A recording spec: checkpoint every `every`, audit every
-    /// `audit_every`, under `dir`.
-    pub fn record(
-        dir: impl Into<PathBuf>,
-        every: Option<SimDuration>,
-        audit_every: Option<SimDuration>,
-    ) -> Self {
-        CampaignSpec {
-            every,
-            audit_every,
-            dir: dir.into(),
-            resume: false,
-        }
-    }
-
-    /// A resume spec reading checkpoints previously recorded under
-    /// `dir`.
-    pub fn resume_from(dir: impl Into<PathBuf>) -> Self {
-        CampaignSpec {
-            every: None,
-            audit_every: None,
-            dir: dir.into(),
-            resume: true,
-        }
-    }
-
-    /// The checkpoint file for `key` under this spec's root.
-    pub fn checkpoint_path(&self, key: &RunKey) -> PathBuf {
-        self.dir
-            .join("checkpoints")
-            .join(format!("{}.snap", run_file_stem(key)))
-    }
-
-    /// The audit-ladder file for `key` under this spec's root.
-    pub fn audit_path(&self, key: &RunKey) -> PathBuf {
-        self.dir
-            .join("audit")
-            .join(format!("{}.audit", run_file_stem(key)))
-    }
-
-    /// Binds this campaign spec to one job's [`RunKey`], ready for
-    /// [`ambient::install`].
-    pub fn job(&self, key: RunKey) -> JobSpec {
-        JobSpec {
-            key,
-            spec: self.clone(),
-        }
-    }
-}
-
-/// One job's checkpoint binding: the campaign spec plus the job's key
-/// (which names the artifact files).
-#[derive(Debug, Clone)]
-pub struct JobSpec {
-    /// The key of the run currently executing on this thread.
-    pub key: RunKey,
-    /// The campaign-wide configuration.
-    pub spec: CampaignSpec,
-}
-
 /// Converts raw run artifacts into an audit [`Ladder`](snap::audit::Ladder).
 pub fn ladder_from_artifacts(artifacts: &RunArtifacts) -> snap::audit::Ladder {
     let mut ladder = snap::audit::Ladder::new();
@@ -222,49 +128,11 @@ pub fn ladder_from_artifacts(artifacts: &RunArtifacts) -> snap::audit::Ladder {
     ladder
 }
 
-/// Per-thread ambient checkpoint spec, mirroring `obs::ambient`: the
-/// sweep machinery installs a [`JobSpec`] around each job so
-/// [`Run::execute`](crate::Run::execute) checkpoints (or resumes)
-/// without any experiment-signature changes.
-pub mod ambient {
-    use std::cell::RefCell;
-
-    use super::JobSpec;
-
-    thread_local! {
-        static CURRENT: RefCell<Option<JobSpec>> = const { RefCell::new(None) };
-    }
-
-    /// Restores the previously installed spec when dropped.
-    #[derive(Debug)]
-    pub struct AmbientGuard {
-        prev: Option<JobSpec>,
-    }
-
-    impl Drop for AmbientGuard {
-        fn drop(&mut self) {
-            CURRENT.with(|slot| *slot.borrow_mut() = self.prev.take());
-        }
-    }
-
-    /// Installs `job` as this thread's ambient checkpoint spec until the
-    /// returned guard drops.
-    #[must_use = "the spec is uninstalled when the guard drops"]
-    pub fn install(job: JobSpec) -> AmbientGuard {
-        let prev = CURRENT.with(|slot| slot.borrow_mut().replace(job));
-        AmbientGuard { prev }
-    }
-
-    /// The currently installed ambient spec, if any.
-    pub fn current() -> Option<JobSpec> {
-        CURRENT.with(|slot| slot.borrow().clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::misbehavior::{GreedyConfig, NavInflationConfig};
+    use sim::SimDuration;
 
     fn scenario() -> Scenario {
         let mut s = Scenario::two_pair_udp(GreedyConfig::nav_inflation(
@@ -317,25 +185,5 @@ mod tests {
         let bytes = ckpt.encode();
         assert!(Checkpoint::decode(&bytes[..bytes.len() - 4]).is_err());
         assert!(Checkpoint::decode(&bytes[2..]).is_err(), "header required");
-    }
-
-    #[test]
-    fn file_stems_are_filesystem_safe_and_distinct() {
-        let a = run_file_stem(&RunKey::new("abl1/cs", 2, 7));
-        assert_eq!(a, "abl1_cs-p0002-s0007");
-        let b = run_file_stem(&RunKey::new("abl1_cs", 2, 7));
-        assert_eq!(a, b, "sanitization maps / to _");
-        assert_ne!(a, run_file_stem(&RunKey::new("abl1/cs", 2, 8)));
-    }
-
-    #[test]
-    fn ambient_spec_is_scoped() {
-        assert!(ambient::current().is_none());
-        let spec = CampaignSpec::record("results", Some(SimDuration::from_millis(50)), None);
-        {
-            let _g = ambient::install(spec.job(RunKey::new("t", 0, 0)));
-            assert_eq!(ambient::current().unwrap().key, RunKey::new("t", 0, 0));
-        }
-        assert!(ambient::current().is_none());
     }
 }

@@ -5,8 +5,8 @@
 //! `runplan::execute`) have been removed. It also fronts the checkpoint
 //! & audit subsystem: [`Run::checkpoint_every`] /[`Run::audit_every`]
 //! arm virtual-time barriers, [`Run::resume`] continues a run from a
-//! checkpoint file, and campaign sweeps arm the same hooks ambiently
-//! through [`crate::checkpoint::ambient`].
+//! checkpoint file, and campaign sweeps arm the same hooks through the
+//! checkpoint part of their per-job [`net::JobContext`].
 //!
 //! ```
 //! use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
@@ -36,7 +36,7 @@
 
 use std::path::Path;
 
-use net::RunHooks;
+use net::{JobContext, RunHooks};
 use sim::{RunKey, SimDuration, SimError, SimTime};
 use snap::SnapValue as _;
 
@@ -112,9 +112,10 @@ impl Run {
     /// Builds the network, simulates to completion, and snapshots the
     /// result into a plain-data [`RunOutcome`].
     ///
-    /// When a campaign installed an ambient [`checkpoint::JobSpec`] for
-    /// this thread, the run additionally records its checkpoint and audit
-    /// files under the campaign's artifact root — or, in resume mode,
+    /// When the thread's [`JobContext`] carries a checkpoint
+    /// [`CampaignSpec`](checkpoint::CampaignSpec), the run additionally
+    /// records its checkpoint and audit files under the campaign's
+    /// artifact root, named by the job's key — or, in resume mode,
     /// restores its own checkpoint and simulates only the tail.
     ///
     /// # Errors
@@ -140,12 +141,18 @@ impl Run {
             None => RunKey::new("adhoc", 0, scenario.seed),
         };
         // Drain the recorder into the outcome only when this scenario
-        // asked for recording itself. A recorder inherited from the
-        // ambient campaign spec belongs to the campaign: its report is
-        // drained into the campaign sink after the measure closure
-        // returns, and draining it here would leave that empty.
+        // asked for recording itself. A recorder inherited from the job
+        // context belongs to the campaign: its report is drained into
+        // the campaign sink after the measure closure returns, and
+        // draining it here would leave that empty.
         let explicit_record = scenario.record.is_some();
-        let ambient = checkpoint::ambient::current();
+        let job = JobContext::current();
+        // Campaign files are named by the job's key, else the run's own.
+        let file_key = job.key.unwrap_or_else(|| key.clone());
+        let (resume_from, record_to) = match job.checkpoint {
+            Some(spec) if spec.resume => (Some(spec), None),
+            spec => (None, spec),
+        };
         let explicit_hooks =
             checkpoint_every.is_some() || audit_every.is_some() || perturb_rng_at.is_some();
 
@@ -155,11 +162,8 @@ impl Run {
         // that executes several runs records only its last), just means
         // "no checkpoint for this run" — fall through and run it from
         // the start; either way the outcome is identical.
-        if let Some(job) = ambient
-            .as_ref()
-            .filter(|j| j.spec.resume && !explicit_hooks)
-        {
-            let path = job.spec.checkpoint_path(&job.key);
+        if let Some(spec) = resume_from.filter(|_| !explicit_hooks) {
+            let path = spec.checkpoint_path(&file_key);
             if path.exists() {
                 let ckpt = Checkpoint::read(&path)?;
                 let mut planned = snap::Enc::new();
@@ -168,13 +172,7 @@ impl Run {
                 ckpt.scenario.save(&mut frozen);
                 if planned.bytes() == frozen.bytes() {
                     let (outcome, _) = ckpt.resume(RunHooks::default())?;
-                    return Ok(package(
-                        key,
-                        outcome,
-                        explicit_record,
-                        Vec::new(),
-                        &scenario,
-                    ));
+                    return Ok(package(key, outcome, explicit_record, Vec::new()));
                 }
             }
         }
@@ -184,21 +182,15 @@ impl Run {
         let (ck_every, au_every) = if explicit_hooks {
             (checkpoint_every, audit_every)
         } else {
-            match ambient.as_ref().filter(|j| !j.spec.resume) {
-                Some(job) => (job.spec.every, job.spec.audit_every),
+            match &record_to {
+                Some(spec) => (spec.every, spec.audit_every),
                 None => (None, None),
             }
         };
 
         if ck_every.is_none() && au_every.is_none() && perturb_rng_at.is_none() {
             let outcome = scenario.build()?.run();
-            return Ok(package(
-                key,
-                outcome,
-                explicit_record,
-                Vec::new(),
-                &scenario,
-            ));
+            return Ok(package(key, outcome, explicit_record, Vec::new()));
         }
 
         let hooks = RunHooks {
@@ -208,10 +200,6 @@ impl Run {
         };
         let (outcome, artifacts) = scenario.build()?.run_hooked(hooks);
         let ladder = checkpoint::ladder_from_artifacts(&artifacts);
-        let file_key = ambient
-            .as_ref()
-            .map(|j| j.key.clone())
-            .unwrap_or_else(|| key.clone());
         let checkpoints: Vec<(SimTime, Vec<u8>)> = artifacts
             .checkpoints
             .into_iter()
@@ -225,11 +213,11 @@ impl Run {
                 (at, container.encode())
             })
             .collect();
-        if let Some(job) = ambient.as_ref().filter(|j| !j.spec.resume) {
+        if let Some(spec) = &record_to {
             // Newest checkpoint wins: resuming it leaves the least tail
             // to resimulate.
             if let Some((_, bytes)) = checkpoints.last() {
-                let path = job.spec.checkpoint_path(&job.key);
+                let path = spec.checkpoint_path(&file_key);
                 std::fs::create_dir_all(path.parent().expect("checkpoint path has a parent"))
                     .and_then(|()| std::fs::write(&path, bytes))
                     .map_err(|e| {
@@ -240,7 +228,7 @@ impl Run {
                     })?;
             }
             if !ladder.entries.is_empty() {
-                let path = job.spec.audit_path(&job.key);
+                let path = spec.audit_path(&file_key);
                 std::fs::create_dir_all(path.parent().expect("audit path has a parent"))
                     .and_then(|()| std::fs::write(&path, ladder.to_text()))
                     .map_err(|e| {
@@ -251,7 +239,7 @@ impl Run {
                     })?;
             }
         }
-        let mut out = package(key, outcome, explicit_record, checkpoints, &scenario);
+        let mut out = package(key, outcome, explicit_record, checkpoints);
         out.audit = ladder;
         Ok(out)
     }
@@ -267,10 +255,8 @@ impl Run {
     /// or its state does not match the embedded scenario.
     pub fn resume(path: impl AsRef<Path>) -> Result<RunOutcome, SimError> {
         let ckpt = Checkpoint::read(path.as_ref())?;
-        let key = ckpt.key.clone();
-        let scenario = ckpt.scenario.clone();
         let (outcome, _) = ckpt.resume(RunHooks::default())?;
-        Ok(package(key, outcome, false, Vec::new(), &scenario))
+        Ok(package(ckpt.key, outcome, false, Vec::new()))
     }
 }
 
@@ -279,7 +265,6 @@ fn package(
     outcome: ScenarioOutcome,
     explicit_record: bool,
     checkpoints: Vec<(SimTime, Vec<u8>)>,
-    _scenario: &Scenario,
 ) -> RunOutcome {
     let grc = outcome
         .grc_reports

@@ -117,8 +117,8 @@ pub struct Scenario {
     /// Capture threshold override in dB (`None` = the 10 dB default).
     pub capture_threshold_db: Option<f64>,
     /// Flight-recorder configuration. `None` (the default) still records
-    /// when an ambient recorder spec is installed for the thread (see
-    /// `obs::ambient`), which is how campaign runners enable recording
+    /// when the thread's job context carries a recorder (see
+    /// `net::JobContext`), which is how campaign runners enable recording
     /// without touching every experiment; otherwise recording is off and
     /// costs nothing.
     pub record: Option<::obs::ObsSpec>,
@@ -562,16 +562,13 @@ impl Scenario {
         }
 
         // --- recording -------------------------------------------------
-        // An explicit spec beats the thread's ambient one; with neither,
-        // recording is off and the network carries no recorder at all.
-        let recorder = match &self.record {
-            Some(spec) => Some(spec.recorder()),
-            None => ::obs::ambient::current(),
-        };
-        let mut net = b.build();
-        if let Some(rec) = &recorder {
-            net.set_recorder(rec.clone());
+        // The builder picks the recorder: this scenario's spec if it has
+        // one, else the job context's.
+        if let Some(spec) = &self.record {
+            b = b.record(spec.clone());
         }
+        let net = b.build();
+        let recorder = net.recorder().cloned();
 
         Ok(BuiltScenario {
             net,
@@ -679,5 +676,26 @@ mod tests {
         let out = Run::plan(&s).execute().unwrap();
         // 2 senders + 1 honest receiver = 3 observed nodes.
         assert_eq!(out.grc.len(), 3);
+    }
+
+    #[test]
+    fn a_recording_conform_job_arms_exactly_one_checker() {
+        let rec = ::obs::ObsSpec::default().recorder();
+        let job = ::conform::ConformJob::new();
+        let mut s = Scenario::two_pair_udp(GreedyConfig::default());
+        s.duration = SimDuration::from_millis(100);
+        let built = {
+            let _job = net::JobContext {
+                recorder: Some(rec.clone()),
+                conform: Some(job.clone()),
+                ..net::JobContext::keyed(sim::RunKey::new("t", 0, 0))
+            }
+            .install();
+            s.build().expect("valid scenario")
+        };
+        let debug = format!("{:?}", rec.borrow());
+        assert!(debug.contains("taps: 1"), "one checker tap: {debug}");
+        built.run();
+        assert_eq!(job.drain().len(), 1, "one deposited report");
     }
 }

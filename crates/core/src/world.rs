@@ -33,7 +33,7 @@
 //! straight pass (see [`net::HookCursor`]).
 
 use mac::NodeId;
-use net::{Cell, RunHooks, TxInterval};
+use net::{Cell, JobContext, RunHooks, TxInterval};
 use phy::{ChannelIndex, ChannelModel, ErrorModel, ErrorUnit, Position};
 use runner::{Lockstep, Runner};
 use sim::{RunKey, SimDuration, SimError, SimTime};
@@ -311,16 +311,6 @@ impl WorldRun {
                 } else {
                     spec.cell_key(id).stream_seed()
                 };
-                if conform.is_some() && scenario.record.is_none() {
-                    // The checker taps a recorder; a zero-capacity
-                    // all-layer spec feeds the tap without retaining
-                    // events or sampling gauges.
-                    scenario.record = Some(::obs::ObsSpec {
-                        capacity: 0,
-                        probe_interval: None,
-                        filter: ::obs::Filter::all(),
-                    });
-                }
                 CellPlan {
                     id,
                     row,
@@ -669,7 +659,7 @@ mod tests {
 
     #[test]
     fn conform_reports_arrive_per_cell_keyed() {
-        let job = ::conform::ConformJob::new(None);
+        let job = ::conform::ConformJob::new();
         let spec = spec_1x3();
         Run::world(&spec)
             .jobs(3)
@@ -727,13 +717,15 @@ impl Lockstep for WorldProto {
     type Out = CellOutcome;
 
     fn build(&self, _index: usize, plan: CellPlan) -> CellShard {
-        // The checker is armed from the thread's ambient slot while the
-        // network wires its recorder, so install the cell's job for
-        // exactly the duration of the build.
+        // The network arms the checker from the thread's job context
+        // when it is built, so install the cell's for exactly the
+        // duration of the build.
         let _guard = self.conform.as_ref().map(|job| {
-            let mut job = job.clone();
-            job.key = Some(plan.key.clone());
-            ::conform::ambient::install(job)
+            JobContext {
+                conform: Some(job.clone()),
+                ..JobContext::keyed(plan.key.clone())
+            }
+            .install()
         });
         let built = plan
             .scenario

@@ -30,6 +30,7 @@ use transport::{
     CbrSource, FlowId, ProbeStats, Segment, TcpConfig, TcpReceiver, TcpSender, UdpSink,
 };
 
+use crate::job::JobContext;
 use crate::network::{FlowKindState, FlowState, Network};
 
 struct NodeSpec {
@@ -68,6 +69,7 @@ pub struct NetworkBuilder {
     flows: Vec<FlowSpec>,
     link_errors: Vec<(NodeId, NodeId, ErrorModel)>,
     rate_link_errors: Vec<(NodeId, NodeId, u64, ErrorModel)>,
+    record: Option<obs::ObsSpec>,
 }
 
 impl NetworkBuilder {
@@ -86,6 +88,7 @@ impl NetworkBuilder {
             flows: Vec::new(),
             link_errors: Vec::new(),
             rate_link_errors: Vec::new(),
+            record: None,
         }
     }
 
@@ -116,6 +119,13 @@ impl NetworkBuilder {
     /// Sets the error model applied to every link without an override.
     pub fn default_error(mut self, em: ErrorModel) -> Self {
         self.default_error = em;
+        self
+    }
+
+    /// Records the network under `spec`, in preference to the job
+    /// context's recorder (see [`build`](Self::build)).
+    pub fn record(mut self, spec: obs::ObsSpec) -> Self {
+        self.record = Some(spec);
         self
     }
 
@@ -281,7 +291,11 @@ impl NetworkBuilder {
         id
     }
 
-    /// Assembles the network.
+    /// Assembles the network, instrumented per the thread's
+    /// [`JobContext`]. Its recorder is the [`record`](Self::record) spec
+    /// if one was given, else the job's recorder, else — when the job
+    /// asks for conformance checking — a silent one. A conformance job
+    /// arms exactly one checker on that recorder.
     ///
     /// # Panics
     ///
@@ -376,11 +390,24 @@ impl NetworkBuilder {
             self.default_error,
             master.fork(1),
         );
-        // Builder-direct experiments (no `Scenario`) still honor the
-        // ambient recorder, so campaign sweeps and conformance checking
-        // cover them too. Recording never perturbs simulation outcomes.
-        if let Some(handle) = ::obs::ambient::current() {
-            net.set_recorder(handle);
+        // The one place a network's instrumentation is chosen: an
+        // explicit spec beats the job's recorder, and a conformance job
+        // without either gets a silent recorder for its checker to tap.
+        // Recording never perturbs simulation outcomes.
+        let job = JobContext::current();
+        let recorder = match &self.record {
+            Some(spec) => Some(spec.recorder()),
+            None => job.recorder.or_else(|| {
+                job.conform
+                    .is_some()
+                    .then(|| obs::ObsSpec::silent(obs::Filter::all()).recorder())
+            }),
+        };
+        if let Some(rec) = recorder {
+            net.set_recorder(rec);
+        }
+        if let Some(conform) = job.conform {
+            net.arm_conform(conform, job.key);
         }
         net
     }

@@ -273,10 +273,14 @@ pub struct Network {
     /// Live TCP retransmission timers, indexed by flow id.
     flow_timers: Vec<Option<TimerHandle>>,
     recorder: Option<::obs::RecorderHandle>,
-    /// Armed conformance checking: the ambient job that requested it and
-    /// the checker tapping the recorder stream. The report is deposited
-    /// when the event loop finishes.
-    conform: Option<(::conform::ConformJob, ::conform::SharedChecker)>,
+    /// Armed conformance checking: the job that requested it, the key
+    /// its report is filed under, and the checker tapping the recorder
+    /// stream. The report is deposited when the event loop finishes.
+    conform: Option<(
+        ::conform::ConformJob,
+        Option<sim::RunKey>,
+        ::conform::SharedChecker,
+    )>,
     /// Opt-in transmission log for the world's epoch exchange: every
     /// `(source, start, end)` since the last drain. `None` (the default)
     /// costs nothing. Excluded from snapshots — it is boundary-exchange
@@ -380,36 +384,38 @@ impl Network {
                 sender.set_recorder(recorder.clone(), f.src.0);
             }
         }
-        // Arm conformance checking when an ambient job requests it: the
-        // checker taps the recorder stream (every emission, before any
-        // filter), with each station's declared quirks and retry limits
-        // as its profile.
-        if let Some(job) = ::conform::ambient::current() {
-            let mut profiles = HashMap::new();
-            for (i, st) in self.nodes.iter().enumerate() {
-                let cfg = st.dcf.config();
-                profiles.insert(
-                    i as u16,
-                    ::conform::NodeProfile {
-                        quirks: st.dcf.quirk_flags(),
-                        short_retry_limit: cfg.short_retry_limit,
-                        long_retry_limit: cfg.long_retry_limit,
-                    },
-                );
-            }
-            let timing =
-                ::conform::Timing::from_params(&self.phy, ::conform::timing::MSDU_MTU_BYTES);
-            let mut checker = ::conform::Checker::new(timing, profiles);
-            if !job.honor_whitelist {
-                checker = checker.without_whitelist();
-            }
-            let shared = ::conform::SharedChecker::new(checker);
-            recorder
-                .borrow_mut()
-                .add_tap(Box::new(::conform::CheckerTap(shared.clone())));
-            self.conform = Some((job, shared));
-        }
         self.recorder = Some(recorder);
+    }
+
+    /// Arms conformance checking for `job`: a checker taps the installed
+    /// recorder's stream (every emission, before any filter), with each
+    /// station's declared quirks and retry limits as its profile, and
+    /// deposits its report under `key` when the event loop finishes.
+    pub(crate) fn arm_conform(&mut self, job: ::conform::ConformJob, key: Option<sim::RunKey>) {
+        let mut profiles = HashMap::new();
+        for (i, st) in self.nodes.iter().enumerate() {
+            let cfg = st.dcf.config();
+            profiles.insert(
+                i as u16,
+                ::conform::NodeProfile {
+                    quirks: st.dcf.quirk_flags(),
+                    short_retry_limit: cfg.short_retry_limit,
+                    long_retry_limit: cfg.long_retry_limit,
+                },
+            );
+        }
+        let timing = ::conform::Timing::from_params(&self.phy, ::conform::timing::MSDU_MTU_BYTES);
+        let mut checker = ::conform::Checker::new(timing, profiles);
+        if !job.honor_whitelist {
+            checker = checker.without_whitelist();
+        }
+        let shared = ::conform::SharedChecker::new(checker);
+        self.recorder
+            .as_ref()
+            .expect("the checker taps the network's recorder")
+            .borrow_mut()
+            .add_tap(Box::new(::conform::CheckerTap(shared.clone())));
+        self.conform = Some((job, key, shared));
     }
 
     /// The installed flight recorder, if any.
@@ -425,12 +431,7 @@ impl Network {
     pub fn tap(&mut self, tap: Box<dyn ::obs::EventTap>) {
         self.recorder
             .get_or_insert_with(|| {
-                ::obs::ObsSpec {
-                    capacity: 0,
-                    probe_interval: None,
-                    filter: ::obs::Filter::layers(&[::obs::Layer::Phy]),
-                }
-                .recorder()
+                ::obs::ObsSpec::silent(::obs::Filter::layers(&[::obs::Layer::Phy])).recorder()
             })
             .borrow_mut()
             .add_tap(tap);
@@ -521,7 +522,7 @@ impl Network {
     ) -> (RunMetrics, RunArtifacts) {
         // A resumed checker sees a mid-run event stream: lazily
         // initialized rules stay armed, whole-run ones are disarmed.
-        if let Some((_, checker)) = &self.conform {
+        if let Some((_, _, checker)) = &self.conform {
             checker.borrow_mut().set_midstream();
         }
         self.event_loop(duration, hooks, Some(resumed_at))
@@ -677,11 +678,11 @@ impl Network {
     ) -> (RunMetrics, RunArtifacts) {
         let metrics = self.collect_metrics(duration);
         crate::stats::record_run(metrics.events_processed);
-        if let Some((job, checker)) = self.conform.take() {
+        if let Some((job, key, checker)) = self.conform.take() {
             if let Some(rec) = &self.recorder {
                 rec.borrow_mut().clear_taps();
             }
-            job.deposit(checker.borrow_mut().finish_report());
+            job.deposit(key, checker.borrow_mut().finish_report());
         }
         (metrics, cursor.artifacts)
     }

@@ -15,11 +15,11 @@
 //!
 //! then review the fixture diff like any other code change.
 
-use gr_net::{Cell, Network, NetworkBuilder, RunHooks};
+use gr_net::{Cell, JobContext, Network, NetworkBuilder, RunHooks};
 use phy::{ChannelIndex, ChannelModel, PhyParams, Position};
 use sim::{SimDuration, SimTime};
 
-/// Builds `scenario` with an ambient flight recorder attached, runs it
+/// Builds `scenario` with a job-context flight recorder attached, runs it
 /// for `dur`, and returns the normalized structural trace.
 fn trace(dur: SimDuration, build: impl FnOnce() -> Network) -> Vec<String> {
     let rec = obs::ObsSpec {
@@ -29,7 +29,11 @@ fn trace(dur: SimDuration, build: impl FnOnce() -> Network) -> Vec<String> {
     }
     .recorder();
     let mut net = {
-        let _guard = obs::ambient::install(rec.clone());
+        let _guard = JobContext {
+            recorder: Some(rec.clone()),
+            ..JobContext::default()
+        }
+        .install();
         build()
     };
     net.run(dur);
@@ -164,7 +168,11 @@ fn two_cell_co_channel_interference() {
     .recorder();
     // Only cell 0 is traced; the recorder attaches at build time.
     let net0 = {
-        let _guard = obs::ambient::install(rec.clone());
+        let _guard = JobContext {
+            recorder: Some(rec.clone()),
+            ..JobContext::default()
+        }
+        .install();
         pair(3, 8_000_000)
     };
     let net1 = pair(7, 8_000_000);

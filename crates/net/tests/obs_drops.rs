@@ -11,25 +11,26 @@ use phy::{PhyParams, Position};
 use sim::{RunKey, SimDuration};
 
 fn run_with_capacity(capacity: usize) -> obs::ObsReport {
-    let rec = obs::ObsSpec {
-        capacity,
-        probe_interval: None,
-        filter: obs::Filter::all(),
-    }
-    .recorder();
-    let mut net = {
-        let _guard = obs::ambient::install(rec.clone());
-        let mut b = NetworkBuilder::new(PhyParams::dot11b()).seed(2);
-        let s1 = b.add_node(Position::new(0.0, 0.0));
-        let r1 = b.add_node(Position::new(5.0, 0.0));
-        let s2 = b.add_node(Position::new(0.0, 5.0));
-        let r2 = b.add_node(Position::new(5.0, 5.0));
-        b.udp_flow(s1, r1, 512, 8_000_000);
-        b.udp_flow(s2, r2, 512, 8_000_000);
-        b.build()
-    };
+    let mut b = NetworkBuilder::new(PhyParams::dot11b())
+        .seed(2)
+        .record(obs::ObsSpec {
+            capacity,
+            probe_interval: None,
+            filter: obs::Filter::all(),
+        });
+    let s1 = b.add_node(Position::new(0.0, 0.0));
+    let r1 = b.add_node(Position::new(5.0, 0.0));
+    let s2 = b.add_node(Position::new(0.0, 5.0));
+    let r2 = b.add_node(Position::new(5.0, 5.0));
+    b.udp_flow(s1, r1, 512, 8_000_000);
+    b.udp_flow(s2, r2, 512, 8_000_000);
+    let mut net = b.build();
     net.run(SimDuration::from_millis(200));
-    let report = rec.borrow_mut().drain_report();
+    let report = net
+        .recorder()
+        .expect("recorded")
+        .borrow_mut()
+        .drain_report();
     report
 }
 

@@ -15,10 +15,12 @@
 //!   snapshot and its deterministic JSONL + CSV export keyed by
 //!   [`sim::RunKey`];
 //! * [`span!`] / [`profile`] — a wall-clock profiling scope reporting
-//!   per-layer time;
-//! * [`ambient`] — a per-thread recorder slot so campaign sweeps can
-//!   inject recording into experiment closures without changing their
-//!   signatures.
+//!   per-layer time.
+//!
+//! Campaign sweeps inject recording into experiment closures without
+//! changing their signatures: a job's [`RecorderHandle`] rides in the
+//! network's per-job context (`net::JobContext`), which every network
+//! built during the job wires in.
 //!
 //! Recording is zero-cost when disabled: every instrumentation site is
 //! an `Option<RecorderHandle>` check (`None` in all default paths), and
@@ -49,7 +51,6 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod ambient;
 pub mod event;
 pub mod export;
 pub mod profile;

@@ -142,6 +142,17 @@ impl Default for ObsSpec {
 }
 
 impl ObsSpec {
+    /// A spec that retains no events and samples no gauges, so its
+    /// recorder only feeds taps (which see every emission regardless of
+    /// `filter`).
+    pub fn silent(filter: Filter) -> Self {
+        ObsSpec {
+            capacity: 0,
+            probe_interval: None,
+            filter,
+        }
+    }
+
     /// Creates a fresh recorder handle configured by this spec.
     pub fn recorder(&self) -> RecorderHandle {
         Shared::new(Recorder::new(self.clone()))

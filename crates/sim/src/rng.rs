@@ -50,6 +50,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// with a SplitMix64 mix step. Both are pinned here forever: changing
 /// either would silently reseed every experiment.
 ///
+/// Keys order by label, then point, then seed — the order campaign
+/// sinks export their per-run reports in.
+///
 /// # Examples
 ///
 /// ```
@@ -63,7 +66,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// let mut rng = SimRng::new(key.stream_seed());
 /// let _draw = rng.uniform_f64();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RunKey {
     /// Experiment label, e.g. `"fig5"` or `"abl1/fairness"`. Distinct
     /// sweeps within one experiment must use distinct labels.
