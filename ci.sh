@@ -31,7 +31,7 @@ done
 echo "==> obs determinism (artifacts byte-identical across --jobs)"
 cargo test --offline -q -p gr-bench --test obs_determinism
 
-echo "==> scheduler wheel vs heap property tests"
+echo "==> scheduler vs reference-queue property tests"
 cargo test --offline -q -p gr-sim --test properties
 
 echo "==> checkpoint round-trip (resume must emit byte-identical CSVs)"

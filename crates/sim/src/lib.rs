@@ -2,11 +2,11 @@
 //!
 //! This crate is the foundation of the `greedy80211` simulator: it provides
 //! virtual time ([`SimTime`], [`SimDuration`]), a cancellable [`Scheduler`]
-//! backed by a hierarchical timing wheel (O(1) arm/cancel through
-//! generation-stamped [`TimerHandle`]s), allocation-free hot-path storage
-//! ([`Arena`], [`Pool`]), seedable deterministic random-number generation
-//! ([`SimRng`]) and small statistics primitives used by every layer above
-//! (PHY, MAC, transport, experiments).
+//! backed by an indexed binary heap (arm and cancel in O(log pending)
+//! through generation-stamped [`TimerHandle`]s), allocation-free hot-path
+//! storage ([`Arena`], [`Pool`]), seedable deterministic random-number
+//! generation ([`SimRng`]) and small statistics primitives used by every
+//! layer above (PHY, MAC, transport, experiments).
 //!
 //! Determinism is a design goal: two runs with the same seed and the same
 //! configuration produce identical results. All ties in the event queue are
@@ -33,7 +33,6 @@ pub mod rng;
 pub mod sched;
 pub mod stats;
 pub mod time;
-mod wheel;
 
 pub use error::SimError;
 pub use pool::{Arena, ArenaHandle, Pool, PooledBox, Recycle};

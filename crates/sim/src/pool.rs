@@ -2,9 +2,10 @@
 //! records referenced from in-flight events, and a recycling [`Pool`] of
 //! reusable buffers handed out as RAII [`PooledBox`]es.
 //!
-//! Both exist for the same reason the scheduler grew a timing wheel: the
-//! simulator dispatches millions of events per run, and a heap
-//! allocation (or `HashMap` probe) per event dominates the profile. The
+//! Both exist for the same reason the scheduler keeps its events in a
+//! generation-stamped slab: the simulator dispatches millions of events
+//! per run, and a heap allocation (or `HashMap` probe) per event
+//! dominates the profile. The
 //! arena replaces `HashMap<u64, T>` keyed by monotonically growing ids;
 //! the pool replaces `Vec::new()` per MAC handler invocation.
 

@@ -1,17 +1,63 @@
-//! Cancellable scheduler: a hierarchical timing wheel plus a simulation
+//! Cancellable scheduler: an indexed binary min-heap plus a simulation
 //! clock.
 //!
-//! Events are stored in the timing wheel (`wheel.rs`) — O(1) to arm and
-//! O(1) to cancel through generation-stamped [`TimerHandle`]s, with dispatch
-//! order identical to a stable `(time, insertion)` priority queue. Unlike
-//! the old lazy-`HashSet` cancellation scheme, a cancel reclaims the
-//! event's slot immediately: cancelling an event that already fired is a
-//! detected no-op and nothing accumulates.
+//! Events live in a generation-stamped slab; the heap holds one node per
+//! live event, keyed by `(time, seq)`, and every slab slot records its
+//! node's heap position. Arming and cancelling are O(log n) in the number
+//! of pending events: a cancel sifts the node out at once, so nothing
+//! stale stays behind, and cancelling an event that already fired is a
+//! detected no-op through the slot's generation. Dispatch order is the
+//! stable `(time, seq)` order: same-timestamp events pop in arm order.
 
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::Wheel;
 
-pub use crate::wheel::TimerHandle;
+/// Generation-stamped reference to a scheduled event's slab slot.
+///
+/// Obtained from [`Scheduler::arm`]; used to cancel or re-arm the event.
+/// A handle whose event already fired (or was cancelled) is *stale*: the
+/// slot's generation has moved on, so every operation through the handle
+/// is a detectable no-op — nothing is leaked and no unrelated event can
+/// be hit, even after the slot is reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TimerHandle {
+    idx: u32,
+    gen: u32,
+}
+
+impl snap::SnapValue for TimerHandle {
+    fn save(&self, w: &mut snap::Enc) {
+        w.u32(self.idx);
+        w.u32(self.gen);
+    }
+    fn load(r: &mut snap::Dec) -> Result<Self, snap::SnapError> {
+        Ok(TimerHandle {
+            idx: r.u32()?,
+            gen: r.u32()?,
+        })
+    }
+}
+
+#[derive(Debug)]
+struct Slot<E> {
+    gen: u32,
+    /// Heap position of this slot's node while `event` is live.
+    pos: u32,
+    event: Option<E>,
+}
+
+/// A heap node: the dispatch key inline, so sifting never leaves the heap.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    time: SimTime,
+    seq: u64,
+    idx: u32,
+}
+
+impl Node {
+    fn before(&self, other: &Node) -> bool {
+        (self.time, self.seq) < (other.time, other.seq)
+    }
+}
 
 /// The simulation clock plus pending events of type `E`.
 ///
@@ -30,8 +76,11 @@ pub use crate::wheel::TimerHandle;
 #[derive(Debug)]
 pub struct Scheduler<E> {
     now: SimTime,
-    wheel: Wheel<E>,
     next_seq: u64,
+    slab: Vec<Slot<E>>,
+    free: Vec<u32>,
+    /// Min-heap of live events by `(time, seq)`; `heap[0]` is next.
+    heap: Vec<Node>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -45,8 +94,10 @@ impl<E> Scheduler<E> {
     pub fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
-            wheel: Wheel::new(),
             next_seq: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
+            heap: Vec::new(),
         }
     }
 
@@ -58,7 +109,7 @@ impl<E> Scheduler<E> {
 
     /// Number of live pending events (cancelled events leave no residue).
     pub fn pending(&self) -> usize {
-        self.wheel.len()
+        self.heap.len()
     }
 
     /// Arms `event` to fire after delay `d` from now.
@@ -82,27 +133,56 @@ impl<E> Scheduler<E> {
         self.insert(at.max(self.now), event)
     }
 
-    fn insert(&mut self, at: SimTime, event: E) -> TimerHandle {
+    fn insert(&mut self, time: SimTime, event: E) -> TimerHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wheel.insert(at, seq, event)
+        let idx = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize].event = Some(event);
+                i
+            }
+            None => {
+                self.slab.push(Slot {
+                    gen: 0,
+                    pos: 0,
+                    event: Some(event),
+                });
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.push_node(Node { time, seq, idx });
+        TimerHandle {
+            idx,
+            gen: self.slab[idx as usize].gen,
+        }
     }
 
     /// Cancels a previously armed event, returning `true` if it was still
     /// pending. Cancelling an event that already fired (or a handle that
     /// was already cancelled or re-armed) is a no-op returning `false`.
     pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        self.wheel.cancel(handle).is_some()
+        let Some(slot) = self.slab.get_mut(handle.idx as usize) else {
+            return false;
+        };
+        if slot.gen != handle.gen || slot.event.is_none() {
+            return false;
+        }
+        let pos = slot.pos as usize;
+        self.release(handle.idx);
+        self.remove_at(pos);
+        true
     }
 
     /// Pops the next live event, advancing the clock to its timestamp.
     /// Returns `None` when the queue is exhausted.
     #[allow(clippy::should_implement_trait)] // not an Iterator: &mut self with internal clock
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        let (t, ev) = self.wheel.pop()?;
-        debug_assert!(t >= self.now, "event queue time went backwards");
-        self.now = t;
-        Some((t, ev))
+        let Node { time, idx, .. } = *self.heap.first()?;
+        debug_assert!(time >= self.now, "event queue time went backwards");
+        let ev = self.release(idx);
+        self.remove_at(0);
+        self.now = time;
+        Some((time, ev))
     }
 
     /// Moves the clock forward to `at` without dispatching anything, as
@@ -113,34 +193,155 @@ impl<E> Scheduler<E> {
     /// Panics in debug builds if a pending event is due before `at`.
     pub fn advance_clock(&mut self, at: SimTime) {
         debug_assert!(
-            self.wheel.peek_time().is_none_or(|t| t >= at),
+            self.peek_time().is_none_or(|t| t >= at),
             "clock moved past a pending event"
         );
         self.now = self.now.max(at);
     }
 
     /// Timestamp of the next live event without dispatching it, or `None`
-    /// when the queue is exhausted. Takes `&mut self` because peeking may
-    /// drain wheel buckets into the staging buffer (the clock and the
-    /// dispatch sequence are unaffected).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.wheel.peek_time()
+    /// when the queue is exhausted.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|n| n.time)
+    }
+
+    /// Takes a live slot's event and frees the slot, invalidating every
+    /// outstanding handle to it. Its heap node is the caller's to remove.
+    fn release(&mut self, idx: u32) -> E {
+        let slot = &mut self.slab[idx as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(idx);
+        slot.event.take().expect("released slot holds an event")
+    }
+
+    fn push_node(&mut self, node: Node) {
+        let pos = self.heap.len();
+        self.heap.push(node);
+        self.sift_up(pos, node);
+    }
+
+    /// Removes the heap node at `pos`, refilling the hole with the last
+    /// node.
+    fn remove_at(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("removing from an empty heap");
+        if pos == self.heap.len() {
+            return;
+        }
+        if pos > 0 && last.before(&self.heap[(pos - 1) / 2]) {
+            self.sift_up(pos, last);
+        } else {
+            self.sift_down(pos, last);
+        }
+    }
+
+    /// Moves `node` from the hole at `pos` towards the root until its
+    /// parent precedes it, then writes it there.
+    fn sift_up(&mut self, mut pos: usize, node: Node) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let p = self.heap[parent];
+            if !node.before(&p) {
+                break;
+            }
+            self.place(pos, p);
+            pos = parent;
+        }
+        self.place(pos, node);
+    }
+
+    /// Moves `node` from the hole at `pos` towards the leaves until both
+    /// children follow it, then writes it there.
+    fn sift_down(&mut self, mut pos: usize, node: Node) {
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.heap[child + 1].before(&self.heap[child]) {
+                child += 1;
+            }
+            let c = self.heap[child];
+            if !c.before(&node) {
+                break;
+            }
+            self.place(pos, c);
+            pos = child;
+        }
+        self.place(pos, node);
+    }
+
+    fn place(&mut self, pos: usize, node: Node) {
+        self.heap[pos] = node;
+        self.slab[node.idx as usize].pos = pos as u32;
     }
 }
 
-/// Snapshot = clock + sequence counter + the wheel's canonical state.
-/// Outstanding [`TimerHandle`]s stay valid across a restore because the
-/// wheel serializes its slab and free list verbatim.
+/// Snapshot = clock, sequence counter, the slab verbatim in index order
+/// (generation, plus time, sequence and payload of a live slot), the free
+/// list verbatim and the live count. Outstanding [`TimerHandle`]s stay
+/// valid across a restore, and post-restore arms assign the same handles
+/// the uninterrupted run would have. Heap placement is derived state: the
+/// `(time, seq)` keys are unique, so any valid heap over the same nodes
+/// dispatches identically, and restore rebuilds one.
 impl<E: snap::SnapValue> snap::SnapState for Scheduler<E> {
     fn snap_save(&self, w: &mut snap::Enc) {
         w.u64(self.now.as_nanos());
         w.u64(self.next_seq);
-        self.wheel.snap_save(w);
+        w.usize(self.slab.len());
+        for slot in &self.slab {
+            w.u32(slot.gen);
+            match &slot.event {
+                Some(ev) => {
+                    let node = self.heap[slot.pos as usize];
+                    w.bool(true);
+                    w.u64(node.time.as_nanos());
+                    w.u64(node.seq);
+                    ev.save(w);
+                }
+                None => w.bool(false),
+            }
+        }
+        snap::SnapValue::save(&self.free, w);
+        w.usize(self.heap.len());
     }
+
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
-        self.now = SimTime::from_nanos(r.u64()?);
-        self.next_seq = r.u64()?;
-        self.wheel = Wheel::from_snapshot(r)?;
+        let now = SimTime::from_nanos(r.u64()?);
+        let next_seq = r.u64()?;
+        let n = r.usize()?;
+        if n > r.remaining() {
+            return Err(snap::SnapError::Corrupt(format!(
+                "scheduler slab count {n} exceeds input"
+            )));
+        }
+        let mut s = Scheduler::new();
+        s.now = now;
+        s.next_seq = next_seq;
+        for idx in 0..n as u32 {
+            let gen = r.u32()?;
+            let live = r.bool()?;
+            s.slab.push(Slot {
+                gen,
+                pos: 0,
+                event: None,
+            });
+            if live {
+                let time = SimTime::from_nanos(r.u64()?);
+                let seq = r.u64()?;
+                s.slab[idx as usize].event = Some(E::load(r)?);
+                s.push_node(Node { time, seq, idx });
+            }
+        }
+        s.free = <Vec<u32> as snap::SnapValue>::load(r)?;
+        let live = r.usize()?;
+        if live != s.heap.len() {
+            return Err(snap::SnapError::Corrupt(format!(
+                "scheduler live count {live} != occupied slots {}",
+                s.heap.len()
+            )));
+        }
+        *self = s;
         Ok(())
     }
 }
@@ -162,6 +363,143 @@ impl TimerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn drain(s: &mut Scheduler<u32>) -> Vec<(u64, u32)> {
+        std::iter::from_fn(|| s.next().map(|(t, e)| (t.as_nanos(), e))).collect()
+    }
+
+    /// The heap holds exactly the live slots, every node's slot points
+    /// back at it, and every node follows its parent.
+    fn assert_heap_invariant<E>(s: &Scheduler<E>) {
+        let live = s.slab.iter().filter(|slot| slot.event.is_some()).count();
+        assert_eq!(s.heap.len(), live);
+        assert_eq!(s.heap.len(), s.pending());
+        assert_eq!(s.slab.len(), live + s.free.len());
+        for (pos, node) in s.heap.iter().enumerate() {
+            assert_eq!(s.slab[node.idx as usize].pos as usize, pos);
+            if pos > 0 {
+                assert!(s.heap[(pos - 1) / 2].before(node), "heap order broken");
+            }
+        }
+    }
+
+    #[test]
+    fn pops_in_time_then_seq_order() {
+        let mut s = Scheduler::new();
+        s.arm_at(SimTime::from_nanos(5_000), 1);
+        s.arm_at(SimTime::from_nanos(100), 2);
+        s.arm_at(SimTime::from_nanos(5_000), 3);
+        s.arm_at(SimTime::from_nanos(70_000_000), 4);
+        assert_eq!(
+            drain(&mut s),
+            vec![(100, 2), (5_000, 1), (5_000, 3), (70_000_000, 4)]
+        );
+    }
+
+    #[test]
+    fn far_future_events_pop_in_order() {
+        let mut s = Scheduler::new();
+        // ~20 virtual hours, far past the ~18 minutes a timing wheel of
+        // 64^5 ticks of 1024 ns would cover.
+        let far = SimTime::from_nanos(72_000_000_000_000);
+        s.arm_at(far, 9);
+        s.arm_at(SimTime::from_nanos(10), 1);
+        s.arm_at(far, 10);
+        assert_eq!(
+            drain(&mut s),
+            vec![(10, 1), (72_000_000_000_000, 9), (72_000_000_000_000, 10)]
+        );
+    }
+
+    #[test]
+    fn events_straddling_a_2_pow_30_tick_boundary_pop_in_order() {
+        // Two events just either side of 2 x 2^30 ticks of 1024 ns: close
+        // together, but in different 2^40 ns blocks.
+        let block_ns = 1u64 << 40;
+        let a = block_ns * 2 - 1_000;
+        let b = block_ns * 2 + 1_000;
+        let mut s = Scheduler::new();
+        s.arm_at(SimTime::from_nanos(b), 2);
+        s.arm_at(SimTime::from_nanos(a), 1);
+        s.arm_at(SimTime::from_nanos(50), 3);
+        assert_eq!(drain(&mut s), vec![(50, 3), (a, 1), (b, 2)]);
+    }
+
+    #[test]
+    fn cancel_is_exact_and_reclaims_slots() {
+        let mut s = Scheduler::new();
+        let a = s.arm_at(SimTime::from_nanos(1_000), 1);
+        s.arm_at(SimTime::from_nanos(2_000), 2);
+        assert!(s.cancel(a));
+        assert!(!s.cancel(a), "double cancel is a no-op");
+        assert_eq!(s.pending(), 1);
+        // The freed slot is reused; the old handle stays dead.
+        let c = s.arm_at(SimTime::from_nanos(3_000), 3);
+        assert_eq!(c.idx, a.idx);
+        assert_ne!(c.gen, a.gen);
+        assert!(!s.cancel(a));
+        assert_eq!(drain(&mut s), vec![(2_000, 2), (3_000, 3)]);
+        assert_eq!(s.slab.len(), 2);
+    }
+
+    #[test]
+    fn arms_at_the_current_instant_stay_ordered() {
+        let mut s = Scheduler::new();
+        s.arm_at(SimTime::from_nanos(50_000), 1);
+        assert_eq!(s.next().map(|(_, e)| e), Some(1));
+        s.arm_at(SimTime::from_nanos(50_100), 2);
+        s.arm_at(SimTime::from_nanos(50_050), 3);
+        s.arm(SimDuration::ZERO, 4);
+        assert_eq!(drain(&mut s), vec![(50_000, 4), (50_050, 3), (50_100, 2)]);
+    }
+
+    #[test]
+    fn arm_cancel_cycles_leave_one_slab_slot() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        for i in 0..100_000u32 {
+            let h = s.arm(SimDuration::from_nanos(u64::from(i % 977)), i);
+            assert!(h.cancel(&mut s));
+        }
+        assert_eq!(s.slab.len(), 1);
+        assert_eq!(s.heap.len(), 0);
+        assert_eq!(s.pending(), 0);
+        assert_eq!(s.next(), None);
+    }
+
+    proptest! {
+        /// Eager cancellation: after every step of a random arm / cancel /
+        /// rearm / pop sequence the heap holds exactly `pending()` nodes,
+        /// and the slab never grows past the peak number of live events.
+        #[test]
+        fn heap_holds_exactly_the_pending_events(
+            ops in proptest::collection::vec((any::<u8>(), any::<u32>()), 1..300),
+        ) {
+            let mut s: Scheduler<usize> = Scheduler::new();
+            let mut handles = Vec::new();
+            let mut peak = 0;
+            for (i, &(op, r)) in ops.iter().enumerate() {
+                let d = SimDuration::from_nanos(u64::from(r % 50_000));
+                match op % 4 {
+                    0 | 1 => handles.push(s.arm(d, i)),
+                    2 if !handles.is_empty() => {
+                        let h = handles.swap_remove(r as usize % handles.len());
+                        if op & 4 == 0 {
+                            h.cancel(&mut s);
+                        } else {
+                            handles.push(h.rearm(&mut s, d, i));
+                        }
+                    }
+                    _ => {
+                        s.next();
+                    }
+                }
+                peak = peak.max(s.pending());
+                assert_heap_invariant(&s);
+                prop_assert!(s.slab.len() <= peak);
+            }
+        }
+    }
 
     #[test]
     fn clock_advances_with_events() {
@@ -259,7 +597,7 @@ mod tests {
         for v in 0..20u8 {
             a.arm(SimDuration::from_micros(v as u64 * 130 + 1), v);
         }
-        let far = a.arm(SimDuration::from_secs(5_000), 99); // overflow heap
+        let far = a.arm(SimDuration::from_secs(5_000), 99);
         for _ in 0..7 {
             a.next();
         }

@@ -9,7 +9,7 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct EventId(u64);
 
-/// The pre-timing-wheel event queue: a binary min-heap keyed by
+/// A reference event queue: a binary min-heap keyed by
 /// `(time, insertion sequence)`, so equal timestamps pop in insertion
 /// order. The sequence is unique, so the payload never takes part in the
 /// ordering.
@@ -44,23 +44,22 @@ impl<E: Ord> EventQueue<E> {
     }
 }
 
-/// Maps raw fuzz input onto delay magnitudes that exercise every wheel
-/// path: sub-tick ties, level-0 buckets, upper levels, and (≈1 in 8)
-/// delays past the wheel horizon that must detour through the overflow
-/// heap.
+/// Maps raw fuzz input onto delay magnitudes from near-ties (within about
+/// a microsecond) through milliseconds and seconds to a minute, plus
+/// (≈1 in 8) far-future delays of 20–40 virtual minutes.
 fn shaped_nanos(raw: u64, shape: u8) -> u64 {
     match shape % 8 {
-        0 | 1 => raw % 2_048,                             // within 1-2 ticks
-        2 | 3 => raw % 5_000_000,                         // a few ms: levels 0-1
-        4 | 5 => raw % 500_000_000,                       // sub-second: mid levels
-        6 => raw % 60_000_000_000,                        // a minute: top level
-        _ => 1_200_000_000_000 + raw % 1_200_000_000_000, // past wheel span
+        0 | 1 => raw % 2_048,                             // near-ties
+        2 | 3 => raw % 5_000_000,                         // a few ms
+        4 | 5 => raw % 500_000_000,                       // sub-second
+        6 => raw % 60_000_000_000,                        // a minute
+        _ => 1_200_000_000_000 + raw % 1_200_000_000_000, // far future
     }
 }
 
-/// The pre-timing-wheel scheduler semantics, verbatim: a stable binary
-/// heap plus a lazy cancelled-id set. Property tests replay every
-/// operation against this reference model.
+/// The oracle for scheduler semantics: a stable binary heap plus a lazy
+/// cancelled-id set. Property tests replay every operation against this
+/// reference model.
 struct HeapReference {
     queue: EventQueue<usize>,
     cancelled: std::collections::HashSet<EventId>,
@@ -170,12 +169,11 @@ proptest! {
         }
     }
 
-    /// The timing-wheel scheduler dispatches random schedules — spanning
-    /// level-0 ticks, upper wheel levels, and the overflow horizon — in
-    /// exactly the order of the old stable binary-heap [`EventQueue`],
-    /// including insertion-order ties at equal timestamps.
+    /// The scheduler dispatches random schedules — from near-ties to
+    /// far-future events — in exactly the order of the stable reference
+    /// [`EventQueue`], including insertion-order ties at equal timestamps.
     #[test]
-    fn wheel_matches_heap_on_random_schedules(
+    fn scheduler_matches_reference_on_random_schedules(
         raw in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..200),
     ) {
         let mut s: Scheduler<usize> = Scheduler::new();
@@ -192,15 +190,15 @@ proptest! {
     }
 
     /// Same equivalence under interleaved arm / cancel / rearm / dispatch:
-    /// the wheel agrees with the heap-plus-lazy-cancellation reference at
-    /// every intermediate pop, not just on the final drain.
+    /// the scheduler agrees with the heap-plus-lazy-cancellation reference
+    /// at every intermediate pop, not just on the final drain.
     #[test]
-    fn wheel_matches_heap_under_cancel_rearm_interleaving(
+    fn scheduler_matches_reference_under_cancel_rearm_interleaving(
         ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 1..300),
     ) {
         let mut s: Scheduler<usize> = Scheduler::new();
         let mut reference = HeapReference::new();
-        // Live (wheel handle, reference id) pairs, index-aligned.
+        // Live (scheduler handle, reference id) pairs, index-aligned.
         let mut live: Vec<(gr_sim::TimerHandle, EventId)> = Vec::new();
         let mut next_payload = 0usize;
         for &(op, r, shape) in &ops {
@@ -252,7 +250,7 @@ proptest! {
     /// Heavy timestamp collisions: events armed at only a handful of
     /// distinct times must still fire grouped by time in arm order.
     #[test]
-    fn wheel_preserves_fifo_under_heavy_ties(
+    fn scheduler_preserves_fifo_under_heavy_ties(
         picks in proptest::collection::vec(any::<u8>(), 1..200),
         base in 0u64..1_000_000,
     ) {
@@ -270,22 +268,16 @@ proptest! {
         prop_assert_eq!(fired, expected);
     }
 
-    /// Cursor-jump-on-idle across an overflow migration boundary: when
-    /// the wheel drains while far-future events wait in the overflow
-    /// heap, the cursor must jump straight to them — and when the jump
-    /// target's 64^5-tick block excludes part of the cluster, the
-    /// excluded events must keep waiting in the heap (not bounce between
-    /// heap and wheel) and still fire in exact heap order. The far
-    /// cluster straddles a block boundary several wheel spans past the
-    /// near events to force both sides of the XOR placement test after
-    /// the jump.
+    /// A far cluster straddling a 2^40 ns boundary, several such spans
+    /// past a few near events, pops in exact reference order, whether or
+    /// not the queue is peeked first.
     #[test]
-    fn wheel_cursor_jump_on_idle_across_overflow_boundary(
+    fn scheduler_orders_a_far_cluster_across_a_block_boundary(
         near in proptest::collection::vec(0u64..1_000_000, 0..20),
         offsets in proptest::collection::vec(0u64..4_000_000_000, 1..40),
         peek in any::<bool>(),
     ) {
-        // One wheel block: 64^5 ticks of 2^10 ns = 2^40 ns (~18 min).
+        // 2^40 ns (~18 min): 64^5 ticks of 1024 ns.
         const BLOCK_NS: u64 = 1u64 << 40;
         let mut s: Scheduler<usize> = Scheduler::new();
         let mut q = EventQueue::new();
@@ -302,14 +294,14 @@ proptest! {
             q.push(at, payload);
             payload += 1;
         }
-        if peek {
-            // Peeking while the wheel is otherwise idle performs the
-            // cursor jump without dispatching anything.
-            prop_assert!(s.peek_time().is_some());
-        }
-        let fired: Vec<_> = std::iter::from_fn(|| s.next()).collect();
         let expected: Vec<_> =
             std::iter::from_fn(|| q.pop().map(|(t, _, e)| (t, e))).collect();
+        if peek {
+            // Peeking names the first event and dispatches nothing.
+            prop_assert_eq!(s.peek_time(), expected.first().map(|&(t, _)| t));
+            prop_assert_eq!(s.pending(), expected.len());
+        }
+        let fired: Vec<_> = std::iter::from_fn(|| s.next()).collect();
         prop_assert_eq!(fired, expected);
     }
 

@@ -1,7 +1,7 @@
 //! gr-snap — versioned, dependency-free binary snapshots and the
 //! state-hash audit ladder.
 //!
-//! Every stateful layer of the simulator (timing wheel, RNG streams, DCF
+//! Every stateful layer of the simulator (scheduler, RNG streams, DCF
 //! state machines, TCP/UDP endpoints, misbehavior detectors) serializes
 //! itself through this crate so a run can be checkpointed mid-flight and
 //! resumed to a byte-identical finish. Three pieces:
@@ -27,11 +27,11 @@
 //! use gr_snap::{Dec, Enc, SnapValue};
 //!
 //! let mut w = Enc::new();
-//! (42u64, String::from("wheel")).save(&mut w);
+//! (42u64, String::from("sched")).save(&mut w);
 //! let bytes = w.into_bytes();
 //! let mut r = Dec::new(&bytes);
 //! let (n, s) = <(u64, String)>::load(&mut r)?;
-//! assert_eq!((n, s.as_str()), (42, "wheel"));
+//! assert_eq!((n, s.as_str()), (42, "sched"));
 //! # Ok::<(), gr_snap::SnapError>(())
 //! ```
 
@@ -61,7 +61,9 @@ pub const MAGIC: &[u8; 6] = b"GRSNAP";
 /// Version 6: injected busy intervals fuse per station, and the instants
 /// of the edges fused away (not yet credited to the dispatch count)
 /// follow the dispatch count.
-pub const FORMAT_VERSION: u16 = 6;
+/// Version 7: the scheduler is an indexed heap, and its encoding loses
+/// the timing wheel's cursor.
+pub const FORMAT_VERSION: u16 = 7;
 
 /// Errors arising while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -437,9 +439,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// use gr_snap::{fnv1a, Digest};
 ///
 /// let mut d = Digest::new();
-/// d.update(b"wheel");
+/// d.update(b"sched");
 /// d.update(b"state");
-/// assert_eq!(d.finish(), fnv1a(b"wheelstate"));
+/// assert_eq!(d.finish(), fnv1a(b"schedstate"));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Digest(u64);
