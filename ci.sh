@@ -38,10 +38,12 @@ echo "==> checkpoint round-trip (resume must emit byte-identical CSVs)"
 CK=$(mktemp -d)
 trap 'rm -rf "$CK"' EXIT
 cargo run --release --offline -p gr-bench --bin repro -- \
-  run --quick --checkpoint-every 500 --audit-every 500 --out "$CK/rec" fig2 >/dev/null
+  run --quick --checkpoint-every 500 --audit-every 500 --out "$CK/rec" fig2 fig6 tab5 >/dev/null
 cargo run --release --offline -p gr-bench --bin repro -- \
-  run --quick --jobs 8 --resume "$CK/rec" --out "$CK/res" fig2 >/dev/null
-cmp "$CK/rec/fig2.csv" "$CK/res/fig2.csv"
+  run --quick --jobs 8 --resume "$CK/rec" --out "$CK/res" fig2 fig6 tab5 >/dev/null
+for id in fig2 fig6 tab5; do
+  cmp "$CK/rec/$id.csv" "$CK/res/$id.csv"
+done
 
 echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1/ext2 cmp-equal to results/)"
 cargo run --release --offline -p gr-bench --bin repro -- \
@@ -57,7 +59,7 @@ cmp "$CK/fullconf/ext2.csv" results/ext2.csv
 
 echo "==> audit ladders (re-recorded seeds must show zero divergence)"
 cargo run --release --offline -p gr-bench --bin repro -- \
-  run --quick --audit-every 500 --out "$CK/rec2" fig2 >/dev/null
+  run --quick --audit-every 500 --out "$CK/rec2" fig2 fig6 tab5 >/dev/null
 for a in "$CK"/rec/audit/*.audit; do
   cargo run --release --offline -p gr-bench --bin repro -- \
     audit "$a" "$CK/rec2/audit/$(basename "$a")" >/dev/null

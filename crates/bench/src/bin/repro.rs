@@ -349,7 +349,12 @@ impl Args {
     /// Applies `--resume DIR`, or `--checkpoint-every`/`--audit-every`
     /// recording under `dir`, to `ctx`. Returns the banner suffix.
     fn hooks(&self, ctx: RunCtx, dir: &Path) -> Result<(RunCtx, &'static str), String> {
-        let every = |name| Ok::<_, String>(self.get(name)?.map(SimDuration::from_millis));
+        let every = |name| {
+            Ok::<_, String>(
+                self.get_with(name, positive::<u64>)?
+                    .map(SimDuration::from_millis),
+            )
+        };
         let (ckpt, audit) = (every("--checkpoint-every")?, every("--audit-every")?);
         Ok(if let Some(from) = self.get::<PathBuf>("--resume")? {
             (

@@ -151,3 +151,36 @@ fn resumed_checkpoint_replays_under_the_checker() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn zero_hook_intervals_are_rejected_at_once() {
+    for option in ["--checkpoint-every", "--audit-every"] {
+        let dir = fresh_dir("zero-interval");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["run", "--quick", "--jobs", "1", option, "0", "--out"])
+            .arg(&dir)
+            .arg("fig2")
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("repro runs");
+        // A zero interval used to re-arm its barrier at the same instant
+        // forever; kill the child rather than hang the suite.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while child.try_wait().expect("poll repro").is_none() {
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                panic!("{option} 0 did not exit");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("repro exits");
+        assert!(!out.status.success(), "{option} 0 must fail");
+        assert!(
+            stderr(&out).contains(&format!("{option}: expected a positive integer, got `0`")),
+            "{}",
+            stderr(&out)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

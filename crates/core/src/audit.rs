@@ -17,6 +17,7 @@ use net::RunHooks;
 use sim::{SimDuration, SimError, SimTime};
 pub use snap::audit::{AuditEntry, Divergence, Ladder};
 
+use crate::checkpoint::Checkpoint;
 use crate::scenario::Scenario;
 
 /// Result of a [`pinpoint`] search.
@@ -54,28 +55,27 @@ fn probe(
         checkpoint_every: Some(iv),
         perturb_rng_at: hooks.perturb_rng_at,
     };
-    let built = s.build()?;
-    let artifacts = match prefix {
-        Some((state, at)) => {
-            built
-                .resume_hooked(state, *at, probe_hooks)
-                .map_err(|e| SimError::invalid_config(format!("prefix checkpoint rejected: {e}")))?
-                .1
-        }
-        None => built.run_hooked(probe_hooks).1,
-    };
-    let digests = artifacts
+    let mut built = s.build()?;
+    match prefix {
+        Some((state, at)) => built.restore(state, *at, probe_hooks)?,
+        None => built.start(probe_hooks),
+    }
+    let out = built.run();
+    let digests = out
         .audit
-        .iter()
-        .filter(|(vt, _, _)| *vt == barrier.as_nanos())
-        .map(|(_, layer, d)| (layer.to_string(), *d))
+        .entries
+        .into_iter()
+        .filter(|e| e.vt_ns == barrier.as_nanos())
+        .map(|e| (e.layer, e.digest))
         .collect();
-    let state = artifacts
-        .checkpoints
-        .iter()
-        .find(|(at, _)| *at == barrier)
-        .map(|(_, bytes)| bytes.clone())
-        .unwrap_or_default();
+    let state = match out.checkpoints.iter().find(|(at, _)| *at == barrier) {
+        Some((_, bytes)) => {
+            Checkpoint::decode(bytes)
+                .expect("a run's own checkpoint decodes")
+                .net_state
+        }
+        None => Vec::new(),
+    };
     Ok(Probe { digests, state })
 }
 
@@ -213,6 +213,13 @@ mod tests {
         s
     }
 
+    /// The audit ladder of `s` run under `hooks`.
+    fn hooked(s: &Scenario, hooks: RunHooks) -> Ladder {
+        let mut built = s.build().unwrap();
+        built.start(hooks);
+        built.run().audit
+    }
+
     /// The regression the issue demands: an artificially injected
     /// single-event RNG perturbation must be pinpointed to the RNG layer
     /// and to a narrow virtual-time interval containing it.
@@ -235,10 +242,8 @@ mod tests {
             perturb_rng_at: Some(perturb_at),
             ..coarse
         };
-        let (_, art_a) = s.build().unwrap().run_hooked(coarse);
-        let (_, art_b) = s.build().unwrap().run_hooked(coarse_var);
-        let la = crate::checkpoint::ladder_from_artifacts(&art_a);
-        let lb = crate::checkpoint::ladder_from_artifacts(&art_b);
+        let la = hooked(&s, coarse);
+        let lb = hooked(&s, coarse_var);
         let d = Ladder::compare(&la, &lb).expect("perturbation must diverge");
         assert_eq!(d.vt_lo_ns, Some(400_000_000), "agrees through 400 ms");
         assert_eq!(d.vt_hi_ns, 500_000_000, "first coarse mismatch at 500 ms");
@@ -285,10 +290,8 @@ mod tests {
             audit_every: Some(SimDuration::from_millis(200)),
             ..RunHooks::default()
         };
-        let (_, a) = s.build().unwrap().run_hooked(hooks);
-        let (_, b) = s.build().unwrap().run_hooked(hooks);
-        let la = crate::checkpoint::ladder_from_artifacts(&a);
-        let lb = crate::checkpoint::ladder_from_artifacts(&b);
+        let la = hooked(&s, hooks);
+        let lb = hooked(&s, hooks);
         assert_eq!(Ladder::compare(&la, &lb), None);
         assert_eq!(la.root_digest(), lb.root_digest());
     }

@@ -25,12 +25,13 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use net::RunHooks;
 pub use net::{run_file_stem, CampaignSpec};
-use net::{RunArtifacts, RunHooks};
 use sim::{RunKey, SimError, SimTime};
 use snap::SnapValue as _;
 
-use crate::scenario::{Scenario, ScenarioOutcome};
+use crate::run::RunOutcome;
+use crate::scenario::Scenario;
 
 /// One run frozen at a virtual-time barrier, ready to write to disk and
 /// resume in another process.
@@ -105,27 +106,17 @@ impl Checkpoint {
     }
 
     /// Rebuilds the scenario's network, restores the frozen state and
-    /// simulates the remaining virtual time under `hooks`.
+    /// simulates the remaining virtual time.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] when the embedded scenario is
     /// malformed or the state blob does not match its topology.
-    pub fn resume(&self, hooks: RunHooks) -> Result<(ScenarioOutcome, RunArtifacts), SimError> {
-        let built = self.scenario.build()?;
-        built
-            .resume_hooked(&self.net_state, self.at, hooks)
-            .map_err(|e| SimError::invalid_config(format!("checkpoint state rejected: {e}")))
+    pub fn resume(self) -> Result<RunOutcome, SimError> {
+        let mut built = self.scenario.build()?;
+        built.restore(&self.net_state, self.at, RunHooks::default())?;
+        Ok(built.finish(self.key))
     }
-}
-
-/// Converts raw run artifacts into an audit [`Ladder`](snap::audit::Ladder).
-pub fn ladder_from_artifacts(artifacts: &RunArtifacts) -> snap::audit::Ladder {
-    let mut ladder = snap::audit::Ladder::new();
-    for &(vt_ns, layer, digest) in &artifacts.audit {
-        ladder.push(vt_ns, layer, digest);
-    }
-    ladder
 }
 
 #[cfg(test)]

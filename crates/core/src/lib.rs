@@ -50,7 +50,6 @@ pub mod misbehavior;
 pub mod model;
 pub mod rssi_study;
 pub mod run;
-pub mod runplan;
 pub mod scenario;
 pub mod world;
 
@@ -69,8 +68,7 @@ pub use misbehavior::{
 };
 pub use model::{nav_inflation_model, SendProbabilities};
 pub use rssi_study::{RssiStudy, RssiStudyConfig};
-pub use run::Run;
-pub use runplan::{RunOutcome, RunPlan};
-pub use scenario::{BuiltScenario, Scenario, ScenarioOutcome, TransportKind};
+pub use run::{Run, RunOutcome};
+pub use scenario::{BuiltScenario, Scenario, TransportKind};
 pub use transport::{CcAlgorithm, CcConfig};
 pub use world::{CellOutcome, WorldOutcome, WorldRun, WorldSpec};

@@ -1,12 +1,11 @@
 //! The one documented way to execute a scenario.
 //!
 //! [`Run`] is the single facade over building and simulating a
-//! [`Scenario`]; the older entry points (`Scenario::run`,
-//! `runplan::execute`) have been removed. It also fronts the checkpoint
-//! & audit subsystem: [`Run::checkpoint_every`] /[`Run::audit_every`]
-//! arm virtual-time barriers, [`Run::resume`] continues a run from a
-//! checkpoint file, and campaign sweeps arm the same hooks through the
-//! checkpoint part of their per-job [`net::JobContext`].
+//! [`Scenario`]. It also fronts the checkpoint & audit subsystem:
+//! [`Run::checkpoint_every`] /[`Run::audit_every`] arm virtual-time
+//! barriers, [`Run::resume`] continues a run from a checkpoint file, and
+//! campaign sweeps arm the same hooks through the checkpoint part of
+//! their per-job [`net::JobContext`].
 //!
 //! ```
 //! use greedy80211::{GreedyConfig, NavInflationConfig, Run, Scenario};
@@ -36,13 +35,15 @@
 
 use std::path::Path;
 
-use net::{JobContext, RunHooks};
+use mac::NodeId;
+use net::{JobContext, RunHooks, RunMetrics};
 use sim::{RunKey, SimDuration, SimError, SimTime};
 use snap::SnapValue as _;
+use transport::FlowId;
 
-use crate::checkpoint::{self, Checkpoint};
-use crate::runplan::RunOutcome;
-use crate::scenario::{Scenario, ScenarioOutcome};
+use crate::checkpoint::Checkpoint;
+use crate::detect::GrcSnapshot;
+use crate::scenario::Scenario;
 
 /// A planned simulation run: scenario plus seeding policy, plus any
 /// checkpoint/audit barriers to arm.
@@ -54,9 +55,7 @@ use crate::scenario::{Scenario, ScenarioOutcome};
 pub struct Run {
     scenario: Scenario,
     key: Option<RunKey>,
-    checkpoint_every: Option<SimDuration>,
-    audit_every: Option<SimDuration>,
-    perturb_rng_at: Option<SimTime>,
+    hooks: RunHooks,
 }
 
 impl Run {
@@ -65,9 +64,7 @@ impl Run {
         Run {
             scenario: scenario.clone(),
             key: None,
-            checkpoint_every: None,
-            audit_every: None,
-            perturb_rng_at: None,
+            hooks: RunHooks::default(),
         }
     }
 
@@ -89,7 +86,7 @@ impl Run {
     /// multiple of `interval` (virtual time). The containers land in
     /// [`RunOutcome::checkpoints`].
     pub fn checkpoint_every(mut self, interval: SimDuration) -> Self {
-        self.checkpoint_every = Some(interval);
+        self.hooks.checkpoint_every = Some(interval);
         self
     }
 
@@ -97,7 +94,7 @@ impl Run {
     /// every multiple of `interval`. The ladder lands in
     /// [`RunOutcome::audit`].
     pub fn audit_every(mut self, interval: SimDuration) -> Self {
-        self.audit_every = Some(interval);
+        self.hooks.audit_every = Some(interval);
         self
     }
 
@@ -105,7 +102,7 @@ impl Run {
     /// after `at` dispatches — a controlled divergence for exercising
     /// the audit ladder and [`crate::audit::pinpoint`].
     pub fn perturb_rng_at(mut self, at: SimTime) -> Self {
-        self.perturb_rng_at = Some(at);
+        self.hooks.perturb_rng_at = Some(at);
         self
     }
 
@@ -113,23 +110,22 @@ impl Run {
     /// result into a plain-data [`RunOutcome`].
     ///
     /// When the thread's [`JobContext`] carries a checkpoint
-    /// [`CampaignSpec`](checkpoint::CampaignSpec), the run additionally
-    /// records its checkpoint and audit files under the campaign's
-    /// artifact root, named by the job's key — or, in resume mode,
-    /// restores its own checkpoint and simulates only the tail.
+    /// [`CampaignSpec`](crate::checkpoint::CampaignSpec), the run
+    /// additionally records its checkpoint and audit files under the
+    /// campaign's artifact root, named by the job's key — or, in resume
+    /// mode, restores its own checkpoint and simulates only the tail.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if the scenario is malformed
-    /// (zero pairs, out-of-range indices, invalid error rates) or a
-    /// resumed checkpoint does not match the planned scenario.
+    /// (zero pairs, out-of-range indices, invalid error rates), a
+    /// checkpoint or audit interval is zero, or a resumed checkpoint
+    /// does not match the planned scenario.
     pub fn execute(self) -> Result<RunOutcome, SimError> {
         let Run {
             mut scenario,
             key,
-            checkpoint_every,
-            audit_every,
-            perturb_rng_at,
+            hooks,
         } = self;
         let key = match key {
             Some(k) => {
@@ -140,12 +136,6 @@ impl Run {
             // the label marks them as outside any sweep.
             None => RunKey::new("adhoc", 0, scenario.seed),
         };
-        // Drain the recorder into the outcome only when this scenario
-        // asked for recording itself. A recorder inherited from the job
-        // context belongs to the campaign: its report is drained into
-        // the campaign sink after the measure closure returns, and
-        // draining it here would leave that empty.
-        let explicit_record = scenario.record.is_some();
         let job = JobContext::current();
         // Campaign files are named by the job's key, else the run's own.
         let file_key = job.key.unwrap_or_else(|| key.clone());
@@ -153,8 +143,7 @@ impl Run {
             Some(spec) if spec.resume => (Some(spec), None),
             spec => (None, spec),
         };
-        let explicit_hooks =
-            checkpoint_every.is_some() || audit_every.is_some() || perturb_rng_at.is_some();
+        let explicit_hooks = hooks != RunHooks::default();
 
         // Campaign resume: restore this run's own checkpoint, if one was
         // recorded, and simulate only the remaining virtual time. A
@@ -171,76 +160,47 @@ impl Run {
                 let mut frozen = snap::Enc::new();
                 ckpt.scenario.save(&mut frozen);
                 if planned.bytes() == frozen.bytes() {
-                    let (outcome, _) = ckpt.resume(RunHooks::default())?;
-                    return Ok(package(key, outcome, explicit_record, Vec::new()));
+                    // The planned scenario differs from the frozen one
+                    // only in what the encoding leaves out (`record`).
+                    return Checkpoint {
+                        key,
+                        scenario,
+                        ..ckpt
+                    }
+                    .resume();
                 }
             }
         }
 
         // Hook intervals: explicit builder calls win; otherwise a
         // recording campaign spec supplies them.
-        let (ck_every, au_every) = if explicit_hooks {
-            (checkpoint_every, audit_every)
-        } else {
-            match &record_to {
-                Some(spec) => (spec.every, spec.audit_every),
-                None => (None, None),
-            }
+        let hooks = match &record_to {
+            Some(spec) if !explicit_hooks => RunHooks {
+                checkpoint_every: spec.every,
+                audit_every: spec.audit_every,
+                perturb_rng_at: None,
+            },
+            _ => hooks,
         };
+        hooks.validate()?;
 
-        if ck_every.is_none() && au_every.is_none() && perturb_rng_at.is_none() {
-            let outcome = scenario.build()?.run();
-            return Ok(package(key, outcome, explicit_record, Vec::new()));
-        }
-
-        let hooks = RunHooks {
-            checkpoint_every: ck_every,
-            audit_every: au_every,
-            perturb_rng_at,
-        };
-        let (outcome, artifacts) = scenario.build()?.run_hooked(hooks);
-        let ladder = checkpoint::ladder_from_artifacts(&artifacts);
-        let checkpoints: Vec<(SimTime, Vec<u8>)> = artifacts
-            .checkpoints
-            .into_iter()
-            .map(|(at, net_state)| {
-                let container = Checkpoint {
-                    key: file_key.clone(),
-                    at,
-                    scenario: scenario.clone(),
-                    net_state,
-                };
-                (at, container.encode())
-            })
-            .collect();
+        let mut built = scenario.build()?;
+        built.start(hooks);
+        // Checkpoint containers carry the file key; the outcome names
+        // the run.
+        let mut out = built.finish(file_key.clone());
+        out.key = key;
         if let Some(spec) = &record_to {
             // Newest checkpoint wins: resuming it leaves the least tail
             // to resimulate.
-            if let Some((_, bytes)) = checkpoints.last() {
-                let path = spec.checkpoint_path(&file_key);
-                std::fs::create_dir_all(path.parent().expect("checkpoint path has a parent"))
-                    .and_then(|()| std::fs::write(&path, bytes))
-                    .map_err(|e| {
-                        SimError::invalid_config(format!(
-                            "cannot write checkpoint {}: {e}",
-                            path.display()
-                        ))
-                    })?;
+            if let Some((_, bytes)) = out.checkpoints.last() {
+                write_file(&spec.checkpoint_path(&file_key), bytes, "checkpoint")?;
             }
-            if !ladder.entries.is_empty() {
-                let path = spec.audit_path(&file_key);
-                std::fs::create_dir_all(path.parent().expect("audit path has a parent"))
-                    .and_then(|()| std::fs::write(&path, ladder.to_text()))
-                    .map_err(|e| {
-                        SimError::invalid_config(format!(
-                            "cannot write audit ladder {}: {e}",
-                            path.display()
-                        ))
-                    })?;
+            if !out.audit.entries.is_empty() {
+                let text = out.audit.to_text();
+                write_file(&spec.audit_path(&file_key), text.as_bytes(), "audit ladder")?;
             }
         }
-        let mut out = package(key, outcome, explicit_record, checkpoints);
-        out.audit = ladder;
         Ok(out)
     }
 
@@ -254,40 +214,72 @@ impl Run {
     /// [`SimError::InvalidConfig`] when the file is unreadable, corrupt,
     /// or its state does not match the embedded scenario.
     pub fn resume(path: impl AsRef<Path>) -> Result<RunOutcome, SimError> {
-        let ckpt = Checkpoint::read(path.as_ref())?;
-        let (outcome, _) = ckpt.resume(RunHooks::default())?;
-        Ok(package(ckpt.key, outcome, false, Vec::new()))
+        Checkpoint::read(path.as_ref())?.resume()
     }
 }
 
-fn package(
-    key: RunKey,
-    outcome: ScenarioOutcome,
-    explicit_record: bool,
-    checkpoints: Vec<(SimTime, Vec<u8>)>,
-) -> RunOutcome {
-    let grc = outcome
-        .grc_reports
-        .iter()
-        .map(|(node, handles)| (*node, handles.snapshot()))
-        .collect();
-    let obs = if explicit_record {
-        outcome.obs_report()
-    } else {
-        None
-    };
-    RunOutcome {
-        key,
-        metrics: outcome.metrics,
-        flows: outcome.flows,
-        probe_flows: outcome.probe_flows,
-        senders: outcome.senders,
-        receivers: outcome.receivers,
-        grc,
-        obs,
-        audit: snap::audit::Ladder::new(),
-        checkpoints,
-        duration: outcome.duration,
+/// Writes a campaign artifact, creating its directory.
+fn write_file(path: &Path, bytes: &[u8], what: &str) -> Result<(), SimError> {
+    std::fs::create_dir_all(path.parent().expect("campaign paths have a parent"))
+        .and_then(|()| std::fs::write(path, bytes))
+        .map_err(|e| {
+            SimError::invalid_config(format!("cannot write {what} {}: {e}", path.display()))
+        })
+}
+
+/// Plain-data result of one run: everything a finished
+/// [`BuiltScenario`](crate::BuiltScenario) exposes, minus live handles,
+/// so it can move freely between threads. Executing a keyed plan is a
+/// pure function of its key, so a sweep of runs can execute in any
+/// order, on any thread, and aggregate to bit-identical results.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// The key the run was planned under.
+    pub key: RunKey,
+    /// Metrics of the run.
+    pub metrics: RunMetrics,
+    /// Data-flow ids, index-aligned with receivers.
+    pub flows: Vec<FlowId>,
+    /// Probe-flow ids (empty unless the scenario probes).
+    pub probe_flows: Vec<FlowId>,
+    /// Sender node ids.
+    pub senders: Vec<NodeId>,
+    /// Receiver node ids, index-aligned with flows.
+    pub receivers: Vec<NodeId>,
+    /// Detached GRC report copies per observed node (empty unless GRC).
+    pub grc: Vec<(NodeId, GrcSnapshot)>,
+    /// Drained flight-recorder report, if the scenario set `record`.
+    pub obs: Option<::obs::ObsReport>,
+    /// State-hash audit ladder (empty unless the run armed audit
+    /// barriers; see [`Run::audit_every`]).
+    pub audit: snap::audit::Ladder,
+    /// Encoded [`Checkpoint`] containers captured at each checkpoint
+    /// barrier, in virtual-time order (empty unless armed).
+    pub checkpoints: Vec<(SimTime, Vec<u8>)>,
+    /// Run length (for goodput conversions).
+    pub duration: SimDuration,
+}
+
+// Outcomes travel from worker threads back to the aggregator.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<RunOutcome>();
+};
+
+impl RunOutcome {
+    /// Goodput of receiver `i`'s flow in Mb/s.
+    pub fn goodput_mbps(&self, i: usize) -> f64 {
+        self.metrics.goodput_mbps(self.flows[i])
+    }
+
+    /// Total NAV-inflation detections across all GRC nodes.
+    pub fn nav_detections(&self) -> u64 {
+        self.grc.iter().map(|(_, s)| s.nav.total_detections()).sum()
+    }
+
+    /// Total spoofed-ACK flags across all GRC nodes.
+    pub fn spoof_flags(&self) -> u64 {
+        self.grc.iter().map(|(_, s)| s.spoof.flagged).sum()
     }
 }
 
@@ -358,6 +350,20 @@ mod tests {
         // Same topology, different replication: event counts virtually
         // never tie.
         assert_ne!(a.metrics.events_processed, b.metrics.events_processed);
+    }
+
+    #[test]
+    fn zero_hook_intervals_are_typed_errors() {
+        let zero = SimDuration::from_nanos(0);
+        for run in [
+            Run::plan(&scenario()).checkpoint_every(zero),
+            Run::plan(&scenario()).audit_every(zero),
+        ] {
+            let Err(SimError::InvalidConfig(msg)) = run.execute() else {
+                panic!("a zero interval must be rejected");
+            };
+            assert!(msg.contains("interval must be positive"), "{msg}");
+        }
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //! paper evaluates (§IV-B).
 
 use mac::NodeId;
-use net::{NetworkBuilder, RunArtifacts, RunHooks, RunMetrics};
+use net::{HookCursor, NetworkBuilder, RunHooks};
 use phy::{CaptureModel, ErrorModel, ErrorUnit, PhyParams, PhyStandard, Position};
-use sim::{SimDuration, SimError, SimTime};
+use sim::{RunKey, SimDuration, SimError, SimTime};
 use snap::SnapState as _;
 use transport::{CcConfig, FlowId, TcpConfig};
 
+use crate::checkpoint::Checkpoint;
 use crate::detect::{GrcObserver, GrcReportHandles};
 use crate::misbehavior::GreedyConfig;
+use crate::run::RunOutcome;
 
 /// Transport protocol carried by every flow of the scenario.
 #[derive(Debug, Clone, Copy)]
@@ -258,64 +260,17 @@ impl snap::SnapValue for Scenario {
     }
 }
 
-/// Everything a finished scenario run exposes.
-#[derive(Debug)]
-pub struct ScenarioOutcome {
-    /// Metrics of the run.
-    pub metrics: RunMetrics,
-    /// Data-flow ids, index-aligned with receivers.
-    pub flows: Vec<FlowId>,
-    /// Probe-flow ids (empty unless `probes`), index-aligned.
-    pub probe_flows: Vec<FlowId>,
-    /// Sender node ids (one per pair, or a single AP repeated).
-    pub senders: Vec<NodeId>,
-    /// Receiver node ids, index-aligned with flows.
-    pub receivers: Vec<NodeId>,
-    /// GRC report handles per observed node (empty unless `grc`).
-    pub grc_reports: Vec<(NodeId, GrcReportHandles)>,
-    /// The flight recorder, if the run recorded.
-    pub recorder: Option<::obs::RecorderHandle>,
-    /// Run length (for goodput conversions).
-    pub duration: SimDuration,
-}
-
-impl ScenarioOutcome {
-    /// Drains the flight recorder into an exportable report, if the run
-    /// recorded. Subsequent calls return an empty report.
-    pub fn obs_report(&self) -> Option<::obs::ObsReport> {
-        self.recorder
-            .as_ref()
-            .map(|r| r.borrow_mut().drain_report())
-    }
-
-    /// Goodput of receiver `i`'s flow in Mb/s.
-    pub fn goodput_mbps(&self, i: usize) -> f64 {
-        self.metrics.goodput_mbps(self.flows[i])
-    }
-
-    /// Total NAV-inflation detections across all GRC nodes.
-    pub fn nav_detections(&self) -> u64 {
-        self.grc_reports
-            .iter()
-            .map(|(_, h)| h.nav.borrow().total_detections())
-            .sum()
-    }
-
-    /// Total spoofed-ACK flags across all GRC nodes.
-    pub fn spoof_flags(&self) -> u64 {
-        self.grc_reports
-            .iter()
-            .map(|(_, h)| h.spoof.borrow().flagged)
-            .sum()
-    }
-}
-
-/// A scenario materialized into a runnable network, not yet run.
+/// A scenario materialized into a network: the one live-run type.
+///
+/// Every run goes through it — plain, hooked, resumed from a checkpoint
+/// or stepped as a world cell — and ends in [`finish`](Self::finish),
+/// the one place a [`RunOutcome`] is made. A run starts on the first of
+/// [`start`](Self::start), [`restore`](Self::restore) or
+/// [`advance`](Self::advance) (no hooks), or at `finish`.
 ///
 /// Not `Send`: the network's report handles are single-threaded
 /// `Rc<RefCell<…>>` cells. Campaign workers therefore build **and** run
-/// inside one closure, and only plain-data [`crate::RunOutcome`]s travel
-/// back (see `core::runplan`).
+/// inside one closure, and only plain-data [`RunOutcome`]s travel back.
 #[derive(Debug)]
 pub struct BuiltScenario {
     /// The wired-up simulation.
@@ -330,58 +285,111 @@ pub struct BuiltScenario {
     pub receivers: Vec<NodeId>,
     /// GRC report handles per observed node (empty unless GRC).
     pub grc_reports: Vec<(NodeId, GrcReportHandles)>,
-    /// The flight recorder wired into the network, if recording.
-    pub recorder: Option<::obs::RecorderHandle>,
-    /// Virtual run length.
-    pub duration: SimDuration,
+    /// The scenario this network was built from; checkpoint containers
+    /// embed it.
+    scenario: Scenario,
+    /// The hook cursor, once the run has started.
+    cursor: Option<HookCursor>,
 }
 
 impl BuiltScenario {
-    /// Executes the simulation and packages the outcome.
-    pub fn run(mut self) -> ScenarioOutcome {
-        let metrics = self.net.run(self.duration);
-        self.package(metrics)
+    /// Starts the run with `hooks` armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has already started, or on a zero hook
+    /// interval.
+    pub fn start(&mut self, hooks: RunHooks) {
+        assert!(self.cursor.is_none(), "run already started");
+        self.cursor = Some(self.net.begin_hooked(hooks, None));
     }
 
-    /// Executes the simulation with audit/checkpoint hooks armed and
-    /// returns the raw [`RunArtifacts`] (audit rungs, network-state
-    /// checkpoint blobs) alongside the outcome.
-    pub fn run_hooked(mut self, hooks: RunHooks) -> (ScenarioOutcome, RunArtifacts) {
-        let (metrics, artifacts) = self.net.run_hooked(self.duration, hooks);
-        (self.package(metrics), artifacts)
-    }
-
-    /// Restores a mid-run network snapshot taken at virtual time `at`
-    /// into this freshly built (identically configured) network and
-    /// resumes to the scenario horizon. Audit/checkpoint grids continue
-    /// from the first barrier strictly after `at`, so the resumed
-    /// artifact stream is the exact tail of the uninterrupted run's.
+    /// Restores a network snapshot taken at barrier instant `at` into
+    /// this freshly built (identically configured) network and continues
+    /// the run from there under `hooks`. Hook grids continue from the
+    /// first barrier strictly after `at`, so the resumed artifact stream
+    /// is the exact tail of the uninterrupted run's.
     ///
     /// # Errors
     ///
-    /// [`snap::SnapError`] when `state` is corrupt or does not match
-    /// this scenario's topology.
-    pub fn resume_hooked(
-        mut self,
-        state: &[u8],
-        at: SimTime,
-        hooks: RunHooks,
-    ) -> Result<(ScenarioOutcome, RunArtifacts), snap::SnapError> {
-        self.net.snap_restore(&mut snap::Dec::new(state))?;
-        let (metrics, artifacts) = self.net.resume_hooked(self.duration, hooks, at);
-        Ok((self.package(metrics), artifacts))
+    /// [`SimError::InvalidConfig`] when `state` is corrupt or does not
+    /// match this scenario's topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has already started.
+    pub fn restore(&mut self, state: &[u8], at: SimTime, hooks: RunHooks) -> Result<(), SimError> {
+        assert!(self.cursor.is_none(), "run already started");
+        self.net
+            .snap_restore(&mut snap::Dec::new(state))
+            .map_err(|e| SimError::invalid_config(format!("checkpoint state rejected: {e}")))?;
+        self.cursor = Some(self.net.begin_hooked(hooks, Some(at)));
+        Ok(())
     }
 
-    fn package(self, metrics: RunMetrics) -> ScenarioOutcome {
-        ScenarioOutcome {
+    /// Dispatches every event at or before `horizon`, firing due hooks
+    /// (see [`net::Network::advance`]). World cells step the run this
+    /// way, exchanging [`net::Network::drain_tx_log`] and
+    /// [`net::Network::inject_busy`] between epochs.
+    pub fn advance(&mut self, horizon: SimTime) {
+        let net = &mut self.net;
+        let cursor = self
+            .cursor
+            .get_or_insert_with(|| net.begin_hooked(RunHooks::default(), None));
+        net.advance(cursor, horizon);
+    }
+
+    /// Runs to completion under an ad-hoc key (label `adhoc`, point 0,
+    /// the scenario's seed).
+    pub fn run(self) -> RunOutcome {
+        let key = RunKey::new("adhoc", 0, self.scenario.seed);
+        self.finish(key)
+    }
+
+    /// Runs to the scenario horizon and snapshots the result into a
+    /// plain-data [`RunOutcome`] under `key`: detached GRC snapshots, the
+    /// flight-recorder report when the scenario set `record` (a recorder
+    /// inherited from the job context belongs to the campaign, which
+    /// drains it itself), the audit ladder, and every checkpoint encoded
+    /// as a [`Checkpoint`] container under `key` and the scenario.
+    pub fn finish(mut self, key: RunKey) -> RunOutcome {
+        let duration = self.scenario.duration;
+        self.advance(SimTime::ZERO + duration);
+        let cursor = self.cursor.take().expect("advance starts the run");
+        let (metrics, artifacts) = self.net.finish_hooked(cursor, duration);
+        let grc = self
+            .grc_reports
+            .iter()
+            .map(|(node, handles)| (*node, handles.snapshot()))
+            .collect();
+        let obs = (self.scenario.record.as_ref())
+            .and(self.net.recorder())
+            .map(|rec| rec.borrow_mut().drain_report());
+        let checkpoints = artifacts
+            .checkpoints
+            .into_iter()
+            .map(|(at, net_state)| {
+                let container = Checkpoint {
+                    key: key.clone(),
+                    at,
+                    scenario: self.scenario.clone(),
+                    net_state,
+                };
+                (at, container.encode())
+            })
+            .collect();
+        RunOutcome {
+            key,
             metrics,
             flows: self.flows,
             probe_flows: self.probe_flows,
             senders: self.senders,
             receivers: self.receivers,
-            grc_reports: self.grc_reports,
-            recorder: self.recorder,
-            duration: self.duration,
+            grc,
+            obs,
+            audit: artifacts.audit,
+            checkpoints,
+            duration,
         }
     }
 }
@@ -567,18 +575,15 @@ impl Scenario {
         if let Some(spec) = &self.record {
             b = b.record(spec.clone());
         }
-        let net = b.build();
-        let recorder = net.recorder().cloned();
-
         Ok(BuiltScenario {
-            net,
+            net: b.build(),
             flows,
             probe_flows,
             senders,
             receivers,
             grc_reports,
-            recorder,
-            duration: self.duration,
+            scenario: self.clone(),
+            cursor: None,
         })
     }
 }

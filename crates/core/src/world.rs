@@ -33,15 +33,13 @@
 //! straight pass (see [`net::HookCursor`]).
 
 use mac::NodeId;
-use net::{Cell, JobContext, RunHooks, TxInterval};
+use net::{JobContext, RunHooks, TxInterval};
 use phy::{ChannelIndex, ChannelModel, ErrorModel, ErrorUnit, Position};
 use runner::{Lockstep, Runner};
 use sim::{RunKey, SimDuration, SimError, SimTime};
 
-use crate::checkpoint::{self, Checkpoint};
-use crate::run::Run;
-use crate::runplan::RunOutcome;
-use crate::scenario::Scenario;
+use crate::run::{Run, RunOutcome};
+use crate::scenario::{BuiltScenario, Scenario};
 
 /// A grid of hotspot cells sharing a floor plan.
 #[derive(Debug, Clone)]
@@ -136,7 +134,7 @@ pub struct CellOutcome {
     /// Whether this cell hosted the template's greedy receivers.
     pub greedy: bool,
     /// The cell's run result — the same plain-data shape a single
-    /// [`Run`] produces, including per-cell checkpoints and audit rungs.
+    /// [`Run`] produces, including per-cell audit rungs.
     pub outcome: RunOutcome,
 }
 
@@ -199,12 +197,11 @@ fn mean_goodput<'a>(cells: impl Iterator<Item = &'a CellOutcome>) -> Option<f64>
 }
 
 /// A planned world run: spec plus worker count and optional per-cell
-/// hooks. Build with [`Run::world`], then [`WorldRun::execute`].
+/// audit ladders. Build with [`Run::world`], then [`WorldRun::execute`].
 #[derive(Debug, Clone)]
 pub struct WorldRun {
     spec: WorldSpec,
     jobs: usize,
-    checkpoint_every: Option<SimDuration>,
     audit_every: Option<SimDuration>,
     conform: Option<::conform::ConformJob>,
 }
@@ -216,7 +213,6 @@ impl Run {
         WorldRun {
             spec: spec.clone(),
             jobs: 1,
-            checkpoint_every: None,
             audit_every: None,
             conform: None,
         }
@@ -234,14 +230,6 @@ impl WorldRun {
     /// Overrides the world master seed.
     pub fn seeded(mut self, seed: u64) -> Self {
         self.spec.seed = seed;
-        self
-    }
-
-    /// Captures a resumable per-cell [`Checkpoint`] at every multiple of
-    /// `interval`; containers land in each cell's
-    /// [`RunOutcome::checkpoints`].
-    pub fn checkpoint_every(mut self, interval: SimDuration) -> Self {
-        self.checkpoint_every = Some(interval);
         self
     }
 
@@ -266,8 +254,9 @@ impl WorldRun {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for an empty grid, a zero epoch, a
-    /// non-positive coupling range, or a malformed cell template.
+    /// [`SimError::InvalidConfig`] for an empty grid, a zero epoch or
+    /// audit interval, a non-positive coupling range, or a malformed
+    /// cell template.
     pub fn execute(self) -> Result<WorldOutcome, SimError> {
         self.execute_with(Exchange::after_epoch)
     }
@@ -277,16 +266,19 @@ impl WorldRun {
     /// batch for the epoch just completed.
     fn execute_with<X>(self, mut exchange: X) -> Result<WorldOutcome, SimError>
     where
-        X: FnMut(&Exchange, usize, &[Vec<TxInterval>]) -> Vec<Vec<(NodeId, SimTime, SimTime)>>,
+        X: FnMut(&Exchange, usize, &[Vec<TxInterval>]) -> Vec<Vec<TxInterval>>,
     {
         let WorldRun {
             spec,
             jobs,
-            checkpoint_every,
             audit_every,
             conform,
         } = self;
-        validate(&spec)?;
+        let hooks = RunHooks {
+            audit_every,
+            ..RunHooks::default()
+        };
+        validate(&spec, &hooks)?;
         let n = spec.cells();
         let duration = spec.template.duration;
         let epoch_ns = spec.epoch.as_nanos();
@@ -370,15 +362,10 @@ impl WorldRun {
 
         // --- lockstep execution ----------------------------------------
         let proto = WorldProto {
-            hooks: RunHooks {
-                checkpoint_every,
-                audit_every,
-                perturb_rng_at: None,
-            },
+            hooks,
             epoch: spec.epoch,
             duration,
             conform,
-            explicit_record: spec.template.record.is_some(),
         };
         let coupled = Exchange {
             neighbors,
@@ -417,9 +404,9 @@ impl Exchange {
     /// Every cell's injection batch for the epoch that produced
     /// `reports`: each reported interval, shifted one epoch later, at
     /// every coupled node, in `(cell, neighbor, report order)` order.
-    fn couple(&self, reports: &[Vec<TxInterval>]) -> Vec<Vec<(NodeId, SimTime, SimTime)>> {
+    fn couple(&self, reports: &[Vec<TxInterval>]) -> Vec<Vec<TxInterval>> {
         let shift = self.shift;
-        let mut inject: Vec<Vec<(NodeId, SimTime, SimTime)>> = vec![Vec::new(); reports.len()];
+        let mut inject: Vec<Vec<TxInterval>> = vec![Vec::new(); reports.len()];
         for (a, batch) in inject.iter_mut().enumerate() {
             for (map, &b) in self.coupling[a].iter().zip(&self.neighbors[a]) {
                 for &(src, start, end) in &reports[b] {
@@ -435,11 +422,7 @@ impl Exchange {
     /// The exchange after epoch `epoch`. The last epoch's intervals
     /// would start after the run ends and never be dispatched, so its
     /// batches are empty.
-    fn after_epoch(
-        &self,
-        epoch: usize,
-        reports: &[Vec<TxInterval>],
-    ) -> Vec<Vec<(NodeId, SimTime, SimTime)>> {
+    fn after_epoch(&self, epoch: usize, reports: &[Vec<TxInterval>]) -> Vec<Vec<TxInterval>> {
         if epoch + 1 == self.epochs {
             vec![Vec::new(); reports.len()]
         } else {
@@ -448,7 +431,7 @@ impl Exchange {
     }
 }
 
-fn validate(spec: &WorldSpec) -> Result<(), SimError> {
+fn validate(spec: &WorldSpec, hooks: &RunHooks) -> Result<(), SimError> {
     if spec.rows == 0 || spec.cols == 0 {
         return Err(SimError::invalid_config("world grid must be at least 1x1"));
     }
@@ -458,6 +441,7 @@ fn validate(spec: &WorldSpec) -> Result<(), SimError> {
     if spec.epoch.as_nanos() == 0 {
         return Err(SimError::invalid_config("world epoch must be positive"));
     }
+    hooks.validate()?;
     if spec.coupling_range_m <= 0.0 || spec.coupling_range_m.is_nan() {
         return Err(SimError::invalid_config("coupling range must be positive"));
     }
@@ -539,30 +523,6 @@ mod tests {
             let out: Vec<_> = run(jobs).cells.iter().map(cell_fingerprint).collect();
             assert_eq!(out, baseline, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn one_by_one_world_replays_a_plain_run() {
-        let t = template();
-        let mut spec = WorldSpec::grid(t.clone(), 1, 1);
-        spec.greedy_cells = 1; // cell 0 keeps the template's greedy config
-        let world = Run::world(&spec)
-            .audit_every(SimDuration::from_millis(100))
-            .execute()
-            .unwrap();
-        let single = Run::plan(&t)
-            .audit_every(SimDuration::from_millis(100))
-            .execute()
-            .unwrap();
-        let cell = &world.cells[0].outcome;
-        assert_eq!(
-            cell.metrics.events_processed,
-            single.metrics.events_processed
-        );
-        assert_eq!(cell.goodput_mbps(0), single.goodput_mbps(0));
-        assert_eq!(cell.goodput_mbps(1), single.goodput_mbps(1));
-        assert_eq!(cell.nav_detections(), single.nav_detections());
-        assert_eq!(cell.audit.to_text(), single.audit.to_text());
     }
 
     #[test]
@@ -650,6 +610,10 @@ mod tests {
         let mut zero_epoch = WorldSpec::grid(t.clone(), 1, 1);
         zero_epoch.epoch = SimDuration::from_nanos(0);
         assert!(Run::world(&zero_epoch).execute().is_err());
+        assert!(Run::world(&WorldSpec::grid(t.clone(), 1, 1))
+            .audit_every(SimDuration::from_nanos(0))
+            .execute()
+            .is_err());
         let mut bad_template = t;
         bad_template.pairs = 0;
         assert!(Run::world(&WorldSpec::grid(bad_template, 1, 1))
@@ -691,14 +655,8 @@ struct CellPlan {
 /// Worker-resident cell state (deliberately not `Send`: report handles
 /// are `Rc<RefCell<…>>`).
 struct CellShard {
-    cell: Cell,
+    built: BuiltScenario,
     plan: CellPlan,
-    flows: Vec<transport::FlowId>,
-    probe_flows: Vec<transport::FlowId>,
-    senders: Vec<NodeId>,
-    receivers: Vec<NodeId>,
-    grc_reports: Vec<(NodeId, crate::detect::GrcReportHandles)>,
-    recorder: Option<::obs::RecorderHandle>,
 }
 
 struct WorldProto {
@@ -706,14 +664,13 @@ struct WorldProto {
     epoch: SimDuration,
     duration: SimDuration,
     conform: Option<::conform::ConformJob>,
-    explicit_record: bool,
 }
 
 impl Lockstep for WorldProto {
     type Seed = CellPlan;
     type Shard = CellShard;
     type Report = Vec<TxInterval>;
-    type Inject = Vec<(NodeId, SimTime, SimTime)>;
+    type Inject = Vec<TxInterval>;
     type Out = CellOutcome;
 
     fn build(&self, _index: usize, plan: CellPlan) -> CellShard {
@@ -727,21 +684,13 @@ impl Lockstep for WorldProto {
             }
             .install()
         });
-        let built = plan
+        let mut built = plan
             .scenario
             .build()
             .expect("world template validated before dispatch");
-        let cell = Cell::new(plan.id, plan.channel, plan.origin, built.net, self.hooks);
-        CellShard {
-            cell,
-            plan,
-            flows: built.flows,
-            probe_flows: built.probe_flows,
-            senders: built.senders,
-            receivers: built.receivers,
-            grc_reports: built.grc_reports,
-            recorder: built.recorder,
-        }
+        built.net.enable_tx_log();
+        built.start(self.hooks);
+        CellShard { built, plan }
     }
 
     fn step(&self, shard: &mut CellShard, epoch: usize) -> Vec<TxInterval> {
@@ -751,67 +700,23 @@ impl Lockstep for WorldProto {
                 .saturating_mul(epoch as u64 + 1)
                 .min(self.duration.as_nanos()),
         );
-        shard.cell.step(horizon)
+        shard.built.advance(horizon);
+        shard.built.net.drain_tx_log()
     }
 
     fn absorb(&self, shard: &mut CellShard, inject: Self::Inject) {
-        shard.cell.inject(&inject);
+        shard.built.net.inject_busy(&inject);
     }
 
     fn finish(&self, shard: CellShard) -> CellOutcome {
-        let CellShard {
-            cell,
-            plan,
-            flows,
-            probe_flows,
-            senders,
-            receivers,
-            grc_reports,
-            recorder,
-        } = shard;
-        let (metrics, artifacts) = cell.finish(self.duration);
-        let ladder = checkpoint::ladder_from_artifacts(&artifacts);
-        let checkpoints: Vec<(SimTime, Vec<u8>)> = artifacts
-            .checkpoints
-            .into_iter()
-            .map(|(at, net_state)| {
-                let container = Checkpoint {
-                    key: plan.key.clone(),
-                    at,
-                    scenario: plan.scenario.clone(),
-                    net_state,
-                };
-                (at, container.encode())
-            })
-            .collect();
-        let grc = grc_reports
-            .iter()
-            .map(|(node, handles)| (*node, handles.snapshot()))
-            .collect();
-        let obs = if self.explicit_record {
-            recorder.as_ref().map(|r| r.borrow_mut().drain_report())
-        } else {
-            None
-        };
+        let CellShard { built, plan } = shard;
         CellOutcome {
             id: plan.id,
             row: plan.row,
             col: plan.col,
             channel: plan.channel,
             greedy: plan.greedy,
-            outcome: RunOutcome {
-                key: plan.key,
-                metrics,
-                flows,
-                probe_flows,
-                senders,
-                receivers,
-                grc,
-                obs,
-                audit: ladder,
-                checkpoints,
-                duration: self.duration,
-            },
+            outcome: built.finish(plan.key),
         }
     }
 }

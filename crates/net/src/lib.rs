@@ -8,18 +8,16 @@
 
 #![warn(missing_docs)]
 pub mod builder;
-pub mod cell;
 pub mod job;
 pub mod metrics;
 pub mod network;
 pub mod stats;
 
 pub use builder::NetworkBuilder;
-pub use cell::{Cell, TxInterval};
 pub use job::{run_file_stem, CampaignSpec, JobContext, JobGuard};
 pub use metrics::{FlowMetrics, NodeMetrics, RunMetrics};
 pub use network::{
-    HookCursor, Network, RunArtifacts, RunHooks, GAUGE_CW, GAUGE_CWND, GAUGE_NAV_REMAINING_US,
-    GAUGE_QUEUE_LEN,
+    HookCursor, Network, RunArtifacts, RunHooks, TxInterval, GAUGE_CW, GAUGE_CWND,
+    GAUGE_NAV_REMAINING_US, GAUGE_QUEUE_LEN,
 };
 pub use stats::SimStats;

@@ -29,7 +29,7 @@ use phy::{
     channel::Reach, AirtimeTable, CaptureModel, ChannelModel, ErrorModel, FerTable, LinkTable,
     PhyParams, Position,
 };
-use sim::{Scheduler, SimDuration, SimRng, SimTime, TimerHandle};
+use sim::{Scheduler, SimDuration, SimError, SimRng, SimTime, TimerHandle};
 use snap::{SnapState as _, SnapValue as _};
 use transport::{
     CbrSource, FlowId, ProbeStats, Segment, TcpOutput, TcpReceiver, TcpSender, UdpSink,
@@ -100,8 +100,8 @@ pub(crate) enum Event {
     },
 }
 
-/// Virtual-time hooks threaded through [`Network::run_hooked`].
-#[derive(Debug, Clone, Copy, Default)]
+/// Virtual-time hooks armed by [`Network::begin_hooked`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunHooks {
     /// Record one audit-ladder rung (a digest per layer) every this much
     /// virtual time.
@@ -114,15 +114,42 @@ pub struct RunHooks {
     pub perturb_rng_at: Option<SimTime>,
 }
 
+impl RunHooks {
+    /// Rejects a zero audit or checkpoint interval, whose barrier would
+    /// re-arm at the same instant forever.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] naming the zero interval.
+    pub fn validate(&self) -> Result<(), SimError> {
+        for (iv, what) in [
+            (self.checkpoint_every, "checkpoint"),
+            (self.audit_every, "audit"),
+        ] {
+            if iv.is_some_and(|iv| iv.as_nanos() == 0) {
+                return Err(SimError::invalid_config(format!(
+                    "{what} interval must be positive"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// By-products of a hooked run.
 #[derive(Debug, Clone, Default)]
 pub struct RunArtifacts {
-    /// Audit-ladder rungs as `(virtual time ns, layer, digest)`, in
-    /// barrier order; each barrier contributes one entry per layer.
-    pub audit: Vec<(u64, &'static str, u64)>,
+    /// Audit-ladder rungs in barrier order; each barrier contributes
+    /// one entry per layer.
+    pub audit: snap::audit::Ladder,
     /// Checkpoints as `(barrier instant, encoded network state)`.
     pub checkpoints: Vec<(SimTime, Vec<u8>)>,
 }
+
+/// One transmission interval `(source, start, end)` in a network's node-id
+/// space and the shared virtual timebase, as the world's epoch exchange
+/// harvests and injects them.
+pub type TxInterval = (NodeId, SimTime, SimTime);
 
 /// Hook kinds, ordered by firing priority at equal instants.
 const HOOK_GAUGE: u8 = 0;
@@ -134,7 +161,7 @@ const HOOK_CKPT: u8 = 2;
 /// epochs instead of one straight pass.
 ///
 /// Epoch-partitioned advancement is *provably identical* to a single
-/// [`Network::run_hooked`] call when nothing is injected between epochs:
+/// advance to the run horizon when nothing is injected between epochs:
 /// hooks ride fixed grids (their next instants live here, not in the
 /// scheduler), events are popped in the same order either way, and a
 /// hook due at or before an epoch horizon fires after exactly the same
@@ -143,6 +170,7 @@ const HOOK_CKPT: u8 = 2;
 /// exist, or the hook would have fired inside the epoch. The multi-cell
 /// world relies on this: a 1×1 world reproduces the single-network run
 /// byte for byte.
+#[derive(Debug)]
 pub struct HookCursor {
     hooks: RunHooks,
     probe_iv: Option<SimDuration>,
@@ -285,14 +313,8 @@ pub struct Network {
     /// `(source, start, end)` since the last drain. `None` (the default)
     /// costs nothing. Excluded from snapshots — it is boundary-exchange
     /// scratch, not simulation state, and must not perturb audit digests.
-    epoch_tx_log: Option<Vec<(NodeId, SimTime, SimTime)>>,
+    epoch_tx_log: Option<Vec<TxInterval>>,
 }
-
-// `Network` is deliberately NOT `Send`: report handles (GRC, recorder)
-// are `Rc<RefCell<…>>`. The campaign runner never moves a built network
-// across threads — each worker builds, runs and snapshots its own inside
-// one closure; only plain-data `RunPlan`/`RunOutcome` cross the boundary
-// (asserted in `core::runplan`).
 
 impl Network {
     #[allow(clippy::too_many_arguments)] // crate-internal constructor fed by the builder
@@ -480,7 +502,7 @@ impl Network {
 
     /// Takes the transmissions logged since the last drain (empty when
     /// logging is off).
-    pub fn drain_tx_log(&mut self) -> Vec<(NodeId, SimTime, SimTime)> {
+    pub fn drain_tx_log(&mut self) -> Vec<TxInterval> {
         self.epoch_tx_log
             .as_mut()
             .map(std::mem::take)
@@ -490,66 +512,39 @@ impl Network {
     /// Runs the simulation for `duration` of virtual time and returns the
     /// collected metrics. Can be called once per network.
     pub fn run(&mut self, duration: SimDuration) -> RunMetrics {
-        self.run_hooked(duration, RunHooks::default()).0
-    }
-
-    /// Runs the simulation with virtual-time hooks: audit-ladder rungs,
-    /// periodic checkpoints and the fault-injection knob. Equivalent to
-    /// [`run`](Network::run) when `hooks` is all-default — the hooks ride
-    /// the event loop on fixed virtual-time grids without scheduling
-    /// events or touching the RNG streams, so simulation outcomes are
-    /// byte-identical with them on or off.
-    pub fn run_hooked(
-        &mut self,
-        duration: SimDuration,
-        hooks: RunHooks,
-    ) -> (RunMetrics, RunArtifacts) {
-        self.start_flows();
-        self.event_loop(duration, hooks, None)
-    }
-
-    /// Continues a network whose state was restored from a checkpoint
-    /// taken at barrier instant `resumed_at`. Flows are *not* restarted —
-    /// the restored scheduler already holds every armed event — and each
-    /// hook grid resumes at its first point strictly after `resumed_at`,
-    /// so the hook sequence concatenates seamlessly with the portion
-    /// emitted before the snapshot.
-    pub fn resume_hooked(
-        &mut self,
-        duration: SimDuration,
-        hooks: RunHooks,
-        resumed_at: SimTime,
-    ) -> (RunMetrics, RunArtifacts) {
-        // A resumed checker sees a mid-run event stream: lazily
-        // initialized rules stay armed, whole-run ones are disarmed.
-        if let Some((_, _, checker)) = &self.conform {
-            checker.borrow_mut().set_midstream();
-        }
-        self.event_loop(duration, hooks, Some(resumed_at))
-    }
-
-    /// The event loop: one straight advance to the run horizon. Before
-    /// each event is dispatched, every hook barrier due at or before that
-    /// event's timestamp fires in virtual-time order (gauge → audit →
-    /// checkpoint at equal instants), so a checkpoint observes exactly
-    /// the barriers that precede it and a resumed run re-derives the rest
-    /// from the grid.
-    fn event_loop(
-        &mut self,
-        duration: SimDuration,
-        hooks: RunHooks,
-        resumed_at: Option<SimTime>,
-    ) -> (RunMetrics, RunArtifacts) {
-        let mut cursor = self.begin_hooked(hooks, resumed_at);
+        let mut cursor = self.begin_hooked(RunHooks::default(), None);
         self.advance(&mut cursor, SimTime::ZERO + duration);
-        self.finish_hooked(cursor, duration)
+        self.finish_hooked(cursor, duration).0
     }
 
-    /// Initializes the hook grids for an epoch-driven run. Pass
-    /// `resumed_at` when the network state was restored from a checkpoint
-    /// taken at that barrier instant; each grid then resumes at its first
-    /// point strictly after it.
+    /// Starts a run with virtual-time hooks armed: audit-ladder rungs,
+    /// periodic checkpoints and the fault-injection knob. The hooks ride
+    /// fixed virtual-time grids without scheduling events or touching the
+    /// RNG streams, so simulation outcomes are byte-identical with them
+    /// on or off.
+    ///
+    /// With `resumed_at: None` the flows start. Pass `resumed_at` when
+    /// the network state was restored from a checkpoint taken at that
+    /// barrier instant instead: the restored scheduler already holds every
+    /// armed event, so the flows are not restarted, each hook grid resumes
+    /// at its first point strictly after it, and an armed conformance
+    /// checker is told it sees a mid-run event stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics on hooks that fail [`RunHooks::validate`].
     pub fn begin_hooked(&mut self, hooks: RunHooks, resumed_at: Option<SimTime>) -> HookCursor {
+        hooks.validate().expect("hook intervals are positive");
+        match resumed_at {
+            None => self.start_flows(),
+            // Lazily initialized rules stay armed, whole-run ones are
+            // disarmed.
+            Some(_) => {
+                if let Some((_, _, checker)) = &self.conform {
+                    checker.borrow_mut().set_midstream();
+                }
+            }
+        }
         // Gauge sampling rides the event loop on a fixed virtual-time
         // grid instead of scheduling its own events, so the event count
         // and every RNG stream are byte-identical with recording off.
@@ -609,7 +604,7 @@ impl Network {
                     }
                     HOOK_AUDIT => {
                         for (layer, digest) in self.layer_digests() {
-                            cursor.artifacts.audit.push((at.as_nanos(), layer, digest));
+                            cursor.artifacts.audit.push(at.as_nanos(), layer, digest);
                         }
                         cursor.next_audit = Some(
                             at + cursor
@@ -710,7 +705,7 @@ impl Network {
     /// had. A fused-away edge's instant is queued and credited to the
     /// dispatch count once the event loop passes it, which keeps
     /// `events_processed` exact. A batch of one never fuses.
-    pub fn inject_busy(&mut self, batch: &[(NodeId, SimTime, SimTime)]) {
+    pub fn inject_busy(&mut self, batch: &[TxInterval]) {
         const ONSET: u8 = 1;
         const END: u8 = 2;
         let nudged = self.sched.now() + SimDuration::from_nanos(1);
@@ -784,7 +779,7 @@ impl Network {
         }
     }
 
-    pub(crate) fn start_flows(&mut self) {
+    fn start_flows(&mut self) {
         for idx in 0..self.flows.len() {
             // Small deterministic stagger so synchronized sources do not
             // all fire in the same instant at t = 0.

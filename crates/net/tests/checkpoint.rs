@@ -2,8 +2,8 @@
 //! restoring a mid-run snapshot into a freshly built identical network
 //! and resuming must reproduce the uninterrupted run exactly.
 
-use gr_net::{Cell, NetworkBuilder, RunArtifacts, RunHooks};
-use phy::{ChannelIndex, ChannelModel, ErrorModel, ErrorUnit, PhyParams, Position};
+use gr_net::{Network, NetworkBuilder, RunArtifacts, RunHooks, RunMetrics};
+use phy::{ChannelModel, ErrorModel, ErrorUnit, PhyParams, Position};
 use sim::{SimDuration, SimTime};
 use snap::{Dec, SnapState};
 use transport::TcpConfig;
@@ -73,7 +73,20 @@ fn build_slow_sense() -> (gr_net::Network, Vec<transport::FlowId>) {
     (b.build(), vec![f1, f2])
 }
 
-fn fingerprint(m: &gr_net::RunMetrics, flows: &[transport::FlowId]) -> Vec<(u64, u64, u64)> {
+/// Runs `net` to `duration` under `hooks`: from the start, or with
+/// `resumed_at` from the checkpoint restored into it.
+fn run_through(
+    net: &mut Network,
+    duration: SimDuration,
+    hooks: RunHooks,
+    resumed_at: Option<SimTime>,
+) -> (RunMetrics, RunArtifacts) {
+    let mut cursor = net.begin_hooked(hooks, resumed_at);
+    net.advance(&mut cursor, SimTime::ZERO + duration);
+    net.finish_hooked(cursor, duration)
+}
+
+fn fingerprint(m: &RunMetrics, flows: &[transport::FlowId]) -> Vec<(u64, u64, u64)> {
     let collisions = m
         .nodes
         .values()
@@ -103,13 +116,13 @@ fn assert_resume_matches(
         ..RunHooks::default()
     };
     let (mut baseline, flows) = build();
-    let (base_metrics, base_art) = baseline.run_hooked(duration, hooks);
+    let (base_metrics, base_art) = run_through(&mut baseline, duration, hooks, None);
     let n = base_art.checkpoints.len();
     assert!(n >= 2, "need a mid-run checkpoint");
     for (i, (at, bytes)) in base_art.checkpoints[..n - 1].iter().enumerate() {
         let (mut resumed, _) = build();
         resumed.snap_restore(&mut Dec::new(bytes)).unwrap();
-        let (res_metrics, res_art) = resumed.resume_hooked(duration, hooks, *at);
+        let (res_metrics, res_art) = run_through(&mut resumed, duration, hooks, Some(*at));
 
         assert_eq!(
             fingerprint(&base_metrics, &flows),
@@ -119,11 +132,12 @@ fn assert_resume_matches(
         // The resumed audit tail must equal the baseline rungs after `at`.
         let tail: Vec<_> = base_art
             .audit
+            .entries
             .iter()
-            .filter(|(vt, _, _)| *vt > at.as_nanos())
-            .copied()
+            .filter(|e| e.vt_ns > at.as_nanos())
+            .cloned()
             .collect();
-        assert_eq!(res_art.audit, tail, "audit ladder tails must agree");
+        assert_eq!(res_art.audit.entries, tail, "audit ladder tails must agree");
         // And the later checkpoints must be byte-identical.
         assert_eq!(res_art.checkpoints, base_art.checkpoints[i + 1..]);
         // Final states digest-equal, layer by layer.
@@ -137,7 +151,7 @@ fn checkpoint_resume_matches_uninterrupted_run() {
     let art = assert_resume_matches(build, SimDuration::from_millis(500));
     assert_eq!(art.checkpoints.len(), 4);
     assert_eq!(art.checkpoints[1].0, SimTime::from_millis(1000));
-    assert_eq!(art.audit.len(), 8 * 6, "8 barriers x 6 layers");
+    assert_eq!(art.audit.entries.len(), 8 * 6, "8 barriers x 6 layers");
 }
 
 #[test]
@@ -158,28 +172,32 @@ fn rng_perturbation_diverges_and_shows_in_the_ladder() {
         ..RunHooks::default()
     };
     let (mut clean, _) = build();
-    let (_, clean_art) = clean.run_hooked(duration, audit);
+    let (_, clean_art) = run_through(&mut clean, duration, audit, None);
 
     let perturbed_hooks = RunHooks {
         perturb_rng_at: Some(SimTime::from_millis(420)),
         ..audit
     };
     let (mut dirty, _) = build();
-    let (_, dirty_art) = dirty.run_hooked(duration, perturbed_hooks);
+    let (_, dirty_art) = run_through(&mut dirty, duration, perturbed_hooks, None);
 
-    assert_eq!(clean_art.audit.len(), dirty_art.audit.len());
+    let (clean, dirty) = (&clean_art.audit.entries, &dirty_art.audit.entries);
+    assert_eq!(clean.len(), dirty.len());
     // Before the perturbation instant every layer agrees; after it the
     // RNG layer must differ (one extra draw shifts the stream).
-    for ((vt, layer, a), (_, _, b)) in clean_art.audit.iter().zip(dirty_art.audit.iter()) {
-        if *vt <= 400_000_000 {
-            assert_eq!(a, b, "premature divergence at {vt} ns in {layer}");
+    for (a, b) in clean.iter().zip(dirty) {
+        if a.vt_ns <= 400_000_000 {
+            assert_eq!(
+                a.digest, b.digest,
+                "premature divergence at {} ns in {}",
+                a.vt_ns, a.layer
+            );
         }
     }
-    let rng_diverged = clean_art
-        .audit
+    let rng_diverged = clean
         .iter()
-        .zip(dirty_art.audit.iter())
-        .any(|((vt, layer, a), (_, _, b))| *layer == "rng" && *vt > 400_000_000 && a != b);
+        .zip(dirty)
+        .any(|(a, b)| a.layer == "rng" && a.vt_ns > 400_000_000 && a.digest != b.digest);
     assert!(
         rng_diverged,
         "rng digest must diverge after the perturbation"
@@ -197,7 +215,7 @@ fn hooks_do_not_change_the_simulation() {
         audit_every: Some(SimDuration::from_millis(70)),
         ..RunHooks::default()
     };
-    let (hooked_metrics, art) = hooked.run_hooked(duration, hooks);
+    let (hooked_metrics, art) = run_through(&mut hooked, duration, hooks, None);
     assert_eq!(
         fingerprint(&plain_metrics, &flows),
         fingerprint(&hooked_metrics, &flows),
@@ -237,47 +255,45 @@ fn world_cell_resumes_with_pending_fusion_credits() {
         ..RunHooks::default()
     };
     let mut cells = [
-        Cell::new(
-            0,
-            ChannelIndex(0),
-            Position::new(0.0, 0.0),
-            build_world_cell(3),
-            hooks,
-        ),
-        Cell::new(
-            1,
-            ChannelIndex(0),
-            Position::new(60.0, 0.0),
-            build_world_cell(7),
-            RunHooks::default(),
-        ),
-    ];
+        (build_world_cell(3), hooks),
+        (build_world_cell(7), RunHooks::default()),
+    ]
+    .map(|(mut net, hooks)| {
+        net.enable_tx_log();
+        let cursor = net.begin_hooked(hooks, None);
+        (net, cursor)
+    });
     // Every node of one cell is within 99 m of every node of the other,
     // so the exchange replays each neighbor frame at all four stations,
     // one epoch late; cell 0's batches are kept for the resumed twin.
     let mut batches = Vec::new();
     for k in 0..epochs {
-        let reports: Vec<Vec<gr_net::TxInterval>> =
-            cells.iter_mut().map(|c| c.step(horizon(k))).collect();
+        let reports: Vec<Vec<gr_net::TxInterval>> = cells
+            .iter_mut()
+            .map(|(net, cursor)| {
+                net.advance(cursor, horizon(k));
+                net.drain_tx_log()
+            })
+            .collect();
         if k + 1 == epochs {
             break;
         }
-        for (a, cell) in cells.iter_mut().enumerate() {
+        for (a, (net, _)) in cells.iter_mut().enumerate() {
             let batch: Vec<_> = reports[1 - a]
                 .iter()
                 .flat_map(|&(_, start, end)| {
                     (0..4).map(move |dst| (mac::NodeId(dst), start + epoch, end + epoch))
                 })
                 .collect();
-            cell.inject(&batch);
+            net.inject_busy(&batch);
             if a == 0 {
                 batches.push(batch);
             }
         }
     }
-    let [c0, _] = cells;
-    let base_digests = c0.network().layer_digests();
-    let (base_metrics, base_art) = c0.finish(duration);
+    let [(mut net0, cursor0), _] = cells;
+    let base_digests = net0.layer_digests();
+    let (base_metrics, base_art) = net0.finish_hooked(cursor0, duration);
 
     let mut resumed_from = 0;
     for (at, bytes) in &base_art.checkpoints {
@@ -306,11 +322,12 @@ fn world_cell_resumes_with_pending_fusion_credits() {
         assert_eq!(digests, base_digests, "resumed from {at:?}");
         let tail: Vec<_> = base_art
             .audit
+            .entries
             .iter()
-            .filter(|(vt, _, _)| *vt > at.as_nanos())
-            .copied()
+            .filter(|e| e.vt_ns > at.as_nanos())
+            .cloned()
             .collect();
-        assert_eq!(art.audit, tail, "audit ladder tail from {at:?}");
+        assert_eq!(art.audit.entries, tail, "audit ladder tail from {at:?}");
     }
     assert!(
         resumed_from >= 10,

@@ -9,9 +9,9 @@
 //! hook-visible layers of every audit rung and the dispatch count in
 //! every checkpoint.
 
-use gr_net::{Cell, Network, NetworkBuilder, RunHooks};
+use gr_net::{Network, NetworkBuilder, RunHooks};
 use mac::NodeId;
-use phy::{ChannelIndex, ErrorModel, ErrorUnit, PhyParams, Position};
+use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 use sim::{SimDuration, SimRng, SimTime};
 use snap::{Dec, SnapState};
 
@@ -104,7 +104,7 @@ struct Observed {
     probes: Vec<(String, String)>,
     /// Audit rungs without the `sched` and `mac` layers: the scheduler
     /// holds fewer events and busy counts saturate at one per union.
-    audit: Vec<(u64, &'static str, u64)>,
+    audit: Vec<snap::audit::AuditEntry>,
     /// The dispatch count each checkpoint carries.
     checkpoint_events: Vec<(SimTime, u64)>,
     /// The clock at each barrier, which the next batch's nudge reads.
@@ -129,7 +129,8 @@ fn run(fused: bool) -> (Observed, usize) {
         checkpoint_every: Some(SimDuration::from_micros(3_100)),
         ..RunHooks::default()
     };
-    let mut cell = Cell::new(0, ChannelIndex(0), Position::new(0.0, 0.0), net, hooks);
+    net.enable_tx_log();
+    let mut cursor = net.begin_hooked(hooks, None);
     let mut rng = SimRng::new(17);
     let mut elided = 0;
     let mut clocks = Vec::new();
@@ -138,24 +139,25 @@ fn run(fused: bool) -> (Observed, usize) {
         let horizon = SimTime::from_nanos(
             ((k as u64 + 1) * EPOCH_US as u64 * 1_000).min(DURATION.as_nanos()),
         );
-        cell.step(horizon);
-        clocks.push(cell.network().now());
+        net.advance(&mut cursor, horizon);
+        net.drain_tx_log();
+        clocks.push(net.now());
         if k + 1 == epochs {
             break;
         }
         let batch = batch(k, horizon, &mut rng);
-        let before = cell.network().pending_credits();
+        let before = net.pending_credits();
         if fused {
-            cell.inject(&batch);
+            net.inject_busy(&batch);
         } else {
             for iv in &batch {
-                cell.inject(std::slice::from_ref(iv));
+                net.inject_busy(std::slice::from_ref(iv));
             }
         }
-        elided += cell.network().pending_credits() - before;
+        elided += net.pending_credits() - before;
     }
-    let rng_digest = cell.network().layer_digests()[0].1;
-    let (metrics, art) = cell.finish(DURATION);
+    let rng_digest = net.layer_digests()[0].1;
+    let (metrics, art) = net.finish_hooked(cursor, DURATION);
     let report = rec.borrow_mut().drain_report();
     assert_eq!(report.dropped, 0, "recorder ring too small");
     let checkpoint_events = art
@@ -181,8 +183,9 @@ fn run(fused: bool) -> (Observed, usize) {
         probes: report.probe_csvs(),
         audit: art
             .audit
+            .entries
             .into_iter()
-            .filter(|(_, layer, _)| !matches!(*layer, "sched" | "mac"))
+            .filter(|e| !matches!(e.layer.as_str(), "sched" | "mac"))
             .collect(),
         checkpoint_events,
         clocks,
@@ -214,7 +217,12 @@ fn fused_batches_match_one_interval_per_call() {
 
 #[test]
 fn fused_edges_are_credited_when_the_loop_passes_them() {
-    let mut net = build();
+    // No flows: only the injected edges dispatch.
+    let mut b = NetworkBuilder::new(PhyParams::dot11b());
+    for i in 0..STATIONS {
+        b.add_node(Position::new(5.0 * f64::from(i), 0.0));
+    }
+    let mut net = b.build();
     let mut cursor = net.begin_hooked(RunHooks::default(), None);
     let t = SimTime::from_micros;
     // Station 1: [100, 400) ∪ [200, 300) ∪ [350, 500) is one union, so

@@ -15,8 +15,8 @@
 //!
 //! then review the fixture diff like any other code change.
 
-use gr_net::{Cell, JobContext, Network, NetworkBuilder, RunHooks};
-use phy::{ChannelIndex, ChannelModel, PhyParams, Position};
+use gr_net::{JobContext, Network, NetworkBuilder, RunHooks};
+use phy::{ChannelModel, PhyParams, Position};
 use sim::{SimDuration, SimTime};
 
 /// Builds `scenario` with a job-context flight recorder attached, runs it
@@ -176,27 +176,26 @@ fn two_cell_co_channel_interference() {
         pair(3, 8_000_000)
     };
     let net1 = pair(7, 8_000_000);
-    let mut cells = [
-        Cell::new(
-            0,
-            ChannelIndex(0),
-            Position::new(0.0, 0.0),
-            net0,
-            RunHooks::default(),
-        ),
-        Cell::new(
-            1,
-            ChannelIndex(0),
-            Position::new(60.0, 0.0),
-            net1,
-            RunHooks::default(),
-        ),
-    ];
+    let origins = [Position::new(0.0, 0.0), Position::new(60.0, 0.0)];
     // Static cross-cell coupling by world-frame distance, exactly as the
     // world coordinator computes it: coupling[a][src of b] = nodes of a
     // within carrier-sense range (99 m covers every 55-65 m pair here).
     let coupler = ChannelModel::with_ranges(99.0, 99.0);
-    let positions: Vec<Vec<Position>> = cells.iter().map(|c| c.world_positions()).collect();
+    let positions: Vec<Vec<Position>> = [&net0, &net1]
+        .iter()
+        .zip(origins)
+        .map(|(net, origin)| {
+            net.positions()
+                .into_iter()
+                .map(|p| p.offset_by(origin))
+                .collect()
+        })
+        .collect();
+    let mut cells = [net0, net1].map(|mut net| {
+        net.enable_tx_log();
+        let cursor = net.begin_hooked(RunHooks::default(), None);
+        (net, cursor)
+    });
     let coupled = |a: usize, b: usize, src: u16| -> Vec<u16> {
         (0..positions[a].len() as u16)
             .filter(|&dst| coupler.couples(positions[b][src as usize], positions[a][dst as usize]))
@@ -205,11 +204,16 @@ fn two_cell_co_channel_interference() {
     let epochs = (dur.as_nanos() as usize).div_ceil(epoch.as_nanos() as usize);
     for k in 0..epochs {
         let horizon = SimTime::from_nanos(((k + 1) as u64 * epoch.as_nanos()).min(dur.as_nanos()));
-        let reports: Vec<Vec<gr_net::TxInterval>> =
-            cells.iter_mut().map(|c| c.step(horizon)).collect();
+        let reports: Vec<Vec<gr_net::TxInterval>> = cells
+            .iter_mut()
+            .map(|(net, cursor)| {
+                net.advance(cursor, horizon);
+                net.drain_tx_log()
+            })
+            .collect();
         // Merge in fixed (cell, neighbor, report order) order, one epoch
         // late — the exchange the lockstep runner performs.
-        for (a, cell) in cells.iter_mut().enumerate() {
+        for (a, (net, _)) in cells.iter_mut().enumerate() {
             let mut batch = Vec::new();
             for (b, report) in reports.iter().enumerate() {
                 if a == b {
@@ -221,12 +225,12 @@ fn two_cell_co_channel_interference() {
                     }
                 }
             }
-            cell.inject(&batch);
+            net.inject_busy(&batch);
         }
     }
-    let [c0, c1] = cells;
-    c0.finish(dur);
-    c1.finish(dur);
+    for (mut net, cursor) in cells {
+        net.finish_hooked(cursor, dur);
+    }
     let report = rec.borrow_mut().drain_report();
     assert_eq!(report.dropped, 0, "recorder ring too small for fixture");
     let lines = conform::golden::normalize(&report.events);
