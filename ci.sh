@@ -45,10 +45,10 @@ for id in fig2 fig6 tab5; do
   cmp "$CK/rec/$id.csv" "$CK/res/$id.csv"
 done
 
-echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1/ext2 cmp-equal to results/)"
+echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1/ext2 and the GRC fig23/fig24/abl3 cmp-equal to results/)"
 cargo run --release --offline -p gr-bench --bin repro -- \
-  run --jobs 2 --out "$CK/full" fig2 fig6 tab5 abl1 ext2 >/dev/null
-for id in fig2 fig6 tab5 abl1 ext2; do
+  run --jobs 2 --out "$CK/full" fig2 fig6 tab5 abl1 ext2 fig23 fig24 abl3 >/dev/null
+for id in fig2 fig6 tab5 abl1 ext2 fig23 fig24 abl3; do
   cmp "$CK/full/$id.csv" "results/$id.csv"
 done
 

@@ -113,7 +113,7 @@ impl WorldCampaign {
         let mut cell_csvs = Vec::new();
         let mut conform_reports = Vec::new();
         for &(rows, cols) in &self.grids {
-            let n = rows * cols;
+            let n = rows.saturating_mul(cols);
             let mut seen = std::collections::BTreeSet::new();
             for &frac in &self.greedy_fracs {
                 let k = ((frac * n as f64).round() as usize).min(n);

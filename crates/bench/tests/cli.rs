@@ -184,3 +184,37 @@ fn zero_hook_intervals_are_rejected_at_once() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+#[test]
+fn oversized_networks_and_worlds_fail_with_a_typed_error() {
+    let dir = fresh_dir("oversized");
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    for (args, message) in [
+        (
+            &["scenario", "--pairs", "40000", "--duration", "1"][..],
+            "invalid configuration: 40000 pairs need 80000 stations",
+        ),
+        (
+            &[
+                "world",
+                "--quick",
+                "--cells",
+                "20000x20000",
+                "--out",
+                out_dir,
+            ],
+            "invalid configuration: a 20000x20000 world exceeds",
+        ),
+    ] {
+        let started = std::time::Instant::now();
+        let out = repro(args);
+        // Exit code 1, not an allocation-failure abort (134).
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(message), "{args:?}: {}", stderr(&out));
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(10),
+            "{args:?} must fail before doing any work"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -443,16 +443,38 @@ impl Scenario {
         pos
     }
 
-    /// Materializes the scenario into a runnable network without running
-    /// it.
+    /// Most stations (senders plus receivers) one scenario's network may
+    /// hold. Committed experiments use at most 9. The bound keeps the
+    /// per-pair link tables (one entry per ordered station pair) within
+    /// tens of MiB and every node id well inside `u16`.
+    pub const MAX_STATIONS: usize = 1024;
+
+    /// The stations [`build`](Scenario::build) adds: one sender per pair
+    /// (one in all with a shared sender) and one receiver per pair.
+    pub fn stations(&self) -> usize {
+        let senders = if self.shared_sender { 1 } else { self.pairs };
+        senders.saturating_add(self.pairs)
+    }
+
+    /// Checks everything [`build`](Scenario::build) can reject, without
+    /// building.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero pairs, out-of-range
-    /// greedy indices, or invalid error rates.
-    pub fn build(&self) -> Result<BuiltScenario, SimError> {
+    /// Returns [`SimError::InvalidConfig`] for zero pairs, more than
+    /// [`Scenario::MAX_STATIONS`] stations, out-of-range greedy or flow
+    /// override indices, or invalid error rates.
+    pub fn validate(&self) -> Result<(), SimError> {
         if self.pairs == 0 {
             return Err(SimError::invalid_config("need at least one pair"));
+        }
+        if self.stations() > Self::MAX_STATIONS {
+            return Err(SimError::invalid_config(format!(
+                "{} pairs need {} stations, more than the {} a network may hold",
+                self.pairs,
+                self.stations(),
+                Self::MAX_STATIONS
+            )));
         }
         for (idx, _) in &self.greedy {
             if *idx >= self.pairs {
@@ -462,6 +484,29 @@ impl Scenario {
                 )));
             }
         }
+        if self.byte_error_rate > 0.0 {
+            ErrorModel::new(ErrorUnit::Byte, self.byte_error_rate)?;
+        }
+        for (i, rate) in &self.flow_error_overrides {
+            if *i >= self.pairs {
+                return Err(SimError::invalid_config(format!(
+                    "flow error override index {i} out of range"
+                )));
+            }
+            ErrorModel::new(ErrorUnit::Byte, *rate)?;
+        }
+        Ok(())
+    }
+
+    /// Materializes the scenario into a runnable network without running
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for a scenario that fails
+    /// [`Scenario::validate`].
+    pub fn build(&self) -> Result<BuiltScenario, SimError> {
+        self.validate()?;
         let params = PhyParams::for_standard(self.phy);
         let mut b = NetworkBuilder::new(params).seed(self.seed).rts(self.rts);
         if let Some(thr) = self.capture_threshold_db {
@@ -554,11 +599,6 @@ impl Scenario {
             }
         }
         for (i, rate) in &self.flow_error_overrides {
-            if *i >= self.pairs {
-                return Err(SimError::invalid_config(format!(
-                    "flow error override index {i} out of range"
-                )));
-            }
             let em = ErrorModel::new(ErrorUnit::Byte, *rate)?;
             let src = if self.shared_sender {
                 senders[0]

@@ -34,7 +34,7 @@
 
 use mac::NodeId;
 use net::{JobContext, RunHooks, TxInterval};
-use phy::{ChannelIndex, ChannelModel, ErrorModel, ErrorUnit, Position};
+use phy::{ChannelIndex, ChannelModel, Position};
 use runner::{Lockstep, Runner};
 use sim::{RunKey, SimDuration, SimError, SimTime};
 
@@ -100,6 +100,11 @@ impl WorldSpec {
             seed,
         }
     }
+
+    /// Most cells a world may hold (a 32×32 grid). Committed worlds are
+    /// at most 3×3; the bound keeps cell planning and the pairwise
+    /// coupling scan far from exhausting memory.
+    pub const MAX_CELLS: usize = 1024;
 
     /// Number of cells.
     pub fn cells(&self) -> usize {
@@ -435,6 +440,17 @@ fn validate(spec: &WorldSpec, hooks: &RunHooks) -> Result<(), SimError> {
     if spec.rows == 0 || spec.cols == 0 {
         return Err(SimError::invalid_config("world grid must be at least 1x1"));
     }
+    match spec.rows.checked_mul(spec.cols) {
+        Some(n) if n <= WorldSpec::MAX_CELLS => {}
+        _ => {
+            return Err(SimError::invalid_config(format!(
+                "a {}x{} world exceeds the {} cells a world may hold",
+                spec.rows,
+                spec.cols,
+                WorldSpec::MAX_CELLS
+            )))
+        }
+    }
     if spec.channels == 0 {
         return Err(SimError::invalid_config("world needs at least one channel"));
     }
@@ -445,32 +461,9 @@ fn validate(spec: &WorldSpec, hooks: &RunHooks) -> Result<(), SimError> {
     if spec.coupling_range_m <= 0.0 || spec.coupling_range_m.is_nan() {
         return Err(SimError::invalid_config("coupling range must be positive"));
     }
-    // Mirror every failure path of Scenario::build so worker-side
-    // builds are infallible (Lockstep::build cannot return errors).
-    let t = &spec.template;
-    if t.pairs == 0 {
-        return Err(SimError::invalid_config("need at least one pair"));
-    }
-    for (idx, _) in &t.greedy {
-        if *idx >= t.pairs {
-            return Err(SimError::invalid_config(format!(
-                "greedy receiver index {idx} out of range (pairs = {})",
-                t.pairs
-            )));
-        }
-    }
-    if t.byte_error_rate > 0.0 {
-        ErrorModel::new(ErrorUnit::Byte, t.byte_error_rate)?;
-    }
-    for (i, rate) in &t.flow_error_overrides {
-        if *i >= t.pairs {
-            return Err(SimError::invalid_config(format!(
-                "flow error override index {i} out of range"
-            )));
-        }
-        ErrorModel::new(ErrorUnit::Byte, *rate)?;
-    }
-    Ok(())
+    // Every failure path of Scenario::build, so worker-side builds are
+    // infallible (Lockstep::build cannot return errors).
+    spec.template.validate()
 }
 
 #[cfg(test)]

@@ -74,8 +74,52 @@ pub type SpoofGuardHandle = Shared<SpoofGuardReport>;
 pub struct SpoofGuard {
     cfg: SpoofGuardConfig,
     windowed: bool,
-    history: HashMap<u16, VecDeque<f64>>,
+    history: HashMap<u16, RssiWindow>,
     report: SpoofGuardHandle,
+}
+
+/// One peer's sliding RSSI window: the samples in arrival order, and
+/// the same samples kept sorted so the median is read without sorting.
+#[derive(Debug, Default)]
+struct RssiWindow {
+    fifo: VecDeque<f64>,
+    /// `fifo` in ascending order, equal values in arrival order — the
+    /// order a stable sort of `fifo` gives.
+    sorted: Vec<f64>,
+}
+
+impl RssiWindow {
+    /// Appends `rssi`, evicting the oldest sample beyond `cap`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN sample, which has no median.
+    fn push(&mut self, rssi: f64, cap: usize) {
+        assert!(!rssi.is_nan(), "median over NaN");
+        self.fifo.push_back(rssi);
+        let at = self.sorted.partition_point(|&v| v <= rssi);
+        self.sorted.insert(at, rssi);
+        if self.fifo.len() > cap {
+            let old = self.fifo.pop_front().expect("window holds the new sample");
+            // The oldest of the samples equal to `old` sits first among them.
+            let at = self.sorted.partition_point(|&v| v < old);
+            self.sorted.remove(at);
+        }
+    }
+
+    /// The median of the window (`None` when empty), bit-identical to
+    /// [`sim::stats::median`] of `fifo`.
+    fn median(&self) -> Option<f64> {
+        let (v, n) = (&self.sorted, self.sorted.len());
+        if n == 0 {
+            return None;
+        }
+        Some(if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        })
+    }
 }
 
 impl SpoofGuard {
@@ -102,22 +146,22 @@ impl SpoofGuard {
         self
     }
 
+    /// Adds an RSSI sample to `peer`'s window.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a NaN `rssi`.
     fn learn(&mut self, peer: NodeId, rssi: f64) {
         let window = self.cfg.window;
-        let h = self.history.entry(peer.0).or_default();
-        h.push_back(rssi);
-        if h.len() > window {
-            h.pop_front();
-        }
+        self.history.entry(peer.0).or_default().push(rssi, window);
     }
 
     fn median_for(&self, peer: NodeId) -> Option<f64> {
         let h = self.history.get(&peer.0)?;
-        if h.len() < self.cfg.min_samples {
+        if h.fifo.len() < self.cfg.min_samples {
             return None;
         }
-        let values: Vec<f64> = h.iter().copied().collect();
-        sim::stats::median(&values)
+        h.median()
     }
 }
 
@@ -132,8 +176,8 @@ impl SpoofGuard {
         w.usize(peers.len());
         for (&peer, window) in peers {
             w.u16(peer);
-            w.usize(window.len());
-            for &rssi in window {
+            w.usize(window.fifo.len());
+            for &rssi in &window.fifo {
                 w.f64(rssi);
             }
         }
@@ -146,11 +190,13 @@ impl SpoofGuard {
     }
 
     /// Restores state written by [`SpoofGuard::save_state`], writing the
-    /// report through the shared handle so external readers see it.
+    /// report through the shared handle so external readers see it. Each
+    /// window's sorted mirror is rebuilt from its samples.
     ///
     /// # Errors
     ///
-    /// [`snap::SnapError::Corrupt`] on truncated or oversized input.
+    /// [`snap::SnapError::Corrupt`] on truncated or oversized input, or a
+    /// NaN sample.
     pub fn load_state(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         use snap::SnapValue as _;
         let n = r.usize()?;
@@ -168,9 +214,15 @@ impl SpoofGuard {
                     "spoof guard window length {len} exceeds input"
                 )));
             }
-            let mut window = VecDeque::with_capacity(len);
+            let mut window = RssiWindow::default();
             for _ in 0..len {
-                window.push_back(r.f64()?);
+                let rssi = r.f64()?;
+                if rssi.is_nan() {
+                    return Err(snap::SnapError::Corrupt(format!(
+                        "spoof guard window of peer {peer} holds NaN"
+                    )));
+                }
+                window.push(rssi, len);
             }
             self.history.insert(peer, window);
         }
@@ -301,6 +353,97 @@ mod tests {
         }
         // Baseline still empty → unvetted, not poisoned.
         assert_eq!(g.median_for(NodeId(1)), None);
+    }
+
+    /// RSSI samples with many repeats, both signed zeros among them.
+    const LEVELS: [f64; 8] = [-62.0, -50.5, -50.0, -50.0, -49.75, -35.0, 0.0, -0.0];
+
+    fn config(window: usize, min_samples: usize) -> SpoofGuardConfig {
+        SpoofGuardConfig {
+            window,
+            min_samples: [1, 2, 5, 10][min_samples],
+            ..SpoofGuardConfig::default()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// The sorted mirror's median is, bit for bit, the median of the
+        /// FIFO window after every sample.
+        #[test]
+        fn median_matches_a_sort_of_the_window(
+            levels in proptest::collection::vec(0usize..8, 1..200),
+            window in 1usize..61,
+            min_samples in 0usize..4,
+        ) {
+            let (mut g, _r) = SpoofGuard::new(config(window, min_samples));
+            let min = g.cfg.min_samples;
+            for (k, &l) in levels.iter().enumerate() {
+                g.learn(NodeId(1), LEVELS[l]);
+                let h = &g.history[&1].fifo;
+                assert_eq!(h.len(), (k + 1).min(window));
+                let fifo: Vec<f64> = h.iter().copied().collect();
+                let want = if fifo.len() < min {
+                    None
+                } else {
+                    sim::stats::median(&fifo)
+                };
+                assert_eq!(
+                    g.median_for(NodeId(1)).map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{fifo:?}"
+                );
+            }
+        }
+
+        /// A guard saved and restored mid-stream vets every later ACK as
+        /// the guard that never stopped does.
+        #[test]
+        fn restored_guard_vets_like_the_original(
+            stream in proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..8, 0u16..3), 1..160),
+            cut in 0usize..160,
+            window in 1usize..61,
+            min_samples in 0usize..4,
+        ) {
+            let step = |g: &mut SpoofGuard, &(ack, l, peer): &(bool, usize, u16)| {
+                if ack {
+                    let f: Frame<usize> = Frame::ack(NodeId(peer), NodeId(0), 0);
+                    g.accept_ack(&f, &meta(LEVELS[l]), NodeId(peer))
+                } else {
+                    let f: Frame<usize> = Frame::data(NodeId(peer), NodeId(0), 314, 1, 60);
+                    MacObserver::<usize>::on_frame(g, &f, &meta(LEVELS[l]), true);
+                    true
+                }
+            };
+            let cut = cut.min(stream.len());
+            let (mut straight, straight_report) = SpoofGuard::new(config(window, min_samples));
+            let (mut first, _) = SpoofGuard::new(config(window, min_samples));
+            for ev in &stream[..cut] {
+                step(&mut straight, ev);
+                step(&mut first, ev);
+            }
+            let mut w = snap::Enc::new();
+            first.save_state(&mut w);
+            let (mut resumed, resumed_report) = SpoofGuard::new(config(window, min_samples));
+            resumed.load_state(&mut snap::Dec::new(w.bytes())).unwrap();
+            for ev in &stream[cut..] {
+                assert_eq!(step(&mut straight, ev), step(&mut resumed, ev));
+            }
+            let counts = |r: &SpoofGuardHandle| {
+                let r = r.borrow();
+                (r.flagged, r.rejected, r.accepted, r.unvetted)
+            };
+            assert_eq!(counts(&straight_report), counts(&resumed_report));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "median over NaN")]
+    fn nan_rssi_stops_the_run() {
+        let (mut g, _r) = SpoofGuard::new(SpoofGuardConfig::default());
+        teach(&mut g, 1, -50.0, 3);
+        teach(&mut g, 1, f64::NAN, 1);
     }
 
     #[test]

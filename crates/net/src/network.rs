@@ -281,11 +281,11 @@ pub struct Network {
     /// Reported as `RunMetrics::events_processed`.
     dispatched: u64,
     /// Instants of the injected busy edges [`Network::inject_busy`]
-    /// fused away, ascending. Each is credited to `dispatched` once the
-    /// event loop has passed it, as if the edge had been dispatched:
-    /// those before a hook's instant just before the hook fires, those
-    /// at or before the horizon when `advance` returns. Simulation state
-    /// (snapshot format 6 onward).
+    /// fused away, in no particular order. Each is credited to
+    /// `dispatched` once the event loop has passed it, as if the edge had
+    /// been dispatched: those before a hook's instant just before the hook
+    /// fires, those at or before the horizon when `advance` returns.
+    /// Simulation state (snapshot format 6 onward), encoded ascending.
     uncredited: Vec<SimTime>,
     /// Precomputed per-pair reach and median received power (positions
     /// are fixed after assembly).
@@ -314,6 +314,25 @@ pub struct Network {
     /// costs nothing. Excluded from snapshots — it is boundary-exchange
     /// scratch, not simulation state, and must not perturb audit digests.
     epoch_tx_log: Option<Vec<TxInterval>>,
+    /// [`Network::inject_busy`]'s buffers, reused across calls. Scratch
+    /// like `epoch_tx_log`: excluded from snapshots and audit digests.
+    fuse: FuseScratch,
+}
+
+/// Buffers for fusing one injected batch, grown to the largest batch
+/// seen and reused, so fusion allocates nothing per call.
+#[derive(Default)]
+struct FuseScratch {
+    /// Per-station bucket bounds into `order`, indexed by node id: after
+    /// bucketing, station `k`'s intervals are `order[bounds[k - 1]..
+    /// bounds[k]]` (from 0 for station 0).
+    bounds: Vec<usize>,
+    /// `(onset, batch index)` of every interval the nudge leaves
+    /// non-empty, bucketed by station; each bucket is then sorted.
+    order: Vec<(SimTime, u32)>,
+    /// Per batch entry, which of its edges survive fusion
+    /// (`ONSET | END` bits).
+    keep: Vec<u8>,
 }
 
 impl Network {
@@ -388,6 +407,7 @@ impl Network {
             recorder: None,
             conform: None,
             epoch_tx_log: None,
+            fuse: FuseScratch::default(),
         }
     }
 
@@ -650,17 +670,31 @@ impl Network {
     }
 
     /// Credits to the dispatch count every fused-away busy edge whose
-    /// instant satisfies `passed` (a prefix of the ascending queue), and
-    /// moves the clock up to the last of them, where dispatching the
-    /// edges would have left it (the next epoch's nudge reads it).
+    /// instant satisfies `passed` (a prefix of the instants in time
+    /// order), and moves the clock up to the last of them, where
+    /// dispatching the edges would have left it (the next epoch's nudge
+    /// reads it). One pass over the unordered queue.
     fn credit_elided(&mut self, passed: impl Fn(SimTime) -> bool) {
-        let k = self.uncredited.partition_point(|&t| passed(t));
-        if k == 0 {
-            return;
-        }
-        self.dispatched += k as u64;
-        self.sched.advance_clock(self.uncredited[k - 1]);
-        self.uncredited.drain(..k);
+        let before = self.uncredited.len();
+        let mut latest = None;
+        self.uncredited.retain(|&t| {
+            let hit = passed(t);
+            if hit {
+                latest = latest.max(Some(t));
+            }
+            !hit
+        });
+        let Some(latest) = latest else { return };
+        self.dispatched += (before - self.uncredited.len()) as u64;
+        self.sched.advance_clock(latest);
+    }
+
+    /// The pending credits in ascending order, as snapshots and the
+    /// `sched` audit digest encode them.
+    fn uncredited_ascending(&self) -> Vec<SimTime> {
+        let mut v = self.uncredited.clone();
+        v.sort_unstable();
+        v
     }
 
     /// Ends an epoch-driven run: collects metrics over `duration` of
@@ -705,46 +739,75 @@ impl Network {
     /// had. A fused-away edge's instant is queued and credited to the
     /// dispatch count once the event loop passes it, which keeps
     /// `events_processed` exact. A batch of one never fuses.
+    ///
+    /// The batch is bucketed by station in one counting pass, and each
+    /// bucket (a few dozen intervals in a world cell) is sorted in place
+    /// by `(start, index)`; the keys are unique, so the order is
+    /// deterministic.
     pub fn inject_busy(&mut self, batch: &[TxInterval]) {
         const ONSET: u8 = 1;
         const END: u8 = 2;
         let nudged = self.sched.now() + SimDuration::from_nanos(1);
         let onset = |start: SimTime| start.max(nudged);
-        // `(node, onset, batch index)` of every interval the nudge
-        // leaves non-empty, grouped by station in union-sweep order.
-        let mut order: Vec<(NodeId, SimTime, u32)> = batch
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(_, start, end))| end > onset(start))
-            .map(|(i, &(node, start, _))| (node, onset(start), i as u32))
-            .collect();
-        order.sort_unstable();
-        let mut keep = vec![0u8; batch.len()];
-        for &(_, _, i) in &order {
-            keep[i as usize] = ONSET | END;
-        }
-        let mut k = 0;
-        while k < order.len() {
-            let (node, _, first) = order[k];
-            // The union's latest end so far, as `(end, batch index)`.
-            let mut last = (batch[first as usize].2, first);
-            k += 1;
-            while k < order.len() && order[k].0 == node && order[k].1 < last.0 {
-                let (_, at, i) = order[k];
-                keep[i as usize] &= !ONSET;
-                self.uncredited.push(at);
-                let later = (batch[i as usize].2, i);
-                let shadowed = if later > last {
-                    std::mem::replace(&mut last, later)
-                } else {
-                    later
-                };
-                keep[shadowed.1 as usize] &= !END;
-                self.uncredited.push(shadowed.0);
-                k += 1;
+        let FuseScratch {
+            bounds,
+            order,
+            keep,
+        } = &mut self.fuse;
+        // Count each station's non-empty intervals, one slot ahead, and
+        // turn the counts into bucket starts.
+        bounds.clear();
+        bounds.resize(self.nodes.len() + 1, 0);
+        keep.clear();
+        keep.resize(batch.len(), 0);
+        for (&(node, start, end), keep) in batch.iter().zip(keep.iter_mut()) {
+            if end > onset(start) {
+                bounds[node.0 as usize + 1] += 1;
+                *keep = ONSET | END;
             }
         }
-        for (&(node, start, end), keep) in batch.iter().zip(keep) {
+        for k in 1..bounds.len() {
+            bounds[k] += bounds[k - 1];
+        }
+        // Fill the buckets in batch order; each station's cursor ends at
+        // its bucket's end.
+        order.clear();
+        order.resize(bounds[self.nodes.len()], (SimTime::ZERO, 0));
+        for (i, &(node, start, _)) in batch.iter().enumerate() {
+            if keep[i] != 0 {
+                let slot = &mut bounds[node.0 as usize];
+                order[*slot] = (onset(start), i as u32);
+                *slot += 1;
+            }
+        }
+        let mut lo = 0;
+        for &hi in &bounds[..self.nodes.len()] {
+            let bucket = &mut order[lo..hi];
+            lo = hi;
+            bucket.sort_unstable();
+            let mut k = 0;
+            while k < bucket.len() {
+                let (_, first) = bucket[k];
+                // The union's latest end so far, as `(end, batch index)`.
+                let mut last = (batch[first as usize].2, first);
+                k += 1;
+                while k < bucket.len() && bucket[k].0 < last.0 {
+                    let (at, i) = bucket[k];
+                    keep[i as usize] &= !ONSET;
+                    self.uncredited.push(at);
+                    let later = (batch[i as usize].2, i);
+                    let shadowed = if later > last {
+                        std::mem::replace(&mut last, later)
+                    } else {
+                        later
+                    };
+                    keep[shadowed.1 as usize] &= !END;
+                    self.uncredited.push(shadowed.0);
+                    k += 1;
+                }
+            }
+        }
+        for (&(node, start, end), &keep) in batch.iter().zip(keep.iter()) {
             if keep & ONSET != 0 {
                 self.sched.arm_at(onset(start), Event::BusyOnset { node });
             }
@@ -752,7 +815,6 @@ impl Network {
                 self.sched.arm_at(end, Event::BusyEnd { node });
             }
         }
-        self.uncredited.sort_unstable();
     }
 
     /// Samples every probe gauge at virtual instant `at`. Values reflect
@@ -1600,7 +1662,7 @@ impl snap::SnapState for Network {
         self.rng.snap_save(w);
         self.sched.snap_save(w);
         w.u64(self.dispatched);
-        self.uncredited.save(w);
+        self.uncredited_ascending().save(w);
         self.frames.save(w);
         self.max_air.save(w);
         w.usize(self.nodes.len());
@@ -1704,7 +1766,7 @@ impl Network {
             let mut w = snap::Enc::new();
             self.sched.snap_save(&mut w);
             w.u64(self.dispatched);
-            self.uncredited.save(&mut w);
+            self.uncredited_ascending().save(&mut w);
             snap::fnv1a(w.bytes())
         };
         [
@@ -1722,6 +1784,141 @@ impl Network {
 mod tests {
     use super::*;
     use crate::NetworkBuilder;
+    use proptest::prelude::*;
+
+    /// The sort-based fusion [`Network::inject_busy`] replaced, kept as
+    /// its reference: one general sort of the whole batch by `(node,
+    /// onset, index)`, fresh buffers per call, and a re-sort of the
+    /// credit queue.
+    fn inject_busy_by_sort(net: &mut Network, batch: &[TxInterval]) {
+        const ONSET: u8 = 1;
+        const END: u8 = 2;
+        let nudged = net.sched.now() + SimDuration::from_nanos(1);
+        let onset = |start: SimTime| start.max(nudged);
+        let mut order: Vec<(NodeId, SimTime, u32)> = batch
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(_, start, end))| end > onset(start))
+            .map(|(i, &(node, start, _))| (node, onset(start), i as u32))
+            .collect();
+        order.sort_unstable();
+        let mut keep = vec![0u8; batch.len()];
+        for &(_, _, i) in &order {
+            keep[i as usize] = ONSET | END;
+        }
+        let mut k = 0;
+        while k < order.len() {
+            let (node, _, first) = order[k];
+            let mut last = (batch[first as usize].2, first);
+            k += 1;
+            while k < order.len() && order[k].0 == node && order[k].1 < last.0 {
+                let (_, at, i) = order[k];
+                keep[i as usize] &= !ONSET;
+                net.uncredited.push(at);
+                let later = (batch[i as usize].2, i);
+                let shadowed = if later > last {
+                    std::mem::replace(&mut last, later)
+                } else {
+                    later
+                };
+                keep[shadowed.1 as usize] &= !END;
+                net.uncredited.push(shadowed.0);
+                k += 1;
+            }
+        }
+        for (&(node, start, end), keep) in batch.iter().zip(keep) {
+            if keep & ONSET != 0 {
+                net.sched.arm_at(onset(start), Event::BusyOnset { node });
+            }
+            if keep & END != 0 {
+                net.sched.arm_at(end, Event::BusyEnd { node });
+            }
+        }
+        net.uncredited.sort_unstable();
+    }
+
+    fn snapshot(net: &Network) -> Vec<u8> {
+        let mut w = snap::Enc::new();
+        net.snap_save(&mut w);
+        w.into_bytes()
+    }
+
+    /// `(station, start or start step, length)` in 10 µs units.
+    type Step = (u16, u64, u64);
+
+    /// A batch shaped like an exchange's, and worse: `runs` of
+    /// `(station, start step, length)` on a 10 µs grid, each run's starts
+    /// ascending from a random origin (a zero step repeats a start), the
+    /// runs concatenated so stations interleave, then `strays` in no
+    /// order. Lengths of zero and starts before `now` make edges the
+    /// nudge empties or moves.
+    fn exchange_like(runs: &[(u64, Vec<Step>)], strays: &[Step]) -> Vec<TxInterval> {
+        let us = |k: u64| SimTime::from_micros(10 * k);
+        let mut batch = Vec::new();
+        for (origin, run) in runs {
+            let mut at = *origin;
+            for &(node, step, len) in run {
+                at += step;
+                batch.push((NodeId(node), us(at), us(at + len)));
+            }
+        }
+        batch.extend(
+            strays
+                .iter()
+                .map(|&(node, start, len)| (NodeId(node), us(start), us(start + len))),
+        );
+        batch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Station buckets sorted in place leave every byte of the
+        /// snapshot (scheduler, armed sequence numbers, dispatch count,
+        /// pending credits) where the sort-based fusion leaves it, across
+        /// two batches with the event loop run in between.
+        #[test]
+        fn bucketed_fusion_matches_sort_based_fusion(
+            runs in proptest::collection::vec(
+                (0u64..30, proptest::collection::vec((0u16..4, 0u64..4, 0u64..12), 1..16)),
+                1..8,
+            ),
+            strays in proptest::collection::vec((0u16..4, 0u64..60, 0u64..12), 0..12),
+            now_us in 0u64..200,
+        ) {
+            let batch = exchange_like(&runs, &strays);
+            let build = || {
+                let mut b = NetworkBuilder::new(PhyParams::dot11b());
+                for i in 0..4 {
+                    b.add_node(Position::new(i as f64, 0.0));
+                }
+                let mut net = b.build();
+                net.sched.advance_clock(SimTime::from_micros(now_us));
+                net
+            };
+            let (mut new, mut old) = (build(), build());
+            let mut cursors = [
+                new.begin_hooked(RunHooks::default(), None),
+                old.begin_hooked(RunHooks::default(), None),
+            ];
+            new.inject_busy(&batch);
+            inject_busy_by_sort(&mut old, &batch);
+            prop_assert!(snapshot(&new) == snapshot(&old), "{batch:?}");
+            // Run into the middle of the batch, then inject it again:
+            // the nudge and the pending credits now differ.
+            let mid = SimTime::from_micros(now_us + 300);
+            new.advance(&mut cursors[0], mid);
+            old.advance(&mut cursors[1], mid);
+            new.inject_busy(&batch);
+            inject_busy_by_sort(&mut old, &batch);
+            prop_assert!(snapshot(&new) == snapshot(&old), "{batch:?}");
+            let end = SimTime::from_micros(now_us + 2_000);
+            new.advance(&mut cursors[0], end);
+            old.advance(&mut cursors[1], end);
+            prop_assert!(snapshot(&new) == snapshot(&old), "{batch:?}");
+            prop_assert_eq!(new.pending_credits(), 0);
+        }
+    }
 
     /// Injects `batch` at `now` and pops every armed event, as
     /// `(time, station, onset?)` in dispatch order.

@@ -7,7 +7,9 @@
 //! exposes must agree: `events_processed`, the MAC counters, the RNG
 //! stream, the recorded PHY/MAC event stream and gauge samples, the
 //! hook-visible layers of every audit rung and the dispatch count in
-//! every checkpoint.
+//! every checkpoint. The fused run's own bytes (every audit layer and
+//! every checkpoint) are pinned to digests, so a change to how fusion
+//! is computed cannot move them unnoticed.
 
 use gr_net::{Network, NetworkBuilder, RunHooks};
 use mac::NodeId;
@@ -109,6 +111,10 @@ struct Observed {
     checkpoint_events: Vec<(SimTime, u64)>,
     /// The clock at each barrier, which the next batch's nudge reads.
     clocks: Vec<SimTime>,
+    /// Root digest of the whole audit ladder, every layer included.
+    ladder_root: u64,
+    /// FNV-1a digest of each checkpoint's encoded state.
+    checkpoint_digests: Vec<u64>,
 }
 
 /// Runs the network over `DURATION` in 5 ms epochs (the last one
@@ -172,6 +178,12 @@ fn run(fused: bool) -> (Observed, usize) {
         })
         .collect();
     let observed = Observed {
+        ladder_root: art.audit.root_digest(),
+        checkpoint_digests: art
+            .checkpoints
+            .iter()
+            .map(|(_, bytes)| snap::fnv1a(bytes))
+            .collect(),
         events: metrics.events_processed,
         counters: metrics
             .nodes
@@ -214,6 +226,40 @@ fn fused_batches_match_one_interval_per_call() {
         "recorded event streams differ"
     );
 }
+
+#[test]
+fn fused_run_bytes_are_pinned() {
+    let (fused, _) = run(true);
+    assert_eq!(
+        fused.ladder_root, LADDER_ROOT,
+        "{:#018x}",
+        fused.ladder_root
+    );
+    assert_eq!(
+        fused.checkpoint_digests, CHECKPOINT_DIGESTS,
+        "{:#018x?}",
+        fused.checkpoint_digests
+    );
+}
+
+/// The fused run's audit-ladder root and checkpoint digests, recorded
+/// with the sort-based fusion that preceded per-station bucketing.
+const LADDER_ROOT: u64 = 0xd5f9_122d_718d_cc72;
+const CHECKPOINT_DIGESTS: [u64; 13] = [
+    0x6a45_3817_9f9f_94ce,
+    0x7599_c982_796a_54b3,
+    0x9edf_e5ab_46cb_7fa3,
+    0x3203_d468_de52_5369,
+    0xae88_32d0_ae80_7200,
+    0xc475_2f93_f053_e17e,
+    0x0105_edb8_1f1b_b2fb,
+    0xa68d_b213_1e19_13e0,
+    0x2ead_e916_a257_1410,
+    0x34e3_1d30_3f3a_9225,
+    0x29d5_bb08_7a10_97ba,
+    0x8478_686c_5ec8_613d,
+    0x4a7c_83b9_5ed4_a523,
+];
 
 #[test]
 fn fused_edges_are_credited_when_the_loop_passes_them() {

@@ -1,0 +1,42 @@
+//! Oversized inputs are rejected with a typed error before anything is
+//! allocated for them, never by an allocation failure that aborts.
+
+use greedy80211_repro::{Run, Scenario, WorldSpec};
+use sim::{SimDuration, SimError};
+
+fn invalid_config(result: Result<impl std::fmt::Debug, SimError>) -> String {
+    match result {
+        Err(SimError::InvalidConfig(msg)) => msg,
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+}
+
+#[test]
+fn too_many_stations_is_a_typed_error() {
+    let s = Scenario {
+        pairs: 40_000,
+        duration: SimDuration::from_secs(1),
+        ..Scenario::default()
+    };
+    assert!(s.stations() > Scenario::MAX_STATIONS);
+    let msg = invalid_config(s.build().map(|_| ()));
+    assert!(msg.contains("stations"), "{msg}");
+    assert!(Run::plan(&s).execute().is_err());
+    // The bound itself is accepted.
+    let at_bound = Scenario {
+        pairs: Scenario::MAX_STATIONS / 2,
+        ..s
+    };
+    assert_eq!(at_bound.stations(), Scenario::MAX_STATIONS);
+    assert!(at_bound.validate().is_ok());
+}
+
+#[test]
+fn too_many_cells_is_a_typed_error() {
+    let spec = WorldSpec::grid(Scenario::default(), 20_000, 20_000);
+    let msg = invalid_config(Run::world(&spec).execute().map(|_| ()));
+    assert!(msg.contains("cells"), "{msg}");
+    // A product that overflows is rejected too, not wrapped.
+    let spec = WorldSpec::grid(Scenario::default(), usize::MAX, 2);
+    invalid_config(Run::world(&spec).execute().map(|_| ()));
+}
