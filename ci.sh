@@ -45,11 +45,19 @@ for id in fig2 fig6 tab5; do
   cmp "$CK/rec/$id.csv" "$CK/res/$id.csv"
 done
 
-echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1/ext2 and the GRC fig23/fig24/abl3 cmp-equal to results/)"
+echo "==> committed artifacts (full-fidelity fig2/fig6/tab5/abl1/ext2, the GRC fig23/fig24/abl3 and the CC zoo cmp-equal to results/)"
 cargo run --release --offline -p gr-bench --bin repro -- \
   run --jobs 2 --out "$CK/full" fig2 fig6 tab5 abl1 ext2 fig23 fig24 abl3 >/dev/null
 for id in fig2 fig6 tab5 abl1 ext2 fig23 fig24 abl3; do
   cmp "$CK/full/$id.csv" "results/$id.csv"
+done
+cargo run --release --offline -p gr-bench --bin repro -- \
+  cc --jobs 2 --out "$CK/ccfull" >/dev/null
+for f in results/cc*.csv; do
+  cmp "$f" "$CK/ccfull/$(basename "$f")"
+done
+for f in "$CK"/ccfull/*.csv; do
+  [ -f "results/$(basename "$f")" ] || { echo "uncommitted CC CSV: $f" >&2; exit 1; }
 done
 
 echo "==> conformance checking leaves ext2's DOMINO column alone (full fidelity)"

@@ -336,6 +336,12 @@ impl Args {
             Quality::full()
         };
         if let Some(n) = self.get_with("--seeds", positive::<u64>)? {
+            if n > Quality::MAX_SEEDS {
+                return Err(format!(
+                    "--seeds: at most {} seeds, got {n}",
+                    Quality::MAX_SEEDS
+                ));
+            }
             q.seeds = (1..=n).collect();
         }
         Ok(q)
@@ -466,8 +472,8 @@ Each subcommand accepts only the options on its line.
                         exit on any violation (also applies to --resume FILE)
   --conform-no-whitelist  same, but declared greedy quirks no longer exempt
                         their rules (greedy scenarios are expected to fail)
-  --seeds N             override the seed list with 1..=N (default: 1 seed
-                        with --quick, 5 at full fidelity)
+  --seeds N             override the seed list with 1..=N, N <= 10000 (default:
+                        1 seed with --quick, 5 at full fidelity)
 
   fuzz N                run N randomized scenarios under the checker; shrink
                         violations to a 10 ms bracket in DIR/conform/;

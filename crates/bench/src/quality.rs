@@ -17,6 +17,12 @@ pub struct Quality {
 }
 
 impl Quality {
+    /// Most replication seeds a campaign accepts (`repro --seeds`). The
+    /// paper uses 5 and the committed artifacts at most that; the bound
+    /// only turns an absurd count into a typed error instead of an
+    /// allocation failure that aborts the process.
+    pub const MAX_SEEDS: u64 = 10_000;
+
     /// Paper-equivalent fidelity: median of 5 seeds, 15 s runs.
     pub fn full() -> Self {
         Quality {

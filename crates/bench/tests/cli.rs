@@ -83,6 +83,19 @@ fn scenario_greedy_index_is_checked_by_the_scenario_build() {
 }
 
 #[test]
+fn scenario_rejects_a_byte_error_rate_outside_zero_to_one() {
+    for ber in ["-1", "nan", "2"] {
+        let out = repro(&["scenario", "--ber", ber, "--duration", "1"]);
+        assert_eq!(out.status.code(), Some(1), "--ber {ber}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("error rate must be in [0, 1]"),
+            "--ber {ber}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
 fn experiment_ids_fuzz_seeds_and_audit_files_still_parse() {
     let dir = fresh_dir("ids");
     let out_dir = dir.to_str().expect("utf-8 temp dir");
@@ -214,6 +227,31 @@ fn oversized_networks_and_worlds_fail_with_a_typed_error() {
         assert!(
             started.elapsed() < std::time::Duration::from_secs(10),
             "{args:?} must fail before doing any work"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_absurd_seed_count_is_a_typed_error_in_every_campaign() {
+    let dir = fresh_dir("seeds");
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    for campaign in [
+        &["run", "fig2"][..],
+        &["world"],
+        &["cc"],
+        &["roc"],
+        &["intensity"],
+    ] {
+        let mut args = vec!["--quick", "--seeds", "99999999999", "--out", out_dir];
+        args.splice(0..0, campaign.iter().copied());
+        let out = repro(&args);
+        // Exit code 1, not an allocation-failure abort (134).
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("--seeds: at most 10000 seeds, got 99999999999"),
+            "{args:?}: {}",
+            stderr(&out)
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -484,9 +484,7 @@ impl Scenario {
                 )));
             }
         }
-        if self.byte_error_rate > 0.0 {
-            ErrorModel::new(ErrorUnit::Byte, self.byte_error_rate)?;
-        }
+        ErrorModel::new(ErrorUnit::Byte, self.byte_error_rate)?;
         for (i, rate) in &self.flow_error_overrides {
             if *i >= self.pairs {
                 return Err(SimError::invalid_config(format!(

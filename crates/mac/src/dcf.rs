@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 
-use phy::PhyParams;
+use phy::{PhyParams, Rssi};
 use sim::{Pool, PooledBox, SimDuration, SimRng, SimTime};
 
 use crate::arf::Arf;
@@ -95,8 +95,8 @@ pub enum RxEvent<'a, M> {
     Ok {
         /// The received frame.
         frame: &'a Frame<M>,
-        /// Received signal strength in dBm.
-        rssi_dbm: f64,
+        /// Received signal strength.
+        rssi: Rssi,
     },
     /// Frame arrived but failed its check sequence. Header fields remain
     /// readable (the paper's Table I shows ≈95 % of corrupted frames
@@ -105,8 +105,8 @@ pub enum RxEvent<'a, M> {
     Corrupted {
         /// The damaged frame (headers readable, payload unusable).
         frame: &'a Frame<M>,
-        /// Received signal strength in dBm.
-        rssi_dbm: f64,
+        /// Received signal strength.
+        rssi: Rssi,
         /// Why the frame was damaged.
         cause: CorruptionCause,
     },
@@ -505,16 +505,29 @@ impl<M: Msdu> Dcf<M> {
     // Inputs from the runtime
     // ------------------------------------------------------------------
 
+    /// The queue-full rule: when the interface queue is full, counts a
+    /// drop of an MSDU for `dst`, emits `MAC_DROP` and returns `true`.
+    ///
+    /// An upper layer with nothing to undo for a refused MSDU (a CBR
+    /// source) asks this first and, when refused, skips
+    /// [`on_enqueue`](Self::on_enqueue) and its action batch.
+    pub fn refuse_if_full(&mut self, now: SimTime, dst: NodeId) -> bool {
+        if self.queue.len() < self.cfg.queue_capacity {
+            return false;
+        }
+        self.counters.queue_drops.incr();
+        self.obs_emit(
+            now,
+            &crate::obs::MAC_DROP,
+            &[crate::obs::DROP_QUEUE_FULL, dst.0 as f64],
+        );
+        true
+    }
+
     /// Upper layer hands the MAC an MSDU for `dst`.
     pub fn on_enqueue(&mut self, now: SimTime, dst: NodeId, body: M) -> MacActions<M> {
         let mut actions = self.pool.take();
-        if self.queue.len() >= self.cfg.queue_capacity {
-            self.counters.queue_drops.incr();
-            self.obs_emit(
-                now,
-                &crate::obs::MAC_DROP,
-                &[crate::obs::DROP_QUEUE_FULL, dst.0 as f64],
-            );
+        if self.refuse_if_full(now, dst) {
             actions.push(MacAction::Dropped {
                 body,
                 to: dst,
@@ -596,12 +609,10 @@ impl<M: Msdu> Dcf<M> {
     /// A reception concluded at this station.
     pub fn on_rx_end(&mut self, now: SimTime, event: RxEvent<'_, M>) -> MacActions<M> {
         match event {
-            RxEvent::Ok { frame, rssi_dbm } => self.on_rx_ok(now, frame, rssi_dbm),
-            RxEvent::Corrupted {
-                frame,
-                rssi_dbm,
-                cause,
-            } => self.on_rx_corrupted(now, frame, rssi_dbm, cause),
+            RxEvent::Ok { frame, rssi } => self.on_rx_ok(now, frame, rssi),
+            RxEvent::Corrupted { frame, rssi, cause } => {
+                self.on_rx_corrupted(now, frame, rssi, cause)
+            }
         }
     }
 
@@ -646,11 +657,11 @@ impl<M: Msdu> Dcf<M> {
     // Reception handling
     // ------------------------------------------------------------------
 
-    fn on_rx_ok(&mut self, now: SimTime, frame: &Frame<M>, rssi_dbm: f64) -> MacActions<M> {
+    fn on_rx_ok(&mut self, now: SimTime, frame: &Frame<M>, rssi: Rssi) -> MacActions<M> {
         let mut actions = self.pool.take();
         self.use_eifs = false;
         let to_me = frame.dst == self.id;
-        let meta = FrameMeta { rssi_dbm, now };
+        let meta = FrameMeta { rssi, now };
         let honored_duration = self.observer.on_frame(frame, &meta, to_me);
         if !to_me {
             self.nav.update(now, honored_duration, false);
@@ -756,7 +767,7 @@ impl<M: Msdu> Dcf<M> {
         &mut self,
         now: SimTime,
         frame: &Frame<M>,
-        rssi_dbm: f64,
+        rssi: Rssi,
         cause: CorruptionCause,
     ) -> MacActions<M> {
         let mut actions = self.pool.take();
@@ -765,7 +776,7 @@ impl<M: Msdu> Dcf<M> {
             CorruptionCause::Noise => self.counters.corrupted_rx.incr(),
             CorruptionCause::Collision => self.counters.collision_rx.incr(),
         }
-        let meta = FrameMeta { rssi_dbm, now };
+        let meta = FrameMeta { rssi, now };
         MacObserver::<M>::on_corrupted(&mut self.observer, &meta);
         // Misbehavior 3: fake ACK for a corrupted frame addressed to us.
         if frame.dst == self.id
@@ -1275,7 +1286,7 @@ mod tests {
             SimTime::from_millis(1),
             RxEvent::Ok {
                 frame: &rts,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         // CTS is queued behind a SIFS timer, not transmitted instantly.
@@ -1307,7 +1318,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &other,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), 2000);
@@ -1315,7 +1326,7 @@ mod tests {
             t + SimDuration::from_micros(100),
             RxEvent::Ok {
                 frame: &rts,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         assert!(
@@ -1339,7 +1350,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &data,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         assert!(actions
@@ -1356,7 +1367,7 @@ mod tests {
             t2,
             RxEvent::Ok {
                 frame: &retx,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         assert!(!actions
@@ -1378,7 +1389,7 @@ mod tests {
             SimTime::from_millis(1),
             RxEvent::Ok {
                 frame: &data,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         assert!(actions
@@ -1397,7 +1408,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &cts_to_me,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         assert!(d.nav.is_idle(t), "frames addressed to me must not set NAV");
@@ -1406,7 +1417,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &overheard,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         assert_eq!(d.nav_until(), t + SimDuration::from_micros(9000));
@@ -1421,7 +1432,7 @@ mod tests {
             t,
             RxEvent::Corrupted {
                 frame: &garbled,
-                rssi_dbm: -70.0,
+                rssi: Rssi::fixed(-70.0),
                 cause: CorruptionCause::Noise,
             },
         );
@@ -1488,7 +1499,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &cts,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         t += SimDuration::from_micros(10);
@@ -1502,7 +1513,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &ack,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         assert!(a.iter().any(|x| matches!(x, MacAction::TxSuccess { .. })));
@@ -1563,7 +1574,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &cts,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         let a = d.on_enqueue(t + SimDuration::from_micros(1), NodeId(1), 1024);
@@ -1613,7 +1624,7 @@ mod tests {
                     t0 + SimDuration::from_micros(100),
                     RxEvent::Corrupted {
                         frame: &garbled,
-                        rssi_dbm: -70.0,
+                        rssi: Rssi::fixed(-70.0),
                         cause: CorruptionCause::Noise,
                     },
                 );
@@ -1653,7 +1664,7 @@ mod tests {
             t,
             RxEvent::Ok {
                 frame: &sniffed,
-                rssi_dbm: -55.0,
+                rssi: Rssi::fixed(-55.0),
             },
         );
         assert!(a.iter().any(|x| matches!(
@@ -1694,7 +1705,7 @@ mod tests {
             t,
             RxEvent::Corrupted {
                 frame: &garbled,
-                rssi_dbm: -70.0,
+                rssi: Rssi::fixed(-70.0),
                 cause: CorruptionCause::Noise,
             },
         );
@@ -1724,7 +1735,7 @@ mod tests {
             SimTime::from_millis(1),
             RxEvent::Ok {
                 frame: &inflated_rts,
-                rssi_dbm: -40.0,
+                rssi: Rssi::fixed(-40.0),
             },
         );
         let a = d.on_timer(

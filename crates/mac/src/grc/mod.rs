@@ -150,13 +150,14 @@ impl<M: Msdu> MacObserver<M> for GrcObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phy::Rssi;
     use sim::SimTime;
 
     #[test]
     fn combines_both_guards() {
         let (mut grc, handles) = GrcObserver::new(PhyParams::dot11b(), true);
         let meta = FrameMeta {
-            rssi_dbm: -50.0,
+            rssi: Rssi::fixed(-50.0),
             now: SimTime::ZERO,
         };
         // Inflated ACK NAV → clamped by the NAV guard.
@@ -169,7 +170,7 @@ mod tests {
             grc.on_frame(&f, &meta, true);
         }
         let hot = FrameMeta {
-            rssi_dbm: -30.0,
+            rssi: Rssi::fixed(-30.0),
             now: SimTime::ZERO,
         };
         let spoofed: Frame<usize> = Frame::spoofed_ack(NodeId(9), NodeId(1), NodeId(0));

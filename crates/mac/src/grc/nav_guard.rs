@@ -258,10 +258,11 @@ mod tests {
     use super::*;
     use crate::frame::DATA_HEADER_BYTES;
     use crate::NodeId;
+    use phy::Rssi;
 
     fn meta(now_us: u64) -> FrameMeta {
         FrameMeta {
-            rssi_dbm: -40.0,
+            rssi: Rssi::fixed(-40.0),
             now: SimTime::from_micros(now_us),
         }
     }

@@ -242,7 +242,7 @@ impl<M: Msdu> MacObserver<M> for SpoofGuard {
         // protocol corroborates: CTS responses and data frames. MAC ACKs
         // are exactly what the attacker forges, so they never teach.
         if matches!(frame.kind, FrameKind::Cts | FrameKind::Data) {
-            self.learn(frame.src, meta.rssi_dbm);
+            self.learn(frame.src, meta.rssi.dbm());
         }
         frame.duration_us
     }
@@ -252,7 +252,7 @@ impl<M: Msdu> MacObserver<M> for SpoofGuard {
             self.report.borrow_mut().unvetted += 1;
             return true;
         };
-        let deviation = (median - meta.rssi_dbm).abs();
+        let deviation = (median - meta.rssi.dbm()).abs();
         if self.windowed {
             if let Some(track) = &mut self.report.borrow_mut().windows {
                 track.push(meta.now, deviation);
@@ -284,11 +284,12 @@ impl<M: Msdu> MacObserver<M> for SpoofGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phy::Rssi;
     use sim::SimTime;
 
     fn meta(rssi: f64) -> FrameMeta {
         FrameMeta {
-            rssi_dbm: rssi,
+            rssi: Rssi::fixed(rssi),
             now: SimTime::ZERO,
         }
     }

@@ -9,6 +9,7 @@
 //! this module defines the honest defaults and the closed-set
 //! [`PolicySlot`]/[`ObserverSlot`] enums the DCF dispatches through.
 
+use phy::Rssi;
 use sim::{SimRng, SimTime};
 
 use crate::frame::{Frame, FrameKind, Msdu};
@@ -40,8 +41,8 @@ pub mod quirk {
 /// Per-frame reception metadata passed to hooks.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameMeta {
-    /// Received signal strength of this frame, in dBm.
-    pub rssi_dbm: f64,
+    /// Received signal strength of this frame.
+    pub rssi: Rssi,
     /// Reception-complete time.
     pub now: SimTime,
 }
@@ -410,7 +411,7 @@ mod tests {
         let mut o = NoopObserver;
         let f: Frame<usize> = Frame::cts(NodeId(0), NodeId(1), 32_000);
         let meta = FrameMeta {
-            rssi_dbm: -40.0,
+            rssi: Rssi::fixed(-40.0),
             now: SimTime::ZERO,
         };
         assert_eq!(o.on_frame(&f, &meta, false), 32_000);

@@ -5,7 +5,7 @@ use gr_mac::dedup::DedupCache;
 use gr_mac::{
     Dcf, DcfConfig, Frame, FrameArena, FrameId, MacAction, Nav, NodeId, RxEvent, TimerKind,
 };
-use phy::PhyParams;
+use phy::{PhyParams, Rssi};
 use proptest::prelude::*;
 use sim::{SimDuration, SimRng, SimTime};
 
@@ -87,14 +87,14 @@ proptest! {
             let ev = if corrupted {
                 RxEvent::Corrupted {
                     frame: &frame,
-                    rssi_dbm: -60.0,
+                    rssi: Rssi::fixed(-60.0),
                     cause: gr_mac::CorruptionCause::Noise,
                 }
             } else {
                 distinct.insert((src, seq));
                 RxEvent::Ok {
                     frame: &frame,
-                    rssi_dbm: -60.0,
+                    rssi: Rssi::fixed(-60.0),
                 }
             };
             let actions = dcf.on_rx_end(t, ev);

@@ -897,7 +897,11 @@ impl Network {
                 if let Segment::UdpData { flow, seq, bytes } = seg {
                     self.record_flow_event(now, src.0, &transport::obs::UDP_TX, flow, seq, bytes);
                 }
-                self.enqueue_at(now, src, dst, seg);
+                // A saturated source mostly meets a full queue; the
+                // refusal is the whole drop, with no action batch.
+                if !self.nodes[src.0 as usize].dcf.refuse_if_full(now, dst) {
+                    self.enqueue_at(now, src, dst, seg);
+                }
             }
             Event::TcpTimer { flow } => {
                 self.flow_timers[flow.0 as usize] = None;
@@ -1158,7 +1162,7 @@ impl Network {
         // Median received power doubles as the capture-comparison input
         // and the RSSI jitter center (`rx_power_dbm ≡ rssi median`).
         let p_a = self.link.power_dbm(a_src.0 as usize, rx);
-        let rssi_dbm = self.channel.rssi().sample_from_median(p_a, &mut self.rng);
+        let rssi = self.channel.rssi().sample_from_median(p_a, &mut self.rng);
         let captured = max_other == f64::NEG_INFINITY
             || self.capture.decide(p_a, max_other) == phy::capture::CaptureOutcome::FirstCaptures;
         // The frame never leaves the arena: the receiver's MAC borrows it
@@ -1167,7 +1171,7 @@ impl Network {
         let event = if !captured {
             RxEvent::Corrupted {
                 frame,
-                rssi_dbm,
+                rssi,
                 cause: CorruptionCause::Collision,
             }
         } else {
@@ -1192,11 +1196,11 @@ impl Network {
             if corrupted {
                 RxEvent::Corrupted {
                     frame,
-                    rssi_dbm,
+                    rssi,
                     cause: CorruptionCause::Noise,
                 }
             } else {
-                RxEvent::Ok { frame, rssi_dbm }
+                RxEvent::Ok { frame, rssi }
             }
         };
         if let Some(rec) = &self.recorder {

@@ -36,5 +36,5 @@ pub use channel::{ChannelIndex, ChannelModel};
 pub use error_model::{ErrorModel, ErrorUnit};
 pub use params::{PhyParams, PhyStandard};
 pub use position::Position;
-pub use rssi::RssiModel;
+pub use rssi::{Rssi, RssiModel};
 pub use sampler::{AirtimeTable, FerTable, LinkTable};

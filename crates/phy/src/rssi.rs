@@ -7,7 +7,7 @@
 //! per-packet samples with zero-mean Gaussian shadowing jitter whose default
 //! σ is calibrated so that P(|X| ≤ 1 dB) ≈ 0.95 (σ = 1/1.96 ≈ 0.51 dB).
 
-use sim::SimRng;
+use sim::{NormalDraw, SimRng};
 
 /// Log-distance path-loss RSSI model with per-packet Gaussian jitter.
 ///
@@ -64,22 +64,69 @@ impl RssiModel {
     /// One per-packet RSSI observation at distance `d`: median plus
     /// Gaussian jitter.
     pub fn sample_dbm(&self, d: f64, rng: &mut SimRng) -> f64 {
-        self.median_dbm(d) + rng.normal(self.jitter_sigma_db)
+        self.sample_from_median(self.median_dbm(d), rng).dbm()
     }
 
     /// One per-packet RSSI observation around a *precomputed* link
-    /// median. Bit-identical (same value, same single RNG draw) to
-    /// [`RssiModel::sample_dbm`] when `median_dbm` came from
-    /// [`RssiModel::median_dbm`] at the same distance — the form the
-    /// hot path uses with the per-link power table.
-    pub fn sample_from_median(&self, median_dbm: f64, rng: &mut SimRng) -> f64 {
-        median_dbm + rng.normal(self.jitter_sigma_db)
+    /// median — the form the hot path uses with the per-link power
+    /// table. The jitter's uniforms are drawn here; the transform runs
+    /// only when [`Rssi::dbm`] reads the value, which then equals
+    /// [`RssiModel::sample_dbm`] at the distance the median came from.
+    pub fn sample_from_median(&self, median_dbm: f64, rng: &mut SimRng) -> Rssi {
+        Rssi {
+            median_dbm,
+            jitter: Some((self.jitter_sigma_db, rng.normal_draw())),
+        }
     }
 
     /// Ratio of two received powers in dB (`a − b`), the quantity compared
     /// against the capture threshold.
     pub fn power_ratio_db(a_dbm: f64, b_dbm: f64) -> f64 {
         a_dbm - b_dbm
+    }
+}
+
+/// One per-packet RSSI observation, evaluated on read.
+///
+/// Every reception draws its jitter so the RNG stream stays put, but
+/// only a reader such as the GRC spoof guard pays for the Box–Muller
+/// transform.
+///
+/// # Examples
+///
+/// ```
+/// use gr_phy::{Rssi, RssiModel};
+/// use sim::SimRng;
+///
+/// let m = RssiModel::default();
+/// let (mut a, mut b) = (SimRng::new(1), SimRng::new(1));
+/// let lazy = m.sample_from_median(m.median_dbm(10.0), &mut a);
+/// assert_eq!(lazy.dbm().to_bits(), m.sample_dbm(10.0, &mut b).to_bits());
+/// assert_eq!(Rssi::fixed(-40.0).dbm(), -40.0);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rssi {
+    median_dbm: f64,
+    /// Jitter σ (dB) and its untransformed uniforms; `None` for a fixed
+    /// value.
+    jitter: Option<(f64, NormalDraw)>,
+}
+
+impl Rssi {
+    /// An observation of exactly `dbm`, without jitter.
+    pub fn fixed(dbm: f64) -> Self {
+        Rssi {
+            median_dbm: dbm,
+            jitter: None,
+        }
+    }
+
+    /// The observation in dBm: `median + σ·√(−2 ln u1)·cos(2π u2)`.
+    pub fn dbm(&self) -> f64 {
+        match self.jitter {
+            Some((sigma, draw)) => self.median_dbm + draw.scaled(sigma),
+            None => self.median_dbm,
+        }
     }
 }
 

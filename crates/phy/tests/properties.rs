@@ -2,9 +2,10 @@
 
 use gr_phy::{
     airtime, capture::CaptureOutcome, CaptureModel, ChannelModel, ErrorModel, ErrorUnit, PhyParams,
-    Position, RssiModel,
+    Position, Rssi, RssiModel,
 };
 use proptest::prelude::*;
+use sim::SimRng;
 
 proptest! {
     /// Airtime grows monotonically with frame length on both PHYs.
@@ -103,5 +104,25 @@ proptest! {
         let a = Position::new(x, y);
         let b = Position::new(y, x);
         prop_assert!((a.distance_to(b) - b.distance_to(a)).abs() < 1e-12);
+    }
+
+    /// A sample read through `Rssi::dbm` is the eager
+    /// `median + rng.normal(σ)` bit for bit, from the same stream
+    /// position; a fixed value reads back unchanged.
+    #[test]
+    fn rssi_read_on_demand_matches_the_eager_sample(
+        seed in any::<u64>(),
+        median in -120.0f64..0.0,
+        sigma in 0.0f64..6.0,
+        bits in any::<u64>(),
+    ) {
+        let m = RssiModel { jitter_sigma_db: sigma, ..RssiModel::default() };
+        let mut lazy = SimRng::new(seed);
+        let mut eager = SimRng::new(seed);
+        let rssi = m.sample_from_median(median, &mut lazy);
+        prop_assert_eq!(rssi.dbm().to_bits(), (median + eager.normal(sigma)).to_bits());
+        prop_assert_eq!(lazy.next_u64(), eager.next_u64());
+        // Every bit pattern, NaNs and −0.0 included.
+        prop_assert_eq!(Rssi::fixed(f64::from_bits(bits)).dbm().to_bits(), bits);
     }
 }

@@ -36,7 +36,7 @@ pub mod time;
 
 pub use error::SimError;
 pub use pool::{Arena, ArenaHandle, Pool, PooledBox, Recycle};
-pub use rng::{RunKey, SimRng};
+pub use rng::{NormalDraw, RunKey, SimRng};
 pub use sched::{Scheduler, TimerHandle};
 pub use stats::{Counter, Histogram, LogHistogram, Mean, TimeWeightedMean};
 pub use time::{SimDuration, SimTime};

@@ -237,6 +237,13 @@ impl SimRng {
     /// Sample from a zero-mean normal distribution with standard deviation
     /// `sigma` (Box–Muller). Used for RSSI shadowing jitter.
     pub fn normal(&mut self, sigma: f64) -> f64 {
+        self.normal_draw().scaled(sigma)
+    }
+
+    /// Takes the two uniforms of one [`normal`](Self::normal) draw from
+    /// the stream without transforming them, so a caller that may never
+    /// read the sample pays only for the draws.
+    pub fn normal_draw(&mut self) -> NormalDraw {
         let u1 = loop {
             let u = self.uniform_f64();
             if u > 0.0 {
@@ -244,7 +251,7 @@ impl SimRng {
             }
         };
         let u2 = self.uniform_f64();
-        sigma * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        NormalDraw { u1, u2 }
     }
 
     /// Sample an exponential random variable with the given mean.
@@ -256,6 +263,34 @@ impl SimRng {
             }
         };
         -mean * u.ln()
+    }
+}
+
+/// The two uniforms of one Box–Muller draw, taken by
+/// [`SimRng::normal_draw`] but not yet transformed.
+///
+/// # Examples
+///
+/// ```
+/// use gr_sim::SimRng;
+///
+/// let (mut a, mut b) = (SimRng::new(3), SimRng::new(3));
+/// let draw = a.normal_draw();
+/// assert_eq!(draw.scaled(2.0).to_bits(), b.normal(2.0).to_bits());
+/// assert_eq!(a, b); // same stream position either way
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NormalDraw {
+    /// First uniform, in `(0, 1)`.
+    u1: f64,
+    /// Second uniform, in `[0, 1)`.
+    u2: f64,
+}
+
+impl NormalDraw {
+    /// The zero-mean normal sample with standard deviation `sigma`.
+    pub fn scaled(self, sigma: f64) -> f64 {
+        sigma * (-2.0 * self.u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * self.u2).cos()
     }
 }
 

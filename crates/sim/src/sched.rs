@@ -8,6 +8,13 @@
 //! stale stays behind, and cancelling an event that already fired is a
 //! detected no-op through the slot's generation. Dispatch order is the
 //! stable `(time, seq)` order: same-timestamp events pop in arm order.
+//!
+//! A pop leaves the root *vacant* instead of refilling it. A handler
+//! almost always arms its successor next, and that arm fills the vacant
+//! root with one sift-down, where refilling at the pop and then pushing
+//! would cost a sift-down plus a sift-up. The vacant root keeps the key
+//! of the node just popped, which precedes every pending key, so sifts
+//! below it never climb into it.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -54,8 +61,13 @@ struct Node {
 }
 
 impl Node {
+    /// `(time, seq)` packed into one integer of the same total order.
+    fn key(&self) -> u128 {
+        (self.time.as_nanos() as u128) << 64 | self.seq as u128
+    }
+
     fn before(&self, other: &Node) -> bool {
-        (self.time, self.seq) < (other.time, other.seq)
+        self.key() < other.key()
     }
 }
 
@@ -79,8 +91,11 @@ pub struct Scheduler<E> {
     next_seq: u64,
     slab: Vec<Slot<E>>,
     free: Vec<u32>,
-    /// Min-heap of live events by `(time, seq)`; `heap[0]` is next.
+    /// Min-heap of live events by `(time, seq)`; `heap[0]` is next
+    /// unless `vacant`.
     heap: Vec<Node>,
+    /// `heap[0]` is the hole a pop left, awaiting the next arm.
+    vacant: bool,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -98,6 +113,7 @@ impl<E> Scheduler<E> {
             slab: Vec::new(),
             free: Vec::new(),
             heap: Vec::new(),
+            vacant: false,
         }
     }
 
@@ -109,7 +125,7 @@ impl<E> Scheduler<E> {
 
     /// Number of live pending events (cancelled events leave no residue).
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.vacant)
     }
 
     /// Arms `event` to fire after delay `d` from now.
@@ -150,7 +166,13 @@ impl<E> Scheduler<E> {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.push_node(Node { time, seq, idx });
+        let node = Node { time, seq, idx };
+        if self.vacant {
+            self.vacant = false;
+            self.sift_down(0, node);
+        } else {
+            self.push_node(node);
+        }
         TimerHandle {
             idx,
             gen: self.slab[idx as usize].gen,
@@ -177,10 +199,14 @@ impl<E> Scheduler<E> {
     /// Returns `None` when the queue is exhausted.
     #[allow(clippy::should_implement_trait)] // not an Iterator: &mut self with internal clock
     pub fn next(&mut self) -> Option<(SimTime, E)> {
+        if self.vacant {
+            self.vacant = false;
+            self.remove_at(0);
+        }
         let Node { time, idx, .. } = *self.heap.first()?;
         debug_assert!(time >= self.now, "event queue time went backwards");
         let ev = self.release(idx);
-        self.remove_at(0);
+        self.vacant = true;
         self.now = time;
         Some((time, ev))
     }
@@ -202,7 +228,13 @@ impl<E> Scheduler<E> {
     /// Timestamp of the next live event without dispatching it, or `None`
     /// when the queue is exhausted.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|n| n.time)
+        let first = if self.vacant {
+            // The next event is the earlier of the hole's children.
+            self.heap.iter().skip(1).take(2).min_by_key(|n| n.key())
+        } else {
+            self.heap.first()
+        };
+        first.map(|n| n.time)
     }
 
     /// Takes a live slot's event and frees the slot, invalidating every
@@ -220,8 +252,8 @@ impl<E> Scheduler<E> {
         self.sift_up(pos, node);
     }
 
-    /// Removes the heap node at `pos`, refilling the hole with the last
-    /// node.
+    /// Removes the heap node at `pos` (or the vacant root), refilling the
+    /// hole with the last node.
     fn remove_at(&mut self, pos: usize) {
         let last = self.heap.pop().expect("removing from an empty heap");
         if pos == self.heap.len() {
@@ -303,7 +335,7 @@ impl<E: snap::SnapValue> snap::SnapState for Scheduler<E> {
             }
         }
         snap::SnapValue::save(&self.free, w);
-        w.usize(self.heap.len());
+        w.usize(self.pending());
     }
 
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
@@ -369,14 +401,19 @@ mod tests {
         std::iter::from_fn(|| s.next().map(|(t, e)| (t.as_nanos(), e))).collect()
     }
 
-    /// The heap holds exactly the live slots, every node's slot points
-    /// back at it, and every node follows its parent.
+    /// The heap holds exactly the live slots plus at most one vacant
+    /// root, every live node's slot points back at it, and every node
+    /// follows its parent (a vacant root included).
     fn assert_heap_invariant<E>(s: &Scheduler<E>) {
         let live = s.slab.iter().filter(|slot| slot.event.is_some()).count();
-        assert_eq!(s.heap.len(), live);
-        assert_eq!(s.heap.len(), s.pending());
+        let hole = usize::from(s.vacant);
+        assert_eq!(s.heap.len(), live + hole);
+        assert_eq!(s.heap.len(), s.pending() + hole);
         assert_eq!(s.slab.len(), live + s.free.len());
         for (pos, node) in s.heap.iter().enumerate() {
+            if pos < hole {
+                continue;
+            }
             assert_eq!(s.slab[node.idx as usize].pos as usize, pos);
             if pos > 0 {
                 assert!(s.heap[(pos - 1) / 2].before(node), "heap order broken");
@@ -469,8 +506,9 @@ mod tests {
 
     proptest! {
         /// Eager cancellation: after every step of a random arm / cancel /
-        /// rearm / pop sequence the heap holds exactly `pending()` nodes,
-        /// and the slab never grows past the peak number of live events.
+        /// rearm / pop sequence the heap holds `pending()` nodes plus at
+        /// most one vacant root, and the slab never grows past the peak
+        /// number of live events.
         #[test]
         fn heap_holds_exactly_the_pending_events(
             ops in proptest::collection::vec((any::<u8>(), any::<u32>()), 1..300),

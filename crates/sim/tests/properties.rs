@@ -90,6 +90,67 @@ impl HeapReference {
         }
         None
     }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((t, seq, _))) = self.queue.heap.peek() {
+            if !self.cancelled.remove(&EventId(seq)) {
+                return Some(t);
+            }
+            self.queue.heap.pop();
+        }
+        None
+    }
+}
+
+/// The scheduler and the reference driven in lockstep.
+struct Lockstep {
+    s: Scheduler<usize>,
+    reference: HeapReference,
+    /// Pending events: (scheduler handle, reference id, payload).
+    live: Vec<(gr_sim::TimerHandle, EventId, usize)>,
+    next_payload: usize,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        Lockstep {
+            s: Scheduler::new(),
+            reference: HeapReference::new(),
+            live: Vec::new(),
+            next_payload: 0,
+        }
+    }
+
+    fn arm(&mut self, d: SimDuration) {
+        let at = self.s.now() + d;
+        let payload = self.next_payload;
+        let h = self.s.arm(d, payload);
+        let id = self.reference.push(at, payload);
+        self.live.push((h, id, payload));
+        self.next_payload += 1;
+    }
+
+    /// Pops one event from both sides; they must agree.
+    fn pop(&mut self) {
+        let popped = self.s.next();
+        assert_eq!(popped, self.reference.pop());
+        if let Some((_, payload)) = popped {
+            self.live.retain(|l| l.2 != payload);
+        }
+    }
+}
+
+/// Box–Muller exactly as `SimRng::normal` wrote it before its uniforms
+/// and its transform were split apart.
+fn normal_reference(rng: &mut SimRng, sigma: f64) -> f64 {
+    let u1 = loop {
+        let u = rng.uniform_f64();
+        if u > 0.0 {
+            break u;
+        }
+    };
+    let u2 = rng.uniform_f64();
+    sigma * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 proptest! {
@@ -303,6 +364,79 @@ proptest! {
         }
         let fired: Vec<_> = std::iter::from_fn(|| s.next()).collect();
         prop_assert_eq!(fired, expected);
+    }
+
+    /// Every operation that can follow a pop — cancel, peek, pending,
+    /// `advance_clock`, a snapshot round trip, another pop or an arm —
+    /// agrees with the reference while the popped root is still vacant.
+    #[test]
+    fn scheduler_matches_reference_right_after_a_pop(
+        initial in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..60),
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 1..200),
+    ) {
+        use snap::SnapState as _;
+        let mut l = Lockstep::new();
+        for &(r, shape) in &initial {
+            l.arm(SimDuration::from_nanos(shaped_nanos(r, shape)));
+        }
+        for &(op, r, shape) in &ops {
+            let d = SimDuration::from_nanos(shaped_nanos(r, shape));
+            if op & 0x80 != 0 {
+                l.arm(d);
+            }
+            l.pop();
+            // The root is vacant now.
+            match op % 7 {
+                0 if !l.live.is_empty() => {
+                    let (h, id, _) = l.live.swap_remove(r as usize % l.live.len());
+                    prop_assert!(l.s.cancel(h), "a pending event cancels");
+                    l.reference.cancel(id);
+                }
+                1 => prop_assert_eq!(l.s.peek_time(), l.reference.peek_time()),
+                2 => prop_assert_eq!(l.s.pending(), l.live.len()),
+                3 => {
+                    let now = l.s.now();
+                    let target = l.reference.peek_time().map_or(now + d, |t| t.min(now + d));
+                    l.s.advance_clock(target);
+                    prop_assert_eq!(l.s.now(), now.max(target));
+                }
+                4 => {
+                    let mut w = snap::Enc::new();
+                    l.s.snap_save(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut restored: Scheduler<usize> = Scheduler::new();
+                    restored.snap_restore(&mut snap::Dec::new(&bytes)).unwrap();
+                    prop_assert_eq!(restored.pending(), l.live.len());
+                    prop_assert_eq!(restored.peek_time(), l.s.peek_time());
+                    let mut again = snap::Enc::new();
+                    restored.snap_save(&mut again);
+                    prop_assert_eq!(again.into_bytes(), bytes);
+                    l.s = restored;
+                }
+                5 => l.pop(),
+                _ => l.arm(d),
+            }
+        }
+        while !l.live.is_empty() {
+            l.pop();
+        }
+        prop_assert_eq!(l.s.next(), None);
+        prop_assert_eq!(l.reference.pop(), None);
+    }
+
+    /// `normal_draw` takes exactly the uniforms `normal` took, and its
+    /// `scaled` value is the old Box–Muller sample bit for bit.
+    #[test]
+    fn normal_draw_defers_the_old_sample(seed in any::<u64>(), sigma in 0.0f64..10.0, n in 1usize..20) {
+        let mut lazy = SimRng::new(seed);
+        let mut eager = SimRng::new(seed);
+        for _ in 0..n {
+            let draw = lazy.normal_draw();
+            prop_assert_eq!(draw.scaled(sigma).to_bits(), normal_reference(&mut eager, sigma).to_bits());
+            prop_assert_eq!(&lazy, &eager);
+        }
+        prop_assert_eq!(lazy.normal(sigma).to_bits(), normal_reference(&mut eager, sigma).to_bits());
+        prop_assert_eq!(lazy.next_u64(), eager.next_u64());
     }
 
     /// Backoff-style draws stay within their inclusive bound.

@@ -40,3 +40,23 @@ fn too_many_cells_is_a_typed_error() {
     let spec = WorldSpec::grid(Scenario::default(), usize::MAX, 2);
     invalid_config(Run::world(&spec).execute().map(|_| ()));
 }
+
+#[test]
+fn out_of_range_byte_error_rates_are_typed_errors() {
+    for rate in [-1.0, f64::NAN, 2.0, f64::INFINITY] {
+        let s = Scenario {
+            byte_error_rate: rate,
+            duration: SimDuration::from_millis(10),
+            ..Scenario::default()
+        };
+        let msg = invalid_config(s.build().map(|_| ()));
+        assert!(msg.contains("error rate"), "{rate}: {msg}");
+        assert!(Run::plan(&s).execute().is_err(), "{rate}");
+    }
+    // Zero is the lossless channel, not an error.
+    let clean = Scenario {
+        byte_error_rate: 0.0,
+        ..Scenario::default()
+    };
+    assert!(clean.validate().is_ok());
+}
