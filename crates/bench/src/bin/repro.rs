@@ -353,7 +353,9 @@ impl Args {
     }
 
     /// Applies `--resume DIR`, or `--checkpoint-every`/`--audit-every`
-    /// recording under `dir`, to `ctx`. Returns the banner suffix.
+    /// recording under `dir`, to `ctx`. Returns the banner suffix. A
+    /// `--resume` path that does not exist is an error; an existing
+    /// directory without a checkpoint for some run reruns that run.
     fn hooks(&self, ctx: RunCtx, dir: &Path) -> Result<(RunCtx, &'static str), String> {
         let every = |name| {
             Ok::<_, String>(
@@ -363,6 +365,9 @@ impl Args {
         };
         let (ckpt, audit) = (every("--checkpoint-every")?, every("--audit-every")?);
         Ok(if let Some(from) = self.get::<PathBuf>("--resume")? {
+            if !from.exists() {
+                return Err(format!("--resume: {} does not exist", from.display()));
+            }
             (
                 ctx.with_checkpoints(CampaignSpec::resume_from(from)),
                 ", resuming from checkpoints",
@@ -950,7 +955,6 @@ fn run_experiments(args: &Args) -> Result<(), String> {
     };
 
     let (quick, jobs, out_dir) = (args.has("--quick"), args.jobs()?, args.out_dir()?);
-    create_dir(&out_dir)?;
     let filter = args.get_with("--record-filter", obs::Filter::parse)?;
     let record = args.has("--record") || filter.is_some();
     let campaign = record.then(|| {
@@ -977,6 +981,7 @@ fn run_experiments(args: &Args) -> Result<(), String> {
         ctx = ctx.with_conform(c.clone());
     }
     let (ctx, hooks) = args.hooks(ctx, &out_dir)?;
+    create_dir(&out_dir)?;
     println!(
         "# greedy80211 reproduction — {} experiment(s), {} fidelity, {} job(s){}{}{hooks}\n",
         selected.len(),

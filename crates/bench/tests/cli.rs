@@ -96,6 +96,74 @@ fn scenario_rejects_a_byte_error_rate_outside_zero_to_one() {
 }
 
 #[test]
+fn scenario_rejects_out_of_range_greedy_percentages_and_repeated_receivers() {
+    for (greedy, message) in [
+        (
+            &["1:fake:150"][..],
+            "fake greedy percentage 1.5 is not in [0, 1]",
+        ),
+        (
+            &["1:spoof:-5"],
+            "spoof greedy percentage -0.05 is not in [0, 1]",
+        ),
+        (
+            &["1:nav:31000:nan"],
+            "nav greedy percentage NaN is not in [0, 1]",
+        ),
+        (
+            &["1:nav:31000:inf"],
+            "nav greedy percentage inf is not in [0, 1]",
+        ),
+        (&["0:fake", "0:nav"], "greedy receiver index 0 listed twice"),
+    ] {
+        let mut args = vec!["scenario", "--duration", "1"];
+        for g in greedy {
+            args.extend(["--greedy", g]);
+        }
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(message), "{args:?}: {}", stderr(&out));
+    }
+}
+
+#[test]
+fn resuming_from_a_missing_path_is_an_error() {
+    let dir = fresh_dir("resume-missing");
+    let missing = dir.join("no-such-campaign");
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    for args in [
+        &[
+            "run", "--quick", "--resume", missing, "--out", out_dir, "fig2",
+        ][..],
+        &[
+            "intensity",
+            "--quick",
+            "--points",
+            "2",
+            "--resume",
+            missing,
+            "--out",
+            out_dir,
+        ],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("--resume: {missing} does not exist")),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            !stdout(&out).contains("resuming"),
+            "{args:?}: {}",
+            stdout(&out)
+        );
+        assert!(!dir.exists(), "{args:?} must fail before creating --out");
+    }
+}
+
+#[test]
 fn experiment_ids_fuzz_seeds_and_audit_files_still_parse() {
     let dir = fresh_dir("ids");
     let out_dir = dir.to_str().expect("utf-8 temp dir");

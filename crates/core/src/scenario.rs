@@ -463,7 +463,9 @@ impl Scenario {
     ///
     /// Returns [`SimError::InvalidConfig`] for zero pairs, more than
     /// [`Scenario::MAX_STATIONS`] stations, out-of-range greedy or flow
-    /// override indices, or invalid error rates.
+    /// override indices, a greedy receiver listed twice, a greedy
+    /// percentage outside `[0, 1]` (NaN included), or invalid error
+    /// rates.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.pairs == 0 {
             return Err(SimError::invalid_config("need at least one pair"));
@@ -476,12 +478,29 @@ impl Scenario {
                 Self::MAX_STATIONS
             )));
         }
-        for (idx, _) in &self.greedy {
+        for (n, (idx, cfg)) in self.greedy.iter().enumerate() {
             if *idx >= self.pairs {
                 return Err(SimError::invalid_config(format!(
                     "greedy receiver index {idx} out of range (pairs = {})",
                     self.pairs
                 )));
+            }
+            if self.greedy[..n].iter().any(|(i, _)| i == idx) {
+                return Err(SimError::invalid_config(format!(
+                    "greedy receiver index {idx} listed twice"
+                )));
+            }
+            let gps = [
+                ("nav", cfg.nav.as_ref().map(|c| c.gp)),
+                ("spoof", cfg.spoof.as_ref().map(|c| c.gp)),
+                ("fake", cfg.fake.as_ref().map(|c| c.gp)),
+            ];
+            for (kind, gp) in gps {
+                if let Some(gp) = gp.filter(|gp| !(0.0..=1.0).contains(gp)) {
+                    return Err(SimError::invalid_config(format!(
+                        "greedy receiver {idx}: {kind} greedy percentage {gp} is not in [0, 1]"
+                    )));
+                }
             }
         }
         ErrorModel::new(ErrorUnit::Byte, self.byte_error_rate)?;

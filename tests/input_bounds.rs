@@ -1,7 +1,7 @@
 //! Oversized inputs are rejected with a typed error before anything is
 //! allocated for them, never by an allocation failure that aborts.
 
-use greedy80211_repro::{Run, Scenario, WorldSpec};
+use greedy80211_repro::{GreedyConfig, NavInflationConfig, Run, Scenario, WorldSpec};
 use sim::{SimDuration, SimError};
 
 fn invalid_config(result: Result<impl std::fmt::Debug, SimError>) -> String {
@@ -59,4 +59,57 @@ fn out_of_range_byte_error_rates_are_typed_errors() {
         ..Scenario::default()
     };
     assert!(clean.validate().is_ok());
+}
+
+#[test]
+fn greedy_percentages_outside_zero_to_one_are_typed_errors() {
+    for gp in [-0.05, 1.5, f64::NAN, f64::INFINITY] {
+        for (kind, cfg) in [
+            (
+                "nav",
+                GreedyConfig::nav_inflation(NavInflationConfig::cts_only(31_000, gp)),
+            ),
+            ("spoof", GreedyConfig::ack_spoofing(Vec::new(), gp)),
+            ("fake", GreedyConfig::fake_acks(gp)),
+        ] {
+            let s = Scenario {
+                greedy: vec![(1, cfg)],
+                duration: SimDuration::from_millis(10),
+                ..Scenario::default()
+            };
+            let msg = invalid_config(s.build().map(|_| ()));
+            assert!(
+                msg.contains(&format!("{kind} greedy percentage")),
+                "{kind} {gp}: {msg}"
+            );
+            assert!(Run::plan(&s).execute().is_err(), "{kind} {gp}");
+        }
+    }
+    // The closed interval's ends are honest and fully greedy receivers.
+    for gp in [0.0, 1.0] {
+        let s = Scenario {
+            greedy: vec![(1, GreedyConfig::fake_acks(gp))],
+            ..Scenario::default()
+        };
+        assert!(s.validate().is_ok(), "{gp}");
+    }
+}
+
+#[test]
+fn a_greedy_receiver_listed_twice_is_a_typed_error() {
+    let s = Scenario {
+        greedy: vec![
+            (0, GreedyConfig::fake_acks(1.0)),
+            (
+                0,
+                GreedyConfig::nav_inflation(NavInflationConfig::cts_only(31_000, 1.0)),
+            ),
+        ],
+        ..Scenario::default()
+    };
+    let msg = invalid_config(s.build().map(|_| ()));
+    assert!(
+        msg.contains("greedy receiver index 0 listed twice"),
+        "{msg}"
+    );
 }

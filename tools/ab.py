@@ -26,7 +26,12 @@ BENCHMARK.json. Run from the repository root:
 
 The parent's source is exported with `git archive` into the work
 directory (default: a fresh temporary one), so the repository's git
-state is left alone. Both builds run `--offline`.
+state is left alone. Both builds run `--offline`, each from inside its
+own source tree, so each side is built with its own `.cargo/config.toml`
+release profile (Cargo's default profile where a side has none). Cargo
+also reads every `.cargo/config.toml` above its working directory, so a
+`--work` inside the repository is refused: the parent would inherit the
+working tree's profile.
 """
 
 import argparse
@@ -49,11 +54,15 @@ def export_revision(rev, dest):
 
 
 def build(src, target):
-    """Builds simbench from `src` into `target`, returning the env to run it."""
+    """Builds simbench from `src` into `target`, returning the env to run it.
+
+    Runs inside `src`, as `run_once` does, so Cargo applies that tree's
+    `.cargo/config.toml`.
+    """
     env = dict(os.environ, CARGO_TARGET_DIR=target)
     subprocess.run(["cargo", "build", "--release", "--offline", "--quiet",
                     "--manifest-path", os.path.join(src, "simbench", "Cargo.toml")],
-                   check=True, env=env)
+                   cwd=src, check=True, env=env)
     return env
 
 
@@ -112,6 +121,11 @@ def main():
     seconds = bench["run_seconds"]
 
     work = args.work or tempfile.mkdtemp(prefix="ab-")
+    repo = os.path.realpath(os.getcwd())
+    if os.path.commonpath([os.path.realpath(work), repo]) == repo:
+        sys.exit("--work must lie outside the repository: Cargo reads every "
+                 ".cargo/config.toml above its working directory, so the "
+                 "parent would be built with this tree's release profile")
     parent_src = os.path.join(work, "parent")
     print(f"# parent {args.base} -> {parent_src}; change: working tree; "
           f"builds under {work}", flush=True)
