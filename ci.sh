@@ -12,7 +12,7 @@ echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo clippy hot-path crates (no redundant clones, no fat enums)"
-cargo clippy --offline -p gr-sim -p gr-phy -p gr-mac -p gr-net -- \
+cargo clippy --offline -p gr-sim -p gr-phy -p gr-mac -p gr-net -p gr-transport -- \
   -D warnings -D clippy::redundant_clone -D clippy::large_enum_variant
 
 echo "==> cargo build --release"

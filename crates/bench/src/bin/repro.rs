@@ -68,6 +68,7 @@
 //! non-zero when the ladders diverge and names the first diverging layer
 //! and virtual-time bracket.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -81,6 +82,46 @@ use greedy80211::{
 use net::{stats, JobContext};
 use phy::PhyStandard;
 use sim::{RunKey, SimDuration};
+
+/// Why a subcommand ended early.
+enum Stop {
+    /// A failure, reported on stderr.
+    Failed(String),
+    /// Stdout was closed while `repro` wrote to it (a reader such as
+    /// `head` quit early). Nobody is left to read a message, so `repro`
+    /// ends quietly, with the status a shell reports for a process that
+    /// `SIGPIPE` killed: the work did not finish.
+    StdoutClosed,
+}
+
+impl Stop {
+    fn stdout(e: std::io::Error) -> Stop {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Stop::StdoutClosed,
+            _ => Stop::Failed(format!("failed writing to stdout: {e}")),
+        }
+    }
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Stop {
+        Stop::Failed(e)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(e: &str) -> Stop {
+        Stop::Failed(e.into())
+    }
+}
+
+/// `println!` returning a write failure as a [`Stop`], so a closed stdout
+/// ends the subcommand instead of panicking.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(Stop::stdout)
+    };
+}
 
 /// Per-experiment timing record for `bench_summary.json`.
 struct Timing {
@@ -398,49 +439,53 @@ fn create_dir(dir: &Path) -> Result<(), String> {
 
 /// Prints every violation in `reports`, or one clean line; returns the
 /// violation count. `unit` names what one report covers.
-fn print_conform(reports: &[(Option<RunKey>, conform::ConformReport)], unit: &str) -> u64 {
+fn print_conform(
+    reports: &[(Option<RunKey>, conform::ConformReport)],
+    unit: &str,
+) -> Result<u64, Stop> {
     let violations: u64 = reports.iter().map(|(_, r)| r.violation_count()).sum();
     if violations == 0 {
         let whitelisted: u64 = reports.iter().map(|(_, r)| r.whitelisted).sum();
-        println!(
+        say!(
             "  conform: {} {unit}(s) clean ({whitelisted} whitelist exemption(s))",
             reports.len()
-        );
-        return 0;
+        )?;
+        return Ok(0);
     }
-    println!(
+    say!(
         "  conform: {violations} violation(s) across {} {unit}(s):",
         reports.len()
-    );
+    )?;
     for (key, report) in reports {
         for v in &report.violations {
             match key {
-                Some(k) => println!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed),
-                None => println!("    {v}"),
+                Some(k) => say!("    [{} p{} s{}] {v}", k.experiment, k.point, k.seed)?,
+                None => say!("    {v}")?,
             }
         }
     }
-    violations
+    Ok(violations)
 }
 
 /// Prints a run's per-receiver goodput, then its GRC verdicts and probe
 /// losses when the run had them.
-fn print_outcome(out: &RunOutcome) {
+fn print_outcome(out: &RunOutcome) -> Result<(), Stop> {
     for i in 0..out.flows.len() {
-        println!("  R{i:<3} {:>8.3} Mb/s", out.goodput_mbps(i));
+        say!("  R{i:<3} {:>8.3} Mb/s", out.goodput_mbps(i))?;
     }
     if !out.grc.is_empty() {
-        println!(
+        say!(
             "GRC: {} NAV detections, {} spoofed-ACK flags",
             out.nav_detections(),
             out.spoof_flags()
-        );
+        )?;
     }
     for (i, pf) in out.probe_flows.iter().enumerate() {
         if let Some(loss) = out.metrics.flow(*pf).and_then(|f| f.probe_app_loss) {
-            println!("probe loss R{i}: {loss:.3}");
+            say!("probe loss R{i}: {loss:.3}")?;
         }
     }
+    Ok(())
 }
 
 const USAGE: &str = "\
@@ -516,24 +561,25 @@ Each subcommand accepts only the options on its line.
 fn main() -> ExitCode {
     match dispatch(std::env::args().skip(1)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Stop::StdoutClosed) => ExitCode::from(128 + 13),
+        Err(Stop::Failed(e)) => {
             eprintln!("repro: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn dispatch(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
+fn dispatch(mut argv: impl Iterator<Item = String>) -> Result<(), Stop> {
     let mode = argv.next().unwrap_or_default();
-    let subcommand: fn(&Args) -> Result<(), String> = match mode.as_str() {
+    let subcommand: fn(&Args) -> Result<(), Stop> = match mode.as_str() {
         "--list" | "-l" => {
             for (id, _) in &registry() {
-                println!("{id}");
+                say!("{id}")?;
             }
             return Ok(());
         }
         "--help" | "-h" => {
-            println!("{USAGE}");
+            say!("{USAGE}")?;
             return Ok(());
         }
         "run" => run_experiments,
@@ -544,23 +590,23 @@ fn dispatch(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
         "intensity" => intensity,
         "audit" => audit,
         "scenario" => scenario,
-        _ => return Err(format!("expected a subcommand\n\n{USAGE}")),
+        _ => return Err(format!("expected a subcommand\n\n{USAGE}").into()),
     };
     let args = Args::parse(&mode, argv)?;
     if args.has("--help") {
-        println!("{USAGE}");
+        say!("{USAGE}")?;
         return Ok(());
     }
     subcommand(&args)
 }
 
-fn audit(args: &Args) -> Result<(), String> {
+fn audit(args: &Args) -> Result<(), Stop> {
     let [a, b] = args.positionals.as_slice() else {
         return Err("usage: repro audit A.audit B.audit".into());
     };
     let divergence = greedy80211::audit::compare_files(Path::new(a), Path::new(b))
         .map_err(|e| format!("audit: {e}"))?;
-    println!("{}", greedy80211::audit::describe(&divergence));
+    say!("{}", greedy80211::audit::describe(&divergence))?;
     match divergence {
         None => Ok(()),
         Some(_) => Err("audit ladders diverge".into()),
@@ -569,7 +615,7 @@ fn audit(args: &Args) -> Result<(), String> {
 
 /// Fuzz mode: generate + run + shrink, independent of the experiment
 /// registry.
-fn fuzz_cases(args: &Args) -> Result<(), String> {
+fn fuzz_cases(args: &Args) -> Result<(), Stop> {
     let n = match args.positionals.as_slice() {
         [n] => n.parse::<u64>().ok(),
         _ => None,
@@ -578,62 +624,63 @@ fn fuzz_cases(args: &Args) -> Result<(), String> {
     let seed: u64 = args.get("--seed")?.unwrap_or(1);
     let out_dir = args.out_dir()?;
     create_dir(&out_dir)?;
-    println!("# conformance fuzz — {n} case(s), campaign seed {seed}\n");
+    say!("# conformance fuzz — {n} case(s), campaign seed {seed}\n")?;
     let mut dirty = 0u64;
     for i in 0..n {
         let case = fuzz::generate_case(seed, i);
         let desc = case.desc.clone();
         let v = fuzz::run_case(case, &out_dir).map_err(|e| format!("case {i}: {e}"))?;
         if v.is_clean() {
-            println!(
+            say!(
                 "  case {i:>3} ok    {desc}  ({} events, {} whitelisted)",
-                v.events_checked, v.whitelisted
-            );
+                v.events_checked,
+                v.whitelisted
+            )?;
             continue;
         }
         dirty += 1;
-        println!("  case {i:>3} FAIL  {desc}");
-        println!(
+        say!("  case {i:>3} FAIL  {desc}")?;
+        say!(
             "        {} violation(s); first: {}",
             v.violations.len(),
             v.violations[0]
-        );
+        )?;
         if let Some((lo, hi)) = v.bracket_ms {
-            println!(
+            say!(
                 "        shrunk to [{lo}, {hi}) ms of virtual time, layer `{}`",
                 v.layer.unwrap_or("?")
-            );
+            )?;
         }
         if let Some((ilo, ihi)) = v.intensity_bracket {
             if ihi == 0.0 {
-                println!(
+                say!(
                     "        violates even with the attack scaled to zero \
                      (attack-independent)"
-                );
+                )?;
             } else {
-                println!(
+                say!(
                     "        minimal violating intensity in ({ilo:.4}, {ihi:.4}] \
                      of the case's attack strength"
-                );
+                )?;
             }
         }
         match &v.artifact {
-            Some(p) => println!(
+            Some(p) => say!(
                 "        repro: repro run --conform --resume {}",
                 p.display()
-            ),
-            None => println!(
+            )?,
+            None => say!(
                 "        repro: repro fuzz {} --seed {seed}  \
                  (case {i}; violation inside the first bracket)",
                 i + 1
-            ),
+            )?,
         }
     }
-    println!("\n{dirty} of {n} case(s) violated an invariant");
+    say!("\n{dirty} of {n} case(s) violated an invariant")?;
     if dirty == 0 {
         Ok(())
     } else {
-        Err(format!("{dirty} fuzz case(s) violated an invariant"))
+        Err(format!("{dirty} fuzz case(s) violated an invariant").into())
     }
 }
 
@@ -641,7 +688,7 @@ fn fuzz_cases(args: &Args) -> Result<(), String> {
 /// checker rides along mid-stream (stream-dependent rules disarmed,
 /// protocol-timing rules live) — how a fuzz violation artifact is
 /// replayed.
-fn resume_file(path: &Path, args: &Args) -> Result<(), String> {
+fn resume_file(path: &Path, args: &Args) -> Result<(), Stop> {
     let job = args.conform().then(|| {
         let j = ::conform::ConformJob::new();
         if args.has("--conform-no-whitelist") {
@@ -659,46 +706,46 @@ fn resume_file(path: &Path, args: &Args) -> Result<(), String> {
         greedy80211::Run::resume(path)
     }
     .map_err(|e| format!("--resume: {e}"))?;
-    println!(
+    say!(
         "resumed {} (point {}, seed {}) to {} ms of virtual time",
         out.key.experiment,
         out.key.point,
         out.key.seed,
         out.duration.as_nanos() / 1_000_000
-    );
-    print_outcome(&out);
+    )?;
+    print_outcome(&out)?;
     match job {
-        Some(job) if print_conform(&job.drain(), "run") > 0 => {
+        Some(job) if print_conform(&job.drain(), "run")? > 0 => {
             Err("invariant violations found; see the conform lines above".into())
         }
         _ => Ok(()),
     }
 }
 
-fn cc(args: &Args) -> Result<(), String> {
+fn cc(args: &Args) -> Result<(), Stop> {
     let (jobs, out_dir) = (args.jobs()?, args.out_dir()?);
     let campaign = gr_bench::CcCampaign::new(args.quality()?, jobs);
-    println!(
+    say!(
         "# congestion-control zoo — {} controller(s) × {} attack(s), {} job(s)\n",
         campaign.ccs.len(),
         gr_bench::cc::ATTACKS.len(),
         jobs,
-    );
+    )?;
     let t = Instant::now();
     let report = campaign.run(&out_dir).map_err(|e| format!("cc: {e}"))?;
-    print!("{}", report.matrix.render());
+    say!("{}", report.matrix.render().trim_end_matches('\n'))?;
     for path in &report.controller_csvs {
-        println!("  -> {}", path.display());
+        say!("  -> {}", path.display())?;
     }
-    println!(
+    say!(
         "  -> {} ({:.1}s)",
         out_dir.join("cc_matrix.csv").display(),
         t.elapsed().as_secs_f64()
-    );
+    )?;
     Ok(())
 }
 
-fn intensity(args: &Args) -> Result<(), String> {
+fn intensity(args: &Args) -> Result<(), Stop> {
     let (jobs, quality) = (args.jobs()?, args.quality()?);
     let mut campaign = gr_bench::IntensityCampaign::new(quality.clone(), jobs);
     if let Some(n) = args.get_with("--points", positive)? {
@@ -706,23 +753,23 @@ fn intensity(args: &Args) -> Result<(), String> {
     }
     let int_dir = args.out_dir()?.join("intensity");
     let (ctx, hooks) = args.hooks(RunCtx::with_jobs(quality, jobs), &int_dir)?;
-    println!(
+    say!(
         "# attack-intensity frontiers — {} detector cell(s) × {} intensities × 2 classes, {} job(s){hooks}\n",
         gr_bench::roc::CELLS.len(),
         campaign.grid.len(),
         jobs,
-    );
+    )?;
     let t = Instant::now();
     let report = campaign
         .run_with(&ctx, &int_dir)
         .map_err(|e| format!("intensity: {e}"))?;
     for table in &report.frontiers {
-        print!("{}", table.render());
+        say!("{}", table.render().trim_end_matches('\n'))?;
     }
-    print!("{}", report.knees.render());
+    say!("{}", report.knees.render().trim_end_matches('\n'))?;
     for cf in &report.cells {
         match cf.knee {
-            Some(k) => println!(
+            Some(k) => say!(
                 "  {}/{}: minimal detectable intensity {k:.2}{}",
                 cf.cell.detector,
                 cf.cell.mix,
@@ -730,48 +777,49 @@ fn intensity(args: &Args) -> Result<(), String> {
                     Some((lo, hi)) => format!(", sequential-only regime [{lo:.2}, {hi:.2}]"),
                     None => String::new(),
                 },
-            ),
-            None => println!(
+            )?,
+            None => say!(
                 "  {}/{}: never reliably detectable on this grid",
-                cf.cell.detector, cf.cell.mix
-            ),
+                cf.cell.detector,
+                cf.cell.mix
+            )?,
         }
     }
     for path in &report.csvs {
-        println!("  -> {}", path.display());
+        say!("  -> {}", path.display())?;
     }
-    println!("  ({:.1}s)", t.elapsed().as_secs_f64());
+    say!("  ({:.1}s)", t.elapsed().as_secs_f64())?;
     Ok(())
 }
 
-fn roc(args: &Args) -> Result<(), String> {
+fn roc(args: &Args) -> Result<(), Stop> {
     let jobs = args.jobs()?;
     let campaign = gr_bench::RocCampaign::new(args.quality()?, jobs);
-    println!(
+    say!(
         "# detection science — {} detector cell(s) × {} adaptive load(s), {} job(s)\n",
         gr_bench::roc::CELLS.len(),
         gr_bench::roc::ADAPTIVE_LOADS_BPS.len(),
         jobs,
-    );
+    )?;
     let t = Instant::now();
     let roc_dir = args.out_dir()?.join("roc");
     let report = campaign.run(&roc_dir).map_err(|e| format!("roc: {e}"))?;
-    print!("{}", report.auc.render());
-    print!("{}", report.adaptive.render());
-    print!("{}", report.delays.render());
+    say!("{}", report.auc.render().trim_end_matches('\n'))?;
+    say!("{}", report.adaptive.render().trim_end_matches('\n'))?;
+    say!("{}", report.delays.render().trim_end_matches('\n'))?;
     for path in &report.roc_csvs {
-        println!("  -> {}", path.display());
+        say!("  -> {}", path.display())?;
     }
-    println!("  -> {}", report.obs_dir.display());
-    println!(
+    say!("  -> {}", report.obs_dir.display())?;
+    say!(
         "  -> {} ({:.1}s)",
         roc_dir.join("auc_summary.csv").display(),
         t.elapsed().as_secs_f64()
-    );
+    )?;
     Ok(())
 }
 
-fn world(args: &Args) -> Result<(), String> {
+fn world(args: &Args) -> Result<(), Stop> {
     let (jobs, out_dir) = (args.jobs()?, args.out_dir()?);
     let mut campaign = gr_bench::WorldCampaign::new(args.quality()?, jobs);
     let grid = args.get_with("--cells", |v| {
@@ -782,7 +830,7 @@ fn world(args: &Args) -> Result<(), String> {
     }
     campaign.conform = args.conform();
     campaign.honor_whitelist = !args.has("--conform-no-whitelist");
-    println!(
+    say!(
         "# multi-cell world campaign — {} grid(s) × {} greedy densities, {} job(s){}\n",
         campaign.grids.len(),
         campaign.greedy_fracs.len(),
@@ -792,23 +840,23 @@ fn world(args: &Args) -> Result<(), String> {
         } else {
             ""
         },
-    );
+    )?;
     let t = Instant::now();
     let report = campaign.run(&out_dir).map_err(|e| format!("world: {e}"))?;
-    print!("{}", report.summary.render());
+    say!("{}", report.summary.render().trim_end_matches('\n'))?;
     report
         .summary
         .write_csv(&out_dir)
         .map_err(|e| format!("failed to write world.csv: {e}"))?;
     for path in &report.cell_csvs {
-        println!("  -> {}", path.display());
+        say!("  -> {}", path.display())?;
     }
-    println!(
+    say!(
         "  -> {} ({:.1}s)",
         out_dir.join("world.csv").display(),
         t.elapsed().as_secs_f64()
-    );
-    if campaign.conform && print_conform(&report.conform_reports, "cell") > 0 {
+    )?;
+    if campaign.conform && print_conform(&report.conform_reports, "cell")? > 0 {
         return Err("invariant violations found; see the conform lines above".into());
     }
     Ok(())
@@ -851,7 +899,7 @@ fn parse_greedy(spec: &str) -> Result<(usize, GreedyConfig), String> {
 }
 
 /// Runs one custom hotspot scenario and prints its outcome.
-fn scenario(args: &Args) -> Result<(), String> {
+fn scenario(args: &Args) -> Result<(), Stop> {
     let mut s = Scenario::default();
     let phy = args.get_with("--phy", |v| match v {
         "11b" | "b" => Ok(PhyStandard::Dot11b),
@@ -901,7 +949,7 @@ fn scenario(args: &Args) -> Result<(), String> {
         .execute()
         .map_err(|e| e.to_string())?;
     let greedy: Vec<String> = s.greedy.iter().map(|(i, _)| format!("R{i}")).collect();
-    println!(
+    say!(
         "# {} pairs, {:?}, {}s, seed {}{}",
         s.pairs,
         s.phy,
@@ -912,13 +960,12 @@ fn scenario(args: &Args) -> Result<(), String> {
         } else {
             format!(", greedy {}", greedy.join(" "))
         }
-    );
-    print_outcome(&out);
-    Ok(())
+    )?;
+    print_outcome(&out)
 }
 
 /// Runs the selected registry experiments and writes their CSVs.
-fn run_experiments(args: &Args) -> Result<(), String> {
+fn run_experiments(args: &Args) -> Result<(), Stop> {
     // A .snap file resumes one run directly; a directory switches the
     // whole campaign into resume mode (handled below via RunCtx).
     if let Some(path) = args.get::<PathBuf>("--resume")?.filter(|p| p.is_file()) {
@@ -982,7 +1029,7 @@ fn run_experiments(args: &Args) -> Result<(), String> {
     }
     let (ctx, hooks) = args.hooks(ctx, &out_dir)?;
     create_dir(&out_dir)?;
-    println!(
+    say!(
         "# greedy80211 reproduction — {} experiment(s), {} fidelity, {} job(s){}{}{hooks}\n",
         selected.len(),
         if quick { "quick" } else { "full" },
@@ -993,7 +1040,7 @@ fn run_experiments(args: &Args) -> Result<(), String> {
         } else {
             ""
         },
-    );
+    )?;
     let t_all = Instant::now();
     let mut timings = Vec::new();
     let mut conform_failed = false;
@@ -1003,26 +1050,26 @@ fn run_experiments(args: &Args) -> Result<(), String> {
         let experiment = gen(&ctx);
         let used = stats::snapshot().since(before);
         let wall_s = t.elapsed().as_secs_f64();
-        print!("{}", experiment.render());
+        say!("{}", experiment.render().trim_end_matches('\n'))?;
         experiment
             .write_csv(&out_dir)
             .map_err(|e| format!("failed to write CSV for {id}: {e}"))?;
-        println!(
+        say!(
             "  -> {} ({:.1}s, {:.0} events/s)\n",
             out_dir.join(format!("{id}.csv")).display(),
             wall_s,
             used.events_processed as f64 / wall_s.max(1e-9),
-        );
+        )?;
         if let Some(camp) = &campaign {
             let n = export_obs(&out_dir, camp)
                 .map_err(|e| format!("failed to write obs artifacts for {id}: {e}"))?;
             if n > 0 {
-                println!("  -> {} ({n} run(s))\n", out_dir.join("obs").display());
+                say!("  -> {} ({n} run(s))\n", out_dir.join("obs").display())?;
             }
         }
         if let Some(camp) = &conform_camp {
-            conform_failed |= print_conform(&camp.take_reports(), "run") > 0;
-            println!();
+            conform_failed |= print_conform(&camp.take_reports(), "run")? > 0;
+            say!()?;
         }
         timings.push(Timing {
             id: id.to_string(),
@@ -1032,11 +1079,11 @@ fn run_experiments(args: &Args) -> Result<(), String> {
         });
     }
     let total_s = t_all.elapsed().as_secs_f64();
-    println!("total: {total_s:.1}s");
+    say!("total: {total_s:.1}s")?;
     let profile = campaign.as_ref().map(|_| obs::profile::snapshot());
     write_summary(&out_dir, jobs, quick, &timings, total_s, profile.as_deref())
         .map_err(|e| format!("failed to write bench_summary.json: {e}"))?;
-    println!("  -> {}", out_dir.join("bench_summary.json").display());
+    say!("  -> {}", out_dir.join("bench_summary.json").display())?;
     if conform_failed {
         return Err("invariant violations found; see the conform lines above".into());
     }

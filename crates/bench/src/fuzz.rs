@@ -317,19 +317,6 @@ pub fn run_case_with(
     })
 }
 
-/// Runs the whole fuzz campaign sequentially (fuzzing wants stable,
-/// scannable output more than parallel wall clock) and returns every
-/// verdict in case order.
-///
-/// # Errors
-///
-/// Propagates the first simulation or filesystem error.
-pub fn run_campaign(n: u64, fuzz_seed: u64, out_dir: &Path) -> Result<Vec<FuzzVerdict>, SimError> {
-    (0..n)
-        .map(|i| run_case(generate_case(fuzz_seed, i), out_dir))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

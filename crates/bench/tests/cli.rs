@@ -324,3 +324,36 @@ fn an_absurd_seed_count_is_a_typed_error_in_every_campaign() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_reader_that_quits_early_ends_repro_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    let dir = fresh_dir("closed-stdout");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["run", "--quick", "--jobs", "1", "--out"])
+        .arg(&dir)
+        .arg("fig3")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    // Read the header line, then hang up: everything repro prints after
+    // it (the table, the CSV path) meets a closed pipe.
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("# greedy80211 reproduction"), "{first}");
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut err)
+        .expect("stderr");
+    let status = child.wait().expect("repro exits");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.is_empty(), "{err}");
+    assert_eq!(status.code(), Some(141), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

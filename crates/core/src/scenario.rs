@@ -414,13 +414,6 @@ impl Scenario {
         }
     }
 
-    /// Same scenario with a different master seed — how campaign plans
-    /// stamp the per-run derived seed onto a shared scenario template.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// The node positions [`build`](Scenario::build) will produce, in
     /// builder insertion order (senders first, then receivers), without
     /// materializing a network. The world coordinator uses this to

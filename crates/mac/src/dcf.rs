@@ -2,8 +2,9 @@
 //!
 //! [`Dcf`] is a *passive* per-station state machine: the network runtime
 //! feeds it receptions, carrier-sense transitions and timer expirations,
-//! and it returns [`MacAction`]s (start a transmission, arm/cancel a
-//! timer, deliver a payload). This keeps the protocol logic fully
+//! and each handler appends [`MacAction`]s (start a transmission,
+//! arm/cancel a timer, deliver a payload) to a buffer the caller owns.
+//! This keeps the protocol logic fully
 //! unit-testable without a medium, and lets the runtime own all global
 //! state (event queue, channel occupancy, reception outcomes).
 //!
@@ -27,7 +28,7 @@
 use std::collections::VecDeque;
 
 use phy::{PhyParams, Rssi};
-use sim::{Pool, PooledBox, SimDuration, SimRng, SimTime};
+use sim::{SimDuration, SimRng, SimTime};
 
 use crate::arf::Arf;
 use crate::backoff::Backoff;
@@ -168,13 +169,6 @@ pub enum MacAction<M> {
         body: M,
     },
 }
-
-/// Action batch returned by every [`Dcf`] input handler.
-///
-/// The buffer is checked out of the station's internal [`Pool`] and
-/// recycles itself (cleared, capacity kept) when dropped, so steady-state
-/// event handling allocates nothing. It derefs to `Vec<MacAction<M>>`.
-pub type MacActions<M> = PooledBox<Vec<MacAction<M>>>;
 
 /// Static configuration of one station's MAC.
 #[derive(Debug, Clone)]
@@ -343,8 +337,6 @@ pub struct Dcf<M: Msdu> {
     recorder: Option<::obs::RecorderHandle>,
     /// Time of the last acknowledged MSDU (inter-ACK gap telemetry).
     last_ack_at: Option<SimTime>,
-    /// Recycled action buffers handed out by the input handlers.
-    pool: Pool<Vec<MacAction<M>>>,
 }
 
 impl<M: Msdu> std::fmt::Debug for Dcf<M> {
@@ -407,7 +399,6 @@ impl<M: Msdu> Dcf<M> {
             arf,
             recorder: None,
             last_ack_at: None,
-            pool: Pool::new(),
         }
     }
 
@@ -484,11 +475,6 @@ impl<M: Msdu> Dcf<M> {
         self.nav.until()
     }
 
-    /// Mutable access to the observer hook (e.g. to read GRC detections).
-    pub fn observer_mut(&mut self) -> &mut ObserverSlot {
-        &mut self.observer
-    }
-
     /// Current ARF state, if rate adaptation is enabled.
     pub fn arf(&self) -> Option<&Arf> {
         self.arf.as_ref()
@@ -510,7 +496,7 @@ impl<M: Msdu> Dcf<M> {
     ///
     /// An upper layer with nothing to undo for a refused MSDU (a CBR
     /// source) asks this first and, when refused, skips
-    /// [`on_enqueue`](Self::on_enqueue) and its action batch.
+    /// [`on_enqueue`](Self::on_enqueue) and its actions.
     pub fn refuse_if_full(&mut self, now: SimTime, dst: NodeId) -> bool {
         if self.queue.len() < self.cfg.queue_capacity {
             return false;
@@ -525,15 +511,20 @@ impl<M: Msdu> Dcf<M> {
     }
 
     /// Upper layer hands the MAC an MSDU for `dst`.
-    pub fn on_enqueue(&mut self, now: SimTime, dst: NodeId, body: M) -> MacActions<M> {
-        let mut actions = self.pool.take();
+    pub fn on_enqueue(
+        &mut self,
+        now: SimTime,
+        dst: NodeId,
+        body: M,
+        actions: &mut Vec<MacAction<M>>,
+    ) {
         if self.refuse_if_full(now, dst) {
             actions.push(MacAction::Dropped {
                 body,
                 to: dst,
                 reason: DropReason::QueueFull,
             });
-            return actions;
+            return;
         }
         self.queue.push_back((dst, body, now));
         // Immediate access: medium idle ≥ IFS, nothing pending, no backoff.
@@ -545,42 +536,36 @@ impl<M: Msdu> Dcf<M> {
             if self.backoff_slots.is_none() {
                 if let Some(start) = self.effective_idle_start() {
                     if start + self.ifs() <= now {
-                        self.begin_transmission(now, &mut actions);
-                        return actions;
+                        self.begin_transmission(now, actions);
+                        return;
                     }
                 }
                 // Medium busy (or not yet idle long enough): draw a backoff.
                 self.backoff_slots = Some(self.draw_slots(now));
             }
-            self.reschedule_access(now, &mut actions);
+            self.reschedule_access(now, actions);
         }
-        actions
     }
 
     /// The physical medium became busy (another station's transmission
     /// reached us). The runtime coalesces overlapping transmissions and
     /// reports only 0→1 transitions.
-    pub fn on_channel_busy(&mut self, now: SimTime) -> MacActions<M> {
-        let mut actions = self.pool.take();
+    pub fn on_channel_busy(&mut self, now: SimTime, actions: &mut Vec<MacAction<M>>) {
         debug_assert!(!self.phys_busy, "busy transition while already busy");
         self.phys_busy = true;
-        self.freeze_countdown(now, &mut actions);
-        actions
+        self.freeze_countdown(now, actions);
     }
 
     /// The physical medium became idle again (1→0 transition).
-    pub fn on_channel_idle(&mut self, now: SimTime) -> MacActions<M> {
-        let mut actions = self.pool.take();
+    pub fn on_channel_idle(&mut self, now: SimTime, actions: &mut Vec<MacAction<M>>) {
         debug_assert!(self.phys_busy, "idle transition while already idle");
         self.phys_busy = false;
         self.phys_idle_since = now;
-        self.reschedule_access(now, &mut actions);
-        actions
+        self.reschedule_access(now, actions);
     }
 
     /// Our own transmission completed.
-    pub fn on_tx_end(&mut self, now: SimTime) -> MacActions<M> {
-        let mut actions = self.pool.take();
+    pub fn on_tx_end(&mut self, now: SimTime, actions: &mut Vec<MacAction<M>>) {
         debug_assert!(self.txing, "tx end without transmission");
         self.txing = false;
         self.own_tx_idle_since = now;
@@ -602,23 +587,26 @@ impl<M: Msdu> Dcf<M> {
             }
             _ => {}
         }
-        self.reschedule_access(now, &mut actions);
-        actions
+        self.reschedule_access(now, actions);
     }
 
     /// A reception concluded at this station.
-    pub fn on_rx_end(&mut self, now: SimTime, event: RxEvent<'_, M>) -> MacActions<M> {
+    pub fn on_rx_end(
+        &mut self,
+        now: SimTime,
+        event: RxEvent<'_, M>,
+        actions: &mut Vec<MacAction<M>>,
+    ) {
         match event {
-            RxEvent::Ok { frame, rssi } => self.on_rx_ok(now, frame, rssi),
+            RxEvent::Ok { frame, rssi } => self.on_rx_ok(now, frame, rssi, actions),
             RxEvent::Corrupted { frame, rssi, cause } => {
-                self.on_rx_corrupted(now, frame, rssi, cause)
+                self.on_rx_corrupted(now, frame, rssi, cause, actions)
             }
         }
     }
 
     /// A timer armed earlier fired.
-    pub fn on_timer(&mut self, now: SimTime, kind: TimerKind) -> MacActions<M> {
-        let mut actions = self.pool.take();
+    pub fn on_timer(&mut self, now: SimTime, kind: TimerKind, actions: &mut Vec<MacAction<M>>) {
         match kind {
             TimerKind::Access => {
                 self.access_armed = false;
@@ -626,7 +614,7 @@ impl<M: Msdu> Dcf<M> {
                 self.backoff_slots = None;
                 debug_assert!(!self.phys_busy && !self.txing, "access fired while busy");
                 if self.current.is_some() || !self.queue.is_empty() {
-                    self.begin_transmission(now, &mut actions);
+                    self.begin_transmission(now, actions);
                 }
             }
             TimerKind::NavEnd => {
@@ -635,30 +623,34 @@ impl<M: Msdu> Dcf<M> {
                     &crate::obs::NAV_END,
                     &[self.nav.until().as_micros() as f64],
                 );
-                self.reschedule_access(now, &mut actions);
+                self.reschedule_access(now, actions);
             }
             TimerKind::Sifs => {
                 if let Some(frame) = self.pending_response.take() {
                     if !self.txing {
-                        self.start_tx(now, frame, &mut actions);
+                        self.start_tx(now, frame, actions);
                     }
                     // else: radio already busy with our own access
                     // transmission (collision-window edge); response lost.
                 }
             }
             TimerKind::Response => {
-                self.on_response_timeout(now, &mut actions);
+                self.on_response_timeout(now, actions);
             }
         }
-        actions
     }
 
     // ------------------------------------------------------------------
     // Reception handling
     // ------------------------------------------------------------------
 
-    fn on_rx_ok(&mut self, now: SimTime, frame: &Frame<M>, rssi: Rssi) -> MacActions<M> {
-        let mut actions = self.pool.take();
+    fn on_rx_ok(
+        &mut self,
+        now: SimTime,
+        frame: &Frame<M>,
+        rssi: Rssi,
+        actions: &mut Vec<MacAction<M>>,
+    ) {
         self.use_eifs = false;
         let to_me = frame.dst == self.id;
         let meta = FrameMeta { rssi, now };
@@ -690,14 +682,14 @@ impl<M: Msdu> Dcf<M> {
                 if dur > normal {
                     self.counters.inflated_navs_sent.incr();
                 }
-                self.queue_response(Frame::cts(self.id, frame.src, dur), &mut actions);
+                self.queue_response(Frame::cts(self.id, frame.src, dur), actions);
                 self.counters.cts_sent.incr();
             }
             FrameKind::Cts if to_me && self.awaiting == Some(Awaiting::Cts) => {
                 actions.push(MacAction::CancelTimer(TimerKind::Response));
                 self.awaiting = None;
                 let data = self.build_data_frame();
-                self.queue_response(data, &mut actions);
+                self.queue_response(data, actions);
             }
             FrameKind::Data if to_me => {
                 let normal = self.navcalc.ack_duration_us();
@@ -711,7 +703,7 @@ impl<M: Msdu> Dcf<M> {
                 if dur > normal {
                     self.counters.inflated_navs_sent.incr();
                 }
-                self.queue_response(Frame::ack(self.id, frame.src, dur), &mut actions);
+                self.queue_response(Frame::ack(self.id, frame.src, dur), actions);
                 self.counters.acks_sent.incr();
                 let is_new = self.dedup.is_new(frame.src, frame.seq);
                 self.obs_emit(
@@ -741,7 +733,7 @@ impl<M: Msdu> Dcf<M> {
                 if self.observer.accept_ack(frame, &meta, expected_from) {
                     actions.push(MacAction::CancelTimer(TimerKind::Response));
                     self.awaiting = None;
-                    self.complete_current_success(now, &mut actions);
+                    self.complete_current_success(now, actions);
                 }
                 // Rejected ACKs are ignored: the Response timer keeps
                 // running and a timeout will trigger retransmission.
@@ -755,12 +747,11 @@ impl<M: Msdu> Dcf<M> {
             {
                 let spoof = Frame::spoofed_ack(self.id, frame.dst, frame.src);
                 self.counters.spoofed_acks_sent.incr();
-                self.queue_response(spoof, &mut actions);
+                self.queue_response(spoof, actions);
             }
             _ => {}
         }
-        self.reschedule_access(now, &mut actions);
-        actions
+        self.reschedule_access(now, actions);
     }
 
     fn on_rx_corrupted(
@@ -769,8 +760,8 @@ impl<M: Msdu> Dcf<M> {
         frame: &Frame<M>,
         rssi: Rssi,
         cause: CorruptionCause,
-    ) -> MacActions<M> {
-        let mut actions = self.pool.take();
+        actions: &mut Vec<MacAction<M>>,
+    ) {
         self.use_eifs = true;
         match cause {
             CorruptionCause::Noise => self.counters.corrupted_rx.incr(),
@@ -786,10 +777,9 @@ impl<M: Msdu> Dcf<M> {
             && self.policy.ack_corrupted(frame, &mut self.rng)
         {
             self.counters.fake_acks_sent.incr();
-            self.queue_response(Frame::ack(self.id, frame.src, 0), &mut actions);
+            self.queue_response(Frame::ack(self.id, frame.src, 0), actions);
         }
-        self.reschedule_access(now, &mut actions);
-        actions
+        self.reschedule_access(now, actions);
     }
 
     // ------------------------------------------------------------------
@@ -1123,7 +1113,7 @@ impl<M: Msdu> Dcf<M> {
 
 /// Snapshot = every field the protocol mutates at runtime, in declaration
 /// order; configuration (`id`, [`DcfConfig`], the NAV calculator), the
-/// hook slots themselves and the recorder/pool plumbing are rebuilt by
+/// hook slots themselves and the recorder plumbing are rebuilt by
 /// the owner before restoring. Policy and observer *state* rides along
 /// through [`StationPolicy::snap_save`] / [`MacObserver::snap_save`].
 impl<M: Msdu> snap::SnapState for Dcf<M> {
@@ -1217,6 +1207,13 @@ mod tests {
         )
     }
 
+    /// Runs one handler into a fresh buffer and returns what it appended.
+    fn acts(call: impl FnOnce(&mut Vec<MacAction<usize>>)) -> Vec<MacAction<usize>> {
+        let mut actions = Vec::new();
+        call(&mut actions);
+        actions
+    }
+
     fn has_start_tx(actions: &[MacAction<usize>]) -> Option<&Frame<usize>> {
         actions.iter().find_map(|a| match a {
             MacAction::StartTx(f) => Some(f),
@@ -1228,7 +1225,7 @@ mod tests {
     fn immediate_access_when_idle_long_enough() {
         let mut d = mk(0);
         // Medium idle since t=0; enqueue at t=1ms ≥ DIFS → immediate tx.
-        let actions = d.on_enqueue(SimTime::from_millis(1), NodeId(1), 1024);
+        let actions = acts(|v| d.on_enqueue(SimTime::from_millis(1), NodeId(1), 1024, v));
         let f = has_start_tx(&actions).expect("should transmit immediately");
         assert_eq!(f.kind, FrameKind::Rts);
         assert_eq!(f.dst, NodeId(1));
@@ -1238,11 +1235,11 @@ mod tests {
     fn no_immediate_access_right_after_busy() {
         let mut d = mk(0);
         let t0 = SimTime::from_millis(1);
-        d.on_channel_busy(t0);
+        acts(|v| d.on_channel_busy(t0, v));
         let t1 = t0 + SimDuration::from_micros(300);
-        d.on_channel_idle(t1);
+        acts(|v| d.on_channel_idle(t1, v));
         // Enqueue 10 µs after idle: less than DIFS → backoff required.
-        let actions = d.on_enqueue(t1 + SimDuration::from_micros(10), NodeId(1), 1024);
+        let actions = acts(|v| d.on_enqueue(t1 + SimDuration::from_micros(10), NodeId(1), 1024, v));
         assert!(has_start_tx(&actions).is_none());
         assert!(actions.iter().any(|a| matches!(
             a,
@@ -1260,7 +1257,7 @@ mod tests {
             DcfConfig::without_rts(PhyParams::dot11b()),
             SimRng::new(7),
         );
-        let actions = d.on_enqueue(SimTime::from_millis(1), NodeId(1), 1024);
+        let actions = acts(|v| d.on_enqueue(SimTime::from_millis(1), NodeId(1), 1024, v));
         let f = has_start_tx(&actions).expect("tx");
         assert_eq!(f.kind, FrameKind::Data);
         assert_eq!(f.duration_us, 314); // SIFS + ACK on 802.11b
@@ -1269,7 +1266,7 @@ mod tests {
     #[test]
     fn rts_carries_full_exchange_nav() {
         let mut d = mk(0);
-        let actions = d.on_enqueue(SimTime::from_millis(1), NodeId(1), 1024);
+        let actions = acts(|v| d.on_enqueue(SimTime::from_millis(1), NodeId(1), 1024, v));
         let f = has_start_tx(&actions).unwrap();
         let calc = NavCalculator::new(PhyParams::dot11b());
         assert_eq!(
@@ -1282,13 +1279,16 @@ mod tests {
     fn receiver_answers_rts_with_cts_after_sifs() {
         let mut d = mk(1);
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), 2000);
-        let actions = d.on_rx_end(
-            SimTime::from_millis(1),
-            RxEvent::Ok {
-                frame: &rts,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        let actions = acts(|v| {
+            d.on_rx_end(
+                SimTime::from_millis(1),
+                RxEvent::Ok {
+                    frame: &rts,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         // CTS is queued behind a SIFS timer, not transmitted instantly.
         assert!(has_start_tx(&actions).is_none());
         assert!(actions.iter().any(|a| matches!(
@@ -1298,10 +1298,13 @@ mod tests {
                 ..
             }
         )));
-        let actions = d.on_timer(
-            SimTime::from_millis(1) + SimDuration::from_micros(10),
-            TimerKind::Sifs,
-        );
+        let actions = acts(|v| {
+            d.on_timer(
+                SimTime::from_millis(1) + SimDuration::from_micros(10),
+                TimerKind::Sifs,
+                v,
+            )
+        });
         let f = has_start_tx(&actions).unwrap();
         assert_eq!(f.kind, FrameKind::Cts);
         let calc = NavCalculator::new(PhyParams::dot11b());
@@ -1314,21 +1317,27 @@ mod tests {
         let t = SimTime::from_millis(1);
         // Overheard CTS reserves the medium for 5000 µs.
         let other: Frame<usize> = Frame::cts(NodeId(5), NodeId(6), 5000);
-        d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &other,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &other,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), 2000);
-        let actions = d.on_rx_end(
-            t + SimDuration::from_micros(100),
-            RxEvent::Ok {
-                frame: &rts,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        let actions = acts(|v| {
+            d.on_rx_end(
+                t + SimDuration::from_micros(100),
+                RxEvent::Ok {
+                    frame: &rts,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         assert!(
             !actions.iter().any(|a| matches!(
                 a,
@@ -1346,13 +1355,16 @@ mod tests {
         let mut d = mk(1);
         let t = SimTime::from_millis(1);
         let data: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 42, 1024);
-        let actions = d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &data,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        let actions = acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &data,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         assert!(actions
             .iter()
             .any(|a| matches!(a, MacAction::Deliver { body: 1024, .. })));
@@ -1360,16 +1372,20 @@ mod tests {
         let mut retx = data;
         retx.retry = true;
         let t2 = t + SimDuration::from_millis(2);
-        let actions = d.on_timer(t + SimDuration::from_micros(10), TimerKind::Sifs); // flush ACK
+        // Flush the ACK.
+        let actions = acts(|v| d.on_timer(t + SimDuration::from_micros(10), TimerKind::Sifs, v));
         assert!(has_start_tx(&actions).is_some());
-        d.on_tx_end(t + SimDuration::from_micros(314));
-        let actions = d.on_rx_end(
-            t2,
-            RxEvent::Ok {
-                frame: &retx,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        acts(|v| d.on_tx_end(t + SimDuration::from_micros(314), v));
+        let actions = acts(|v| {
+            d.on_rx_end(
+                t2,
+                RxEvent::Ok {
+                    frame: &retx,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         assert!(!actions
             .iter()
             .any(|a| matches!(a, MacAction::Deliver { .. })));
@@ -1385,13 +1401,16 @@ mod tests {
         let mut d = mk(1);
         let mut data: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 7, 1024);
         data.retry = true;
-        let actions = d.on_rx_end(
-            SimTime::from_millis(1),
-            RxEvent::Ok {
-                frame: &data,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        let actions = acts(|v| {
+            d.on_rx_end(
+                SimTime::from_millis(1),
+                RxEvent::Ok {
+                    frame: &data,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         assert!(actions
             .iter()
             .any(|a| matches!(a, MacAction::Deliver { body: 1024, .. })));
@@ -1404,22 +1423,28 @@ mod tests {
         let mut d = mk(2);
         let t = SimTime::from_millis(1);
         let cts_to_me: Frame<usize> = Frame::cts(NodeId(5), NodeId(2), 9000);
-        d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &cts_to_me,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &cts_to_me,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         assert!(d.nav.is_idle(t), "frames addressed to me must not set NAV");
         let overheard: Frame<usize> = Frame::cts(NodeId(5), NodeId(6), 9000);
-        d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &overheard,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &overheard,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         assert_eq!(d.nav_until(), t + SimDuration::from_micros(9000));
     }
 
@@ -1428,14 +1453,17 @@ mod tests {
         let mut d = mk(1);
         let t = SimTime::from_millis(1);
         let garbled: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 1, 1024);
-        d.on_rx_end(
-            t,
-            RxEvent::Corrupted {
-                frame: &garbled,
-                rssi: Rssi::fixed(-70.0),
-                cause: CorruptionCause::Noise,
-            },
-        );
+        acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Corrupted {
+                    frame: &garbled,
+                    rssi: Rssi::fixed(-70.0),
+                    cause: CorruptionCause::Noise,
+                },
+                v,
+            )
+        });
         assert_eq!(d.counters.corrupted_rx.get(), 1);
         assert!(d.use_eifs);
         // No ACK scheduled by an honest station.
@@ -1450,14 +1478,14 @@ mod tests {
             SimRng::new(3),
         );
         let mut t = SimTime::from_millis(1);
-        let mut actions = d.on_enqueue(t, NodeId(1), 100);
+        let mut actions = acts(|v| d.on_enqueue(t, NodeId(1), 100, v));
         assert!(has_start_tx(&actions).is_some());
         let mut dropped = false;
         for _ in 0..10 {
             t += SimDuration::from_millis(2);
-            d.on_tx_end(t);
+            acts(|v| d.on_tx_end(t, v));
             t += SimDuration::from_millis(1);
-            actions = d.on_timer(t, TimerKind::Response);
+            actions = acts(|v| d.on_timer(t, TimerKind::Response, v));
             if actions
                 .iter()
                 .any(|a| matches!(a, MacAction::Dropped { .. }))
@@ -1467,7 +1495,7 @@ mod tests {
             }
             // Countdown then retransmit.
             t += SimDuration::from_millis(50);
-            actions = d.on_timer(t, TimerKind::Access);
+            actions = acts(|v| d.on_timer(t, TimerKind::Access, v));
             assert!(has_start_tx(&actions).is_some(), "should retransmit");
         }
         assert!(dropped, "frame must eventually drop");
@@ -1481,41 +1509,47 @@ mod tests {
     fn cw_doubles_on_timeout_and_resets_on_success() {
         let mut d = mk(0);
         let mut t = SimTime::from_millis(1);
-        d.on_enqueue(t, NodeId(1), 1024); // immediate RTS
+        acts(|v| d.on_enqueue(t, NodeId(1), 1024, v)); // immediate RTS
         t += SimDuration::from_micros(352);
-        d.on_tx_end(t);
+        acts(|v| d.on_tx_end(t, v));
         t += SimDuration::from_millis(1);
-        d.on_timer(t, TimerKind::Response); // CTS timeout
+        acts(|v| d.on_timer(t, TimerKind::Response, v)); // CTS timeout
         assert_eq!(d.cw(), 63);
         // Retry: access fires, RTS resent, CTS arrives, data sent, ACK.
         t += SimDuration::from_millis(2);
-        let a = d.on_timer(t, TimerKind::Access);
+        let a = acts(|v| d.on_timer(t, TimerKind::Access, v));
         assert_eq!(has_start_tx(&a).unwrap().kind, FrameKind::Rts);
         t += SimDuration::from_micros(352);
-        d.on_tx_end(t);
+        acts(|v| d.on_tx_end(t, v));
         let cts: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), 1000);
         t += SimDuration::from_micros(314);
-        d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &cts,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &cts,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         t += SimDuration::from_micros(10);
-        let a = d.on_timer(t, TimerKind::Sifs);
+        let a = acts(|v| d.on_timer(t, TimerKind::Sifs, v));
         assert_eq!(has_start_tx(&a).unwrap().kind, FrameKind::Data);
         t += SimDuration::from_millis(1);
-        d.on_tx_end(t);
+        acts(|v| d.on_tx_end(t, v));
         let ack: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 0);
         t += SimDuration::from_micros(304);
-        let a = d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &ack,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
+        let a = acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &ack,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
         assert!(a.iter().any(|x| matches!(x, MacAction::TxSuccess { .. })));
         assert_eq!(d.cw(), 31);
         assert_eq!(d.counters.tx_successes.get(), 1);
@@ -1524,10 +1558,10 @@ mod tests {
     #[test]
     fn queue_overflow_drops() {
         let mut d = mk(0);
-        d.on_channel_busy(SimTime::from_micros(1)); // keep medium busy
+        acts(|v| d.on_channel_busy(SimTime::from_micros(1), v)); // keep medium busy
         let mut drops = 0;
         for i in 0..60 {
-            let a = d.on_enqueue(SimTime::from_micros(2 + i), NodeId(1), 100);
+            let a = acts(|v| d.on_enqueue(SimTime::from_micros(2 + i), NodeId(1), 100, v));
             drops += a
                 .iter()
                 .filter(|x| matches!(x, MacAction::Dropped { .. }))
@@ -1541,11 +1575,11 @@ mod tests {
     fn backoff_freezes_and_resumes() {
         let mut d = mk(0);
         let t0 = SimTime::from_millis(1);
-        d.on_channel_busy(t0);
-        d.on_enqueue(t0, NodeId(1), 1024); // busy → draws backoff
+        acts(|v| d.on_channel_busy(t0, v));
+        acts(|v| d.on_enqueue(t0, NodeId(1), 1024, v)); // busy → draws backoff
         let slots = d.backoff_slots.expect("backoff drawn");
         let t1 = t0 + SimDuration::from_micros(500);
-        let a = d.on_channel_idle(t1);
+        let a = acts(|v| d.on_channel_idle(t1, v));
         // Access armed at DIFS + slots·slot after idle.
         let expected_after =
             SimDuration::from_micros(50) + SimDuration::from_micros(20) * slots as u64;
@@ -1559,7 +1593,7 @@ mod tests {
         // Busy again after DIFS + 2.5 slots → 2 slots consumed.
         if slots >= 3 {
             let t2 = t1 + SimDuration::from_micros(50 + 50);
-            d.on_channel_busy(t2);
+            acts(|v| d.on_channel_busy(t2, v));
             assert_eq!(d.backoff_slots, Some(slots - 2));
         }
     }
@@ -1570,14 +1604,17 @@ mod tests {
         let t = SimTime::from_millis(1);
         // Overhear a CTS reserving 5 ms.
         let cts: Frame<usize> = Frame::cts(NodeId(5), NodeId(6), 5000);
-        d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &cts,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
-        let a = d.on_enqueue(t + SimDuration::from_micros(1), NodeId(1), 1024);
+        acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &cts,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
+        let a = acts(|v| d.on_enqueue(t + SimDuration::from_micros(1), NodeId(1), 1024, v));
         // Not immediate, and the wake-up is a NavEnd timer.
         assert!(has_start_tx(&a).is_none());
         assert!(a.iter().any(|x| matches!(
@@ -1595,11 +1632,11 @@ mod tests {
         cfg.no_retx_to = vec![NodeId(1)];
         let mut d: Dcf<usize> = Dcf::new(NodeId(0), cfg, SimRng::new(4));
         let mut t = SimTime::from_millis(1);
-        d.on_enqueue(t, NodeId(1), 100);
+        acts(|v| d.on_enqueue(t, NodeId(1), 100, v));
         t += SimDuration::from_millis(1);
-        d.on_tx_end(t);
+        acts(|v| d.on_tx_end(t, v));
         t += SimDuration::from_millis(1);
-        let a = d.on_timer(t, TimerKind::Response);
+        let a = acts(|v| d.on_timer(t, TimerKind::Response, v));
         assert!(a.iter().any(|x| matches!(x, MacAction::Dropped { .. })));
         assert_eq!(d.cw(), 31, "emulation keeps CW at minimum");
     }
@@ -1616,20 +1653,23 @@ mod tests {
                 SimRng::new(42),
             );
             let t0 = SimTime::from_millis(1);
-            d.on_channel_busy(t0);
-            d.on_enqueue(t0, NodeId(1), 1024); // draws backoff (same seed)
+            acts(|v| d.on_channel_busy(t0, v));
+            acts(|v| d.on_enqueue(t0, NodeId(1), 1024, v)); // draws backoff (same seed)
             if corrupt {
                 let garbled: Frame<usize> = Frame::data(NodeId(5), NodeId(6), 314, 1, 64);
-                d.on_rx_end(
-                    t0 + SimDuration::from_micros(100),
-                    RxEvent::Corrupted {
-                        frame: &garbled,
-                        rssi: Rssi::fixed(-70.0),
-                        cause: CorruptionCause::Noise,
-                    },
-                );
+                acts(|v| {
+                    d.on_rx_end(
+                        t0 + SimDuration::from_micros(100),
+                        RxEvent::Corrupted {
+                            frame: &garbled,
+                            rssi: Rssi::fixed(-70.0),
+                            cause: CorruptionCause::Noise,
+                        },
+                        v,
+                    )
+                });
             }
-            let a = d.on_channel_idle(t0 + SimDuration::from_micros(500));
+            let a = acts(|v| d.on_channel_idle(t0 + SimDuration::from_micros(500), v));
             a.iter()
                 .find_map(|x| match x {
                     MacAction::SetTimer {
@@ -1649,24 +1689,27 @@ mod tests {
     #[test]
     fn spoofing_policy_emits_forged_ack_after_sifs() {
         // Spoof every data frame aimed at node 1 (gp = 1.0).
-        let spoof = crate::greedy::AckSpoofPolicy::new(vec![NodeId(1)], 1.0);
+        let spoof = crate::greedy::GreedyConfig::ack_spoofing(vec![NodeId(1)], 1.0);
         let mut d: Dcf<usize> = Dcf::with_hooks(
             NodeId(9),
             DcfConfig::new(PhyParams::dot11b()),
             SimRng::new(8),
-            spoof,
+            spoof.into_policy(),
             crate::policy::NoopObserver,
         );
         let t = SimTime::from_millis(1);
         // Sniff a data frame addressed to somebody else.
         let sniffed: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 5, 1024);
-        let a = d.on_rx_end(
-            t,
-            RxEvent::Ok {
-                frame: &sniffed,
-                rssi: Rssi::fixed(-55.0),
-            },
-        );
+        let a = acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Ok {
+                    frame: &sniffed,
+                    rssi: Rssi::fixed(-55.0),
+                },
+                v,
+            )
+        });
         assert!(a.iter().any(|x| matches!(
             x,
             MacAction::SetTimer {
@@ -1674,7 +1717,7 @@ mod tests {
                 ..
             }
         )));
-        let a = d.on_timer(t + SimDuration::from_micros(10), TimerKind::Sifs);
+        let a = acts(|v| d.on_timer(t + SimDuration::from_micros(10), TimerKind::Sifs, v));
         let f = a
             .iter()
             .find_map(|x| match x {
@@ -1696,23 +1739,26 @@ mod tests {
             NodeId(1),
             DcfConfig::new(PhyParams::dot11b()),
             SimRng::new(8),
-            crate::greedy::FakeAckPolicy::new(1.0),
+            crate::greedy::GreedyConfig::fake_acks(1.0).into_policy(),
             crate::policy::NoopObserver,
         );
         let t = SimTime::from_millis(1);
         let garbled: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 7, 1024);
-        let a = d.on_rx_end(
-            t,
-            RxEvent::Corrupted {
-                frame: &garbled,
-                rssi: Rssi::fixed(-70.0),
-                cause: CorruptionCause::Noise,
-            },
-        );
+        let a = acts(|v| {
+            d.on_rx_end(
+                t,
+                RxEvent::Corrupted {
+                    frame: &garbled,
+                    rssi: Rssi::fixed(-70.0),
+                    cause: CorruptionCause::Noise,
+                },
+                v,
+            )
+        });
         // ACK queued behind SIFS even though the frame was corrupted;
         // nothing delivered upward.
         assert!(!a.iter().any(|x| matches!(x, MacAction::Deliver { .. })));
-        let a = d.on_timer(t + SimDuration::from_micros(10), TimerKind::Sifs);
+        let a = acts(|v| d.on_timer(t + SimDuration::from_micros(10), TimerKind::Sifs, v));
         let f = a
             .iter()
             .find_map(|x| match x {
@@ -1731,17 +1777,23 @@ mod tests {
         // is why RTS inflation amplifies through honest nodes.
         let mut d = mk(1);
         let inflated_rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), 30_000);
-        d.on_rx_end(
-            SimTime::from_millis(1),
-            RxEvent::Ok {
-                frame: &inflated_rts,
-                rssi: Rssi::fixed(-40.0),
-            },
-        );
-        let a = d.on_timer(
-            SimTime::from_millis(1) + SimDuration::from_micros(10),
-            TimerKind::Sifs,
-        );
+        acts(|v| {
+            d.on_rx_end(
+                SimTime::from_millis(1),
+                RxEvent::Ok {
+                    frame: &inflated_rts,
+                    rssi: Rssi::fixed(-40.0),
+                },
+                v,
+            )
+        });
+        let a = acts(|v| {
+            d.on_timer(
+                SimTime::from_millis(1) + SimDuration::from_micros(10),
+                TimerKind::Sifs,
+                v,
+            )
+        });
         let f = a
             .iter()
             .find_map(|x| match x {
@@ -1760,7 +1812,7 @@ mod tests {
         let mut d: Dcf<usize> = Dcf::new(NodeId(0), cfg, SimRng::new(4));
         assert_eq!(d.current_data_rate_bps(), 11_000_000);
         let mut t = SimTime::from_millis(1);
-        let a = d.on_enqueue(t, NodeId(1), 1024);
+        let a = acts(|v| d.on_enqueue(t, NodeId(1), 1024, v));
         let f = a
             .iter()
             .find_map(|x| match x {
@@ -1772,11 +1824,11 @@ mod tests {
         // Two ACK timeouts step the rate down to 5.5 Mb/s.
         for _ in 0..2 {
             t += SimDuration::from_millis(1);
-            d.on_tx_end(t);
+            acts(|v| d.on_tx_end(t, v));
             t += SimDuration::from_millis(1);
-            d.on_timer(t, TimerKind::Response);
+            acts(|v| d.on_timer(t, TimerKind::Response, v));
             t += SimDuration::from_millis(30);
-            d.on_timer(t, TimerKind::Access); // retransmit
+            acts(|v| d.on_timer(t, TimerKind::Access, v)); // retransmit
         }
         assert_eq!(d.current_data_rate_bps(), 5_500_000);
     }
@@ -1786,12 +1838,12 @@ mod tests {
         use snap::{Dec, Enc, SnapState};
         let mut a = mk(0);
         let mut t = SimTime::from_millis(1);
-        a.on_enqueue(t, NodeId(1), 1024); // immediate RTS
+        acts(|v| a.on_enqueue(t, NodeId(1), 1024, v)); // immediate RTS
         t += SimDuration::from_micros(352);
-        a.on_tx_end(t); // now awaiting CTS
-        a.on_enqueue(t, NodeId(2), 256); // second MSDU queued behind
+        acts(|v| a.on_tx_end(t, v)); // now awaiting CTS
+        acts(|v| a.on_enqueue(t, NodeId(2), 256, v)); // second MSDU queued behind
         t += SimDuration::from_millis(1);
-        a.on_timer(t, TimerKind::Response); // CTS timeout: retry + CW doubled
+        acts(|v| a.on_timer(t, TimerKind::Response, v)); // CTS timeout: retry + CW doubled
         let mut w = Enc::new();
         a.snap_save(&mut w);
         let bytes = w.into_bytes();
@@ -1806,17 +1858,17 @@ mod tests {
         // action batch (including RNG-driven backoff draws) match.
         t += SimDuration::from_millis(2);
         let (xa, xb) = (
-            a.on_timer(t, TimerKind::Access),
-            b.on_timer(t, TimerKind::Access),
+            acts(|v| a.on_timer(t, TimerKind::Access, v)),
+            acts(|v| b.on_timer(t, TimerKind::Access, v)),
         );
         assert_eq!(format!("{:?}", &*xa), format!("{:?}", &*xb));
         t += SimDuration::from_micros(352);
-        let (xa, xb) = (a.on_tx_end(t), b.on_tx_end(t));
+        let (xa, xb) = (acts(|v| a.on_tx_end(t, v)), acts(|v| b.on_tx_end(t, v)));
         assert_eq!(format!("{:?}", &*xa), format!("{:?}", &*xb));
         t += SimDuration::from_millis(1);
         let (xa, xb) = (
-            a.on_timer(t, TimerKind::Response),
-            b.on_timer(t, TimerKind::Response),
+            acts(|v| a.on_timer(t, TimerKind::Response, v)),
+            acts(|v| b.on_timer(t, TimerKind::Response, v)),
         );
         assert_eq!(format!("{:?}", &*xa), format!("{:?}", &*xb));
         assert_eq!(a.cw(), b.cw());
@@ -1828,15 +1880,15 @@ mod tests {
         cfg.cw_clamp_to = vec![NodeId(1)];
         let mut d: Dcf<usize> = Dcf::new(NodeId(0), cfg, SimRng::new(4));
         let mut t = SimTime::from_millis(1);
-        d.on_enqueue(t, NodeId(1), 100);
+        acts(|v| d.on_enqueue(t, NodeId(1), 100, v));
         for _ in 0..3 {
             t += SimDuration::from_millis(1);
-            d.on_tx_end(t);
+            acts(|v| d.on_tx_end(t, v));
             t += SimDuration::from_millis(1);
-            d.on_timer(t, TimerKind::Response);
+            acts(|v| d.on_timer(t, TimerKind::Response, v));
             assert_eq!(d.cw(), 31);
             t += SimDuration::from_millis(2);
-            d.on_timer(t, TimerKind::Access);
+            acts(|v| d.on_timer(t, TimerKind::Access, v));
         }
     }
 }

@@ -37,9 +37,7 @@ pub mod policy;
 pub use arena::{FrameArena, FrameId, TxRecord};
 pub use arf::{Arf, ArfConfig};
 pub use counters::MacCounters;
-pub use dcf::{
-    CorruptionCause, Dcf, DcfConfig, DropReason, MacAction, MacActions, RxEvent, TimerKind,
-};
+pub use dcf::{CorruptionCause, Dcf, DcfConfig, DropReason, MacAction, RxEvent, TimerKind};
 pub use frame::{Frame, FrameKind, Msdu, NavCalculator, NodeId, MAX_NAV_US};
 pub use grc::{GrcObserver, GrcReportHandles, GrcSnapshot, GrcTuning};
 pub use greedy::{GreedyConfig, GreedyPolicy, GreedySenderPolicy};

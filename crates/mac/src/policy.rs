@@ -13,10 +13,8 @@ use phy::Rssi;
 use sim::{SimRng, SimTime};
 
 use crate::frame::{Frame, FrameKind, Msdu};
-use crate::grc::{GrcObserver, NavGuard, SpoofGuard};
-use crate::greedy::{
-    AckSpoofPolicy, FakeAckPolicy, GreedyPolicy, GreedySenderPolicy, NavInflationPolicy,
-};
+use crate::grc::GrcObserver;
+use crate::greedy::{GreedyPolicy, GreedySenderPolicy};
 
 /// Behavior-deviation flags a [`StationPolicy`] (or DCF configuration)
 /// declares about itself, consumed by the conformance checker to
@@ -196,12 +194,6 @@ pub enum PolicySlot {
     Normal(NormalPolicy),
     /// A composite greedy receiver (any subset of the three misbehaviors).
     Greedy(GreedyPolicy),
-    /// NAV inflation alone (misbehavior 1).
-    NavInflation(NavInflationPolicy),
-    /// ACK spoofing alone (misbehavior 2).
-    AckSpoof(AckSpoofPolicy),
-    /// Fake ACKs alone (misbehavior 3).
-    FakeAck(FakeAckPolicy),
     /// The sender-side backoff cheat (DOMINO's target).
     GreedySender(GreedySenderPolicy),
 }
@@ -217,9 +209,6 @@ macro_rules! each_policy {
         match $slot {
             PolicySlot::Normal($p) => $e,
             PolicySlot::Greedy($p) => $e,
-            PolicySlot::NavInflation($p) => $e,
-            PolicySlot::AckSpoof($p) => $e,
-            PolicySlot::FakeAck($p) => $e,
             PolicySlot::GreedySender($p) => $e,
         }
     };
@@ -275,24 +264,6 @@ impl From<GreedyPolicy> for PolicySlot {
     }
 }
 
-impl From<NavInflationPolicy> for PolicySlot {
-    fn from(p: NavInflationPolicy) -> Self {
-        PolicySlot::NavInflation(p)
-    }
-}
-
-impl From<AckSpoofPolicy> for PolicySlot {
-    fn from(p: AckSpoofPolicy) -> Self {
-        PolicySlot::AckSpoof(p)
-    }
-}
-
-impl From<FakeAckPolicy> for PolicySlot {
-    fn from(p: FakeAckPolicy) -> Self {
-        PolicySlot::FakeAck(p)
-    }
-}
-
 impl From<GreedySenderPolicy> for PolicySlot {
     fn from(p: GreedySenderPolicy) -> Self {
         PolicySlot::GreedySender(p)
@@ -308,12 +279,9 @@ impl From<GreedySenderPolicy> for PolicySlot {
 pub enum ObserverSlot {
     /// No detection (the honest default).
     Noop(NoopObserver),
-    /// The full GRC scheme: NAV sanitization + ACK vetting.
-    Grc(GrcObserver),
-    /// NAV sanitization alone (ablation runs).
-    NavGuard(NavGuard),
-    /// ACK vetting alone (ablation runs).
-    SpoofGuard(SpoofGuard),
+    /// The full GRC scheme: NAV sanitization + ACK vetting, boxed so
+    /// honest stations do not carry its size.
+    Grc(Box<GrcObserver>),
 }
 
 impl Default for ObserverSlot {
@@ -326,9 +294,10 @@ macro_rules! each_observer {
     ($slot:expr, $o:ident => $e:expr) => {
         match $slot {
             ObserverSlot::Noop($o) => $e,
-            ObserverSlot::Grc($o) => $e,
-            ObserverSlot::NavGuard($o) => $e,
-            ObserverSlot::SpoofGuard($o) => $e,
+            ObserverSlot::Grc(grc) => {
+                let $o = &mut **grc;
+                $e
+            }
         }
     };
 }
@@ -352,7 +321,10 @@ impl<M: Msdu> MacObserver<M> for ObserverSlot {
     }
 
     fn snap_save(&self, w: &mut snap::Enc) {
-        each_observer!(self, o => MacObserver::<M>::snap_save(o, w))
+        match self {
+            ObserverSlot::Noop(o) => MacObserver::<M>::snap_save(o, w),
+            ObserverSlot::Grc(grc) => MacObserver::<M>::snap_save(&**grc, w),
+        }
     }
 
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
@@ -368,19 +340,7 @@ impl From<NoopObserver> for ObserverSlot {
 
 impl From<GrcObserver> for ObserverSlot {
     fn from(o: GrcObserver) -> Self {
-        ObserverSlot::Grc(o)
-    }
-}
-
-impl From<NavGuard> for ObserverSlot {
-    fn from(o: NavGuard) -> Self {
-        ObserverSlot::NavGuard(o)
-    }
-}
-
-impl From<SpoofGuard> for ObserverSlot {
-    fn from(o: SpoofGuard) -> Self {
-        ObserverSlot::SpoofGuard(o)
+        ObserverSlot::Grc(Box::new(o))
     }
 }
 

@@ -9,6 +9,13 @@ use phy::{PhyParams, Rssi};
 use proptest::prelude::*;
 use sim::{SimDuration, SimRng, SimTime};
 
+/// Runs one handler into a fresh buffer and returns what it appended.
+fn acts(call: impl FnOnce(&mut Vec<MacAction<usize>>)) -> Vec<MacAction<usize>> {
+    let mut actions = Vec::new();
+    call(&mut actions);
+    actions
+}
+
 proptest! {
     /// NAV never moves backwards under any update sequence.
     #[test]
@@ -97,17 +104,17 @@ proptest! {
                     rssi: Rssi::fixed(-60.0),
                 }
             };
-            let actions = dcf.on_rx_end(t, ev);
+            let actions = acts(|v| dcf.on_rx_end(t, ev, v));
             deliveries += actions
                 .iter()
                 .filter(|a| matches!(a, MacAction::Deliver { .. }))
                 .count() as u32;
             // Flush the pending ACK so the next reception is legal.
             t += SimDuration::from_micros(10);
-            let a = dcf.on_timer(t, TimerKind::Sifs);
+            let a = acts(|v| dcf.on_timer(t, TimerKind::Sifs, v));
             if a.iter().any(|x| matches!(x, MacAction::StartTx(_))) {
                 t += SimDuration::from_micros(304);
-                dcf.on_tx_end(t);
+                acts(|v| dcf.on_tx_end(t, v));
             }
             t += SimDuration::from_millis(1);
         }
@@ -164,9 +171,9 @@ proptest! {
             DcfConfig::new(PhyParams::dot11b()),
             SimRng::new(3),
         );
-        dcf.on_channel_busy(SimTime::from_micros(1));
+        acts(|v| dcf.on_channel_busy(SimTime::from_micros(1), v));
         for i in 0..n {
-            let actions = dcf.on_enqueue(SimTime::from_micros(2 + i as u64), NodeId(1), 100);
+            let actions = acts(|v| dcf.on_enqueue(SimTime::from_micros(2 + i as u64), NodeId(1), 100, v));
             prop_assert!(
                 !actions.iter().any(|a| matches!(a, MacAction::StartTx(_))),
                 "transmitted against a busy medium"

@@ -155,16 +155,6 @@ impl NetworkBuilder {
         self.add_node_spec(pos, None, Some(observer.into()))
     }
 
-    /// Adds a node with both hooks.
-    pub fn add_node_with(
-        &mut self,
-        pos: Position,
-        policy: impl Into<PolicySlot>,
-        observer: impl Into<ObserverSlot>,
-    ) -> NodeId {
-        self.add_node_spec(pos, Some(policy.into()), Some(observer.into()))
-    }
-
     fn add_node_spec(
         &mut self,
         pos: Position,

@@ -21,8 +21,8 @@
 use std::collections::HashMap;
 
 use mac::{
-    CorruptionCause, Dcf, Frame, FrameArena, FrameId, FrameKind, MacAction, MacActions, NodeId,
-    RxEvent, TimerKind,
+    CorruptionCause, Dcf, Frame, FrameArena, FrameId, FrameKind, MacAction, NodeId, RxEvent,
+    TimerKind,
 };
 use phy::error_model::PLCP_EQUIVALENT_BYTES;
 use phy::{
@@ -317,6 +317,15 @@ pub struct Network {
     /// [`Network::inject_busy`]'s buffers, reused across calls. Scratch
     /// like `epoch_tx_log`: excluded from snapshots and audit digests.
     fuse: FuseScratch,
+    /// Idle MAC action buffers, used as a stack by [`Network::mac`]: a
+    /// handler's actions can enqueue at another station (a delivered
+    /// segment's reply), so at most two are out at once. Scratch, like
+    /// `fuse`.
+    mac_bufs: Vec<Vec<MacAction<Segment>>>,
+    /// The TCP output buffer [`Network::tcp`] lends each sender handler.
+    /// Carrying out outputs never re-enters a sender, so one suffices.
+    /// Scratch, like `fuse`.
+    tcp_out: Vec<TcpOutput>,
 }
 
 /// Buffers for fusing one injected batch, grown to the largest batch
@@ -408,6 +417,8 @@ impl Network {
             conform: None,
             epoch_tx_log: None,
             fuse: FuseScratch::default(),
+            mac_bufs: Vec::new(),
+            tcp_out: Vec::new(),
         }
     }
 
@@ -488,15 +499,6 @@ impl Network {
         &self.nodes[node.0 as usize].dcf
     }
 
-    /// Mutable access to a node's DCF (e.g. its observer hooks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn dcf_mut(&mut self, node: NodeId) -> &mut Dcf<Segment> {
-        &mut self.nodes[node.0 as usize].dcf
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.sched.now()
@@ -506,11 +508,6 @@ impl Network {
     /// reads these once to build the static cross-cell coupling maps.
     pub fn positions(&self) -> Vec<Position> {
         self.nodes.iter().map(|st| st.pos).collect()
-    }
-
-    /// The configured propagation model (comm/cs ranges, RSSI noise).
-    pub fn channel_model(&self) -> &ChannelModel {
-        &self.channel
     }
 
     /// Starts logging every transmission `(source, start, end)` for the
@@ -872,8 +869,7 @@ impl Network {
             Event::MacTimer { node, kind } => {
                 let _span = ::obs::span!("mac/timer");
                 self.nodes[node.0 as usize].timers[kind.index()] = None;
-                let actions = self.nodes[node.0 as usize].dcf.on_timer(now, kind);
-                self.process_actions(now, node, actions);
+                self.mac(now, node, |dcf, actions| dcf.on_timer(now, kind, actions));
             }
             Event::TxEnd { tx } => self.tx_end(now, tx),
             Event::TxOnset { tx } => self.tx_onset(now, tx),
@@ -898,25 +894,20 @@ impl Network {
                     self.record_flow_event(now, src.0, &transport::obs::UDP_TX, flow, seq, bytes);
                 }
                 // A saturated source mostly meets a full queue; the
-                // refusal is the whole drop, with no action batch.
+                // refusal is the whole drop, with no MAC handler run.
                 if !self.nodes[src.0 as usize].dcf.refuse_if_full(now, dst) {
                     self.enqueue_at(now, src, dst, seg);
                 }
             }
             Event::TcpTimer { flow } => {
                 self.flow_timers[flow.0 as usize] = None;
-                let outputs = {
-                    let f = &mut self.flows[flow.0 as usize];
-                    let FlowKindState::Tcp { sender, .. } = &mut f.kind else {
-                        return;
-                    };
+                self.tcp(now, flow, |sender, out| {
                     if sender.flight_size() == 0 && sender.retransmissions == 0 {
-                        sender.start(now) // connection open
+                        sender.start(now, out) // connection open
                     } else {
-                        sender.on_timeout(now)
+                        sender.on_timeout(now, out)
                     }
-                };
-                self.process_tcp_outputs(now, flow, outputs);
+                });
             }
             Event::ProbeTick { flow } => {
                 let (seg, interval, src, dst) = {
@@ -957,14 +948,7 @@ impl Network {
                     let Segment::TcpAck { ack, .. } = seg else {
                         return;
                     };
-                    let outputs = {
-                        let f = &mut self.flows[flow.0 as usize];
-                        let FlowKindState::Tcp { sender, .. } = &mut f.kind else {
-                            return;
-                        };
-                        sender.on_ack(now, ack)
-                    };
-                    self.process_tcp_outputs(now, flow, outputs);
+                    self.tcp(now, flow, |sender, out| sender.on_ack(now, ack, out));
                 } else {
                     // A data segment reached the AP from the remote sender.
                     let (src, dst) = {
@@ -981,7 +965,27 @@ impl Network {
     // MAC action processing
     // ------------------------------------------------------------------
 
-    fn process_actions(&mut self, now: SimTime, node: NodeId, mut actions: MacActions<Segment>) {
+    /// Runs one MAC handler of `node` into a buffer from `mac_bufs` and
+    /// carries out its actions.
+    fn mac(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        call: impl FnOnce(&mut Dcf<Segment>, &mut Vec<MacAction<Segment>>),
+    ) {
+        let mut actions = self.mac_bufs.pop().unwrap_or_default();
+        call(&mut self.nodes[node.0 as usize].dcf, &mut actions);
+        self.process_actions(now, node, &mut actions);
+        self.mac_bufs.push(actions);
+    }
+
+    /// Carries out (and drains) one handler's `actions`.
+    fn process_actions(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        actions: &mut Vec<MacAction<Segment>>,
+    ) {
         for action in actions.drain(..) {
             match action {
                 MacAction::StartTx(frame) => self.start_transmission(now, frame),
@@ -1040,8 +1044,7 @@ impl Network {
         let st = &mut self.nodes[node.0 as usize];
         st.busy_count += 1;
         if st.busy_count == 1 {
-            let actions = st.dcf.on_channel_busy(now);
-            self.process_actions(now, node, actions);
+            self.mac(now, node, |dcf, actions| dcf.on_channel_busy(now, actions));
         }
     }
 
@@ -1050,8 +1053,7 @@ impl Network {
         debug_assert!(st.busy_count > 0, "busy underflow");
         st.busy_count = st.busy_count.saturating_sub(1);
         if st.busy_count == 0 {
-            let actions = st.dcf.on_channel_idle(now);
-            self.process_actions(now, node, actions);
+            self.mac(now, node, |dcf, actions| dcf.on_channel_idle(now, actions));
         }
     }
 
@@ -1081,8 +1083,7 @@ impl Network {
         let rec = self.frames.get(tx).expect("tx end without record");
         let src = rec.frame.actual_tx;
         let folded = rec.start + self.cs_latency >= now;
-        let actions = self.nodes[src.0 as usize].dcf.on_tx_end(now);
-        self.process_actions(now, src, actions);
+        self.mac(now, src, |dcf, actions| dcf.on_tx_end(now, actions));
         self.prune_frames(now);
         for m in 0..self.nodes.len() {
             let reach = self.reach(src, m);
@@ -1223,8 +1224,13 @@ impl Network {
                 a_end.saturating_since(a_start),
             );
         }
-        let actions = self.nodes[node.0 as usize].dcf.on_rx_end(now, event);
-        self.process_actions(now, node, actions);
+        // `Network::mac` inlined: the event borrows the frame arena.
+        let mut actions = self.mac_bufs.pop().unwrap_or_default();
+        self.nodes[node.0 as usize]
+            .dcf
+            .on_rx_end(now, event, &mut actions);
+        self.process_actions(now, node, &mut actions);
+        self.mac_bufs.push(actions);
     }
 
     /// Drops frames that can no longer overlap a pending reception. A
@@ -1240,8 +1246,9 @@ impl Network {
     // ------------------------------------------------------------------
 
     fn enqueue_at(&mut self, now: SimTime, at: NodeId, to: NodeId, seg: Segment) {
-        let actions = self.nodes[at.0 as usize].dcf.on_enqueue(now, to, seg);
-        self.process_actions(now, at, actions);
+        self.mac(now, at, |dcf, actions| {
+            dcf.on_enqueue(now, to, seg, actions)
+        });
     }
 
     /// Emits a transport flow event (for conformance flow accounting)
@@ -1313,16 +1320,7 @@ impl Network {
                             },
                         );
                     }
-                    None => {
-                        let outputs = {
-                            let f = &mut self.flows[flow.0 as usize];
-                            let FlowKindState::Tcp { sender, .. } = &mut f.kind else {
-                                return;
-                            };
-                            sender.on_ack(now, ack)
-                        };
-                        self.process_tcp_outputs(now, flow, outputs);
-                    }
+                    None => self.tcp(now, flow, |sender, out| sender.on_ack(now, ack, out)),
                 }
             }
             Segment::ProbeReq { flow, seq, bytes } => {
@@ -1346,9 +1344,28 @@ impl Network {
         }
     }
 
-    fn process_tcp_outputs(&mut self, now: SimTime, flow: FlowId, outputs: Vec<TcpOutput>) {
+    /// Runs one handler of `flow`'s TCP sender into `tcp_out` and
+    /// carries out its outputs. A flow that is not TCP has no sender, and
+    /// nothing runs.
+    fn tcp(
+        &mut self,
+        now: SimTime,
+        flow: FlowId,
+        call: impl FnOnce(&mut TcpSender, &mut Vec<TcpOutput>),
+    ) {
+        let FlowKindState::Tcp { sender, .. } = &mut self.flows[flow.0 as usize].kind else {
+            return;
+        };
+        let mut outputs = std::mem::take(&mut self.tcp_out);
+        call(sender, &mut outputs);
+        self.process_tcp_outputs(now, flow, &mut outputs);
+        self.tcp_out = outputs;
+    }
+
+    /// Carries out (and drains) one sender handler's `outputs`.
+    fn process_tcp_outputs(&mut self, now: SimTime, flow: FlowId, outputs: &mut Vec<TcpOutput>) {
         let _span = ::obs::span!("transport/tcp");
-        for out in outputs {
+        for out in outputs.drain(..) {
             match out {
                 TcpOutput::Send(seg) => {
                     if let Segment::TcpData { seq, .. } = seg {
@@ -1922,6 +1939,34 @@ mod tests {
             prop_assert!(snapshot(&new) == snapshot(&old), "{batch:?}");
             prop_assert_eq!(new.pending_credits(), 0);
         }
+    }
+
+    #[test]
+    fn handler_buffers_nest_two_deep_and_stop_growing() {
+        let mut b = NetworkBuilder::new(PhyParams::dot11b());
+        let ap = b.add_node(Position::new(0.0, 0.0));
+        let sta = b.add_node(Position::new(10.0, 0.0));
+        b.tcp_flow(ap, sta, transport::TcpConfig::default());
+        b.probe_flow(sta, ap, 64, SimDuration::from_millis(20));
+        let mut net = b.build();
+        let mut cursor = net.begin_hooked(RunHooks::default(), None);
+        let capacities = |net: &Network| {
+            let mut caps: Vec<usize> = net.mac_bufs.iter().map(Vec::capacity).collect();
+            // Nesting swaps the stack's order; capacities are what count.
+            caps.sort_unstable();
+            caps.push(net.tcp_out.capacity());
+            caps
+        };
+        net.advance(&mut cursor, SimTime::from_secs(2));
+        let warm = capacities(&net);
+        net.advance(&mut cursor, SimTime::from_secs(6));
+        // A delivered segment's reply (a TCP ACK, a probe echo) runs one
+        // MAC handler inside another, and nothing nests deeper.
+        assert_eq!(net.mac_bufs.len(), 2);
+        assert!(net.mac_bufs.iter().all(Vec::is_empty));
+        assert!(net.tcp_out.is_empty());
+        assert!(net.tcp_out.capacity() > 0, "the TCP buffer is kept");
+        assert_eq!(capacities(&net), warm, "steady state grew a buffer");
     }
 
     /// Injects `batch` at `now` and pops every armed event, as

@@ -88,12 +88,6 @@ impl ChannelModel {
         ChannelModel::with_ranges(55.0, 99.0)
     }
 
-    /// Replaces the RSSI model.
-    pub fn with_rssi(mut self, rssi: RssiModel) -> Self {
-        self.rssi = rssi;
-        self
-    }
-
     /// Communication (decode) range in meters.
     pub fn comm_range_m(&self) -> f64 {
         self.comm_range_m

@@ -4,7 +4,7 @@
 //! virtual time ([`SimTime`], [`SimDuration`]), a cancellable [`Scheduler`]
 //! backed by an indexed binary heap (arm and cancel in O(log pending)
 //! through generation-stamped [`TimerHandle`]s), allocation-free hot-path
-//! storage ([`Arena`], [`Pool`]), seedable deterministic random-number
+//! storage ([`Arena`]), seedable deterministic random-number
 //! generation ([`SimRng`]) and small statistics primitives used by every
 //! layer above (PHY, MAC, transport, experiments).
 //!
@@ -27,15 +27,15 @@
 //! ```
 
 #![warn(missing_docs)]
+pub mod arena;
 pub mod error;
-pub mod pool;
 pub mod rng;
 pub mod sched;
 pub mod stats;
 pub mod time;
 
+pub use arena::{Arena, ArenaHandle};
 pub use error::SimError;
-pub use pool::{Arena, ArenaHandle, Pool, PooledBox, Recycle};
 pub use rng::{NormalDraw, RunKey, SimRng};
 pub use sched::{Scheduler, TimerHandle};
 pub use stats::{Counter, Histogram, LogHistogram, Mean, TimeWeightedMean};

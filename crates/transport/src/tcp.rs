@@ -89,7 +89,8 @@ pub enum TcpOutput {
 /// use sim::SimTime;
 ///
 /// let mut s = TcpSender::new(gr_transport::FlowId(0), TcpConfig::default());
-/// let out = s.start(SimTime::ZERO);
+/// let mut out = Vec::new();
+/// s.start(SimTime::ZERO, &mut out);
 /// // Initial window: one segment plus the armed timer.
 /// assert!(matches!(out[0], TcpOutput::Send(_)));
 /// ```
@@ -177,11 +178,6 @@ impl TcpSender {
     /// report the receiver window cap).
     pub fn ssthresh(&self) -> f64 {
         self.cc.ssthresh()
-    }
-
-    /// The congestion controller configured for this sender.
-    pub fn cc_config(&self) -> CcConfig {
-        self.cfg.cc
     }
 
     /// The shared passive RTT estimator (smoothed/min RTT).
@@ -285,19 +281,16 @@ impl TcpSender {
     }
 
     /// Opens the connection: sends the initial window.
-    pub fn start(&mut self, now: SimTime) -> Vec<TcpOutput> {
-        let mut out = Vec::new();
-        self.fill_window(now, &mut out);
-        self.manage_timer(&mut out);
-        out
+    pub fn start(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
+        self.fill_window(now, out);
+        self.manage_timer(out);
     }
 
     /// Handles a cumulative ACK (`ack` = peer's next expected sequence).
-    pub fn on_ack(&mut self, now: SimTime, ack: u64) -> Vec<TcpOutput> {
-        let mut out = Vec::new();
+    pub fn on_ack(&mut self, now: SimTime, ack: u64, out: &mut Vec<TcpOutput>) {
         if ack > self.next_seq {
             // Corrupt/duplicate future ACK; ignore defensively.
-            return out;
+            return;
         }
         if ack > self.snd_una {
             // New data acknowledged.
@@ -358,8 +351,8 @@ impl TcpSender {
                 self.cc.on_ack(&sample);
             }
             self.record_cwnd(now);
-            self.fill_window(now, &mut out);
-            self.manage_timer(&mut out);
+            self.fill_window(now, out);
+            self.manage_timer(out);
         } else if ack == self.snd_una && self.flight_size() > 0 {
             // Duplicate ACK.
             self.dupacks += 1;
@@ -367,7 +360,7 @@ impl TcpSender {
                 // Controller-side window inflation keeps the pipe full.
                 self.cc.on_dup_ack(now);
                 self.record_cwnd(now);
-                self.fill_window(now, &mut out);
+                self.fill_window(now, out);
             } else if self.dupacks == 3 {
                 // Fast retransmit + fast recovery.
                 self.cc.on_loss(now, self.flight_size());
@@ -390,14 +383,12 @@ impl TcpSender {
                 self.timer_armed = true;
             }
         }
-        out
     }
 
     /// Handles a retransmission-timer expiry.
-    pub fn on_timeout(&mut self, now: SimTime) -> Vec<TcpOutput> {
-        let mut out = Vec::new();
+    pub fn on_timeout(&mut self, now: SimTime, out: &mut Vec<TcpOutput>) {
         if self.snd_una >= self.next_seq {
-            return out; // nothing outstanding; stale timer
+            return; // nothing outstanding; stale timer
         }
         self.timeouts += 1;
         self.cc.on_rto(now, self.flight_size());
@@ -431,7 +422,6 @@ impl TcpSender {
         )));
         out.push(TcpOutput::ArmTimer(self.rto.rto()));
         self.timer_armed = true;
-        out
     }
 }
 
@@ -572,6 +562,13 @@ impl snap::SnapState for TcpReceiver {
 mod tests {
     use super::*;
 
+    /// Runs one handler into a fresh buffer and returns what it appended.
+    fn outs(call: impl FnOnce(&mut Vec<TcpOutput>)) -> Vec<TcpOutput> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
+
     fn sends(out: &[TcpOutput]) -> Vec<u64> {
         out.iter()
             .filter_map(|o| match o {
@@ -584,7 +581,7 @@ mod tests {
     #[test]
     fn start_sends_initial_window_of_one() {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        let out = s.start(SimTime::ZERO);
+        let out = outs(|v| s.start(SimTime::ZERO, v));
         assert_eq!(sends(&out), vec![0]);
         assert!(out.iter().any(|o| matches!(o, TcpOutput::ArmTimer(_))));
     }
@@ -592,12 +589,12 @@ mod tests {
     #[test]
     fn slow_start_doubles_per_rtt() {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         // ACK seq 0 → cwnd 2, sends 2 more.
-        let out = s.on_ack(SimTime::from_millis(10), 1);
+        let out = outs(|v| s.on_ack(SimTime::from_millis(10), 1, v));
         assert_eq!(sends(&out), vec![1, 2]);
         assert_eq!(s.cwnd(), 2.0);
-        let out = s.on_ack(SimTime::from_millis(20), 2);
+        let out = outs(|v| s.on_ack(SimTime::from_millis(20), 2, v));
         assert_eq!(sends(&out), vec![3, 4]);
         assert_eq!(s.cwnd(), 3.0);
     }
@@ -609,34 +606,34 @@ mod tests {
             ..TcpConfig::default()
         };
         let mut s = TcpSender::new(FlowId(0), cfg);
-        s.start(SimTime::ZERO);
-        s.on_ack(SimTime::from_millis(10), 1); // cwnd 2 = ssthresh
+        outs(|v| s.start(SimTime::ZERO, v));
+        outs(|v| s.on_ack(SimTime::from_millis(10), 1, v)); // cwnd 2 = ssthresh
         let cwnd_before = s.cwnd();
-        s.on_ack(SimTime::from_millis(20), 2);
+        outs(|v| s.on_ack(SimTime::from_millis(20), 2, v));
         assert!((s.cwnd() - (cwnd_before + 1.0 / cwnd_before)).abs() < 1e-9);
     }
 
     #[test]
     fn fast_retransmit_on_three_dupacks() {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         // Grow the window a bit.
         for i in 1..=6 {
-            s.on_ack(SimTime::from_millis(i * 10), i);
+            outs(|v| s.on_ack(SimTime::from_millis(i * 10), i, v));
         }
         let flight = s.flight_size();
         assert!(flight >= 4, "need enough in flight, got {flight}");
         // Three dup ACKs for seq 6.
-        s.on_ack(SimTime::from_millis(100), 6);
-        s.on_ack(SimTime::from_millis(101), 6);
-        let out = s.on_ack(SimTime::from_millis(102), 6);
+        outs(|v| s.on_ack(SimTime::from_millis(100), 6, v));
+        outs(|v| s.on_ack(SimTime::from_millis(101), 6, v));
+        let out = outs(|v| s.on_ack(SimTime::from_millis(102), 6, v));
         assert_eq!(sends(&out), vec![6], "fast retransmit of snd_una");
         assert_eq!(s.retransmissions, 1);
         assert!((s.ssthresh() - (flight as f64 / 2.0).max(2.0)).abs() < 1e-9);
         // Full ACK (covering everything outstanding at entry) exits
         // recovery with cwnd = ssthresh.
         let full = s.recover + 1;
-        s.on_ack(SimTime::from_millis(110), full);
+        outs(|v| s.on_ack(SimTime::from_millis(110), full, v));
         assert!(!s.in_recovery);
         assert!((s.cwnd() - s.ssthresh()).abs() < 1e-9);
     }
@@ -644,35 +641,35 @@ mod tests {
     #[test]
     fn newreno_partial_ack_retransmits_next_hole() {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         for i in 1..=6 {
-            s.on_ack(SimTime::from_millis(i * 10), i);
+            outs(|v| s.on_ack(SimTime::from_millis(i * 10), i, v));
         }
         // Two holes: 6 and 8 lost. Dup ACKs for 6 trigger recovery.
-        s.on_ack(SimTime::from_millis(100), 6);
-        s.on_ack(SimTime::from_millis(101), 6);
-        let out = s.on_ack(SimTime::from_millis(102), 6);
+        outs(|v| s.on_ack(SimTime::from_millis(100), 6, v));
+        outs(|v| s.on_ack(SimTime::from_millis(101), 6, v));
+        let out = outs(|v| s.on_ack(SimTime::from_millis(102), 6, v));
         assert_eq!(sends(&out), vec![6]);
         let recover = s.recover;
         // Partial ACK up to 8 (6..7 repaired, 8 still missing):
         // NewReno retransmits 8 immediately, stays in recovery.
-        let out = s.on_ack(SimTime::from_millis(110), 8);
+        let out = outs(|v| s.on_ack(SimTime::from_millis(110), 8, v));
         assert!(sends(&out).contains(&8), "next hole must be retransmitted");
         assert!(s.in_recovery);
         assert_eq!(s.retransmissions, 2);
         // Full ACK ends recovery.
-        s.on_ack(SimTime::from_millis(120), recover + 1);
+        outs(|v| s.on_ack(SimTime::from_millis(120), recover + 1, v));
         assert!(!s.in_recovery);
     }
 
     #[test]
     fn timeout_collapses_window() {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         for i in 1..=6 {
-            s.on_ack(SimTime::from_millis(i * 10), i);
+            outs(|v| s.on_ack(SimTime::from_millis(i * 10), i, v));
         }
-        let out = s.on_timeout(SimTime::from_secs(2));
+        let out = outs(|v| s.on_timeout(SimTime::from_secs(2), v));
         assert_eq!(sends(&out), vec![6]);
         assert_eq!(s.cwnd(), 1.0);
         assert_eq!(s.timeouts, 1);
@@ -682,7 +679,7 @@ mod tests {
             Some(TcpOutput::ArmTimer(d)) => *d,
             _ => panic!("timer must be re-armed"),
         };
-        let out2 = s.on_timeout(SimTime::from_secs(4));
+        let out2 = outs(|v| s.on_timeout(SimTime::from_secs(4), v));
         let rto2 = match out2.last() {
             Some(TcpOutput::ArmTimer(d)) => *d,
             _ => panic!("timer must be re-armed"),
@@ -695,7 +692,7 @@ mod tests {
         // Before `start` nothing is in flight; a stray timer is a no-op.
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
         assert_eq!(s.flight_size(), 0);
-        assert!(s.on_timeout(SimTime::from_secs(1)).is_empty());
+        assert!(outs(|v| s.on_timeout(SimTime::from_secs(1), v)).is_empty());
         assert_eq!(s.timeouts, 0);
     }
 
@@ -704,10 +701,10 @@ mod tests {
         // With an infinite source, acking everything immediately refills
         // the window, so flight never drains to zero after start.
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
-        s.on_ack(SimTime::from_millis(5), 1);
+        outs(|v| s.start(SimTime::ZERO, v));
+        outs(|v| s.on_ack(SimTime::from_millis(5), 1, v));
         let next = s.next_seq;
-        s.on_ack(SimTime::from_millis(6), next);
+        outs(|v| s.on_ack(SimTime::from_millis(6), next, v));
         assert!(s.flight_size() > 0);
     }
 
@@ -718,9 +715,9 @@ mod tests {
             ..TcpConfig::default()
         };
         let mut s = TcpSender::new(FlowId(0), cfg);
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         for i in 1..=20 {
-            s.on_ack(SimTime::from_millis(i * 10), i);
+            outs(|v| s.on_ack(SimTime::from_millis(i * 10), i, v));
         }
         assert!(s.flight_size() <= 4);
     }
@@ -753,8 +750,8 @@ mod tests {
     #[test]
     fn avg_cwnd_is_time_weighted() {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
-        s.on_ack(SimTime::from_secs(1), 1); // cwnd 1 for 1 s, then 2
+        outs(|v| s.start(SimTime::ZERO, v));
+        outs(|v| s.on_ack(SimTime::from_secs(1), 1, v)); // cwnd 1 for 1 s, then 2
         let avg = s.avg_cwnd(SimTime::from_secs(2)).unwrap();
         assert!((avg - 1.5).abs() < 1e-9, "avg={avg}");
     }
@@ -763,14 +760,14 @@ mod tests {
     fn sender_snapshot_round_trips_mid_recovery() {
         use snap::{Dec, Enc, SnapState};
         let mut a = TcpSender::new(FlowId(3), TcpConfig::default());
-        a.start(SimTime::ZERO);
+        outs(|v| a.start(SimTime::ZERO, v));
         for i in 1..=6 {
-            a.on_ack(SimTime::from_millis(i * 10), i);
+            outs(|v| a.on_ack(SimTime::from_millis(i * 10), i, v));
         }
         // Three dup ACKs put the sender in fast recovery mid-snapshot.
-        a.on_ack(SimTime::from_millis(100), 6);
-        a.on_ack(SimTime::from_millis(101), 6);
-        a.on_ack(SimTime::from_millis(102), 6);
+        outs(|v| a.on_ack(SimTime::from_millis(100), 6, v));
+        outs(|v| a.on_ack(SimTime::from_millis(101), 6, v));
+        outs(|v| a.on_ack(SimTime::from_millis(102), 6, v));
         assert!(a.in_recovery);
         let mut w = Enc::new();
         a.snap_save(&mut w);
@@ -780,13 +777,13 @@ mod tests {
         assert_eq!(a.snap_digest(), b.snap_digest());
         // Both react identically to a partial ACK and a later timeout.
         let (xa, xb) = (
-            a.on_ack(SimTime::from_millis(110), 8),
-            b.on_ack(SimTime::from_millis(110), 8),
+            outs(|v| a.on_ack(SimTime::from_millis(110), 8, v)),
+            outs(|v| b.on_ack(SimTime::from_millis(110), 8, v)),
         );
         assert_eq!(xa, xb);
         let (xa, xb) = (
-            a.on_timeout(SimTime::from_secs(2)),
-            b.on_timeout(SimTime::from_secs(2)),
+            outs(|v| a.on_timeout(SimTime::from_secs(2), v)),
+            outs(|v| b.on_timeout(SimTime::from_secs(2), v)),
         );
         assert_eq!(xa, xb);
         assert_eq!(a.cwnd(), b.cwnd());
@@ -796,8 +793,8 @@ mod tests {
     #[test]
     fn future_ack_ignored() {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
-        assert!(s.on_ack(SimTime::from_millis(1), 999).is_empty());
+        outs(|v| s.start(SimTime::ZERO, v));
+        assert!(outs(|v| s.on_ack(SimTime::from_millis(1), 999, v)).is_empty());
         assert_eq!(s.snd_una, 0);
         assert_eq!(s.cwnd(), 1.0, "future ACK must not move the window");
     }
@@ -808,18 +805,24 @@ mod tests {
         // RTO that precedes the retransmission removes the send stamp,
         // so the ACK that finally covers it yields no sample.
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
-        s.on_ack(SimTime::from_millis(10), 1); // clean sample
+        outs(|v| s.start(SimTime::ZERO, v));
+        outs(|v| s.on_ack(SimTime::from_millis(10), 1, v)); // clean sample
         let (srtt_before, latest_before) = (s.rtt().srtt(), s.rtt().latest());
-        s.on_timeout(SimTime::from_secs(2)); // retransmits seq 1
-                                             // The ACK for the retransmitted segment arrives much later; a
-                                             // naive sample would measure from the *original* send.
-        s.on_ack(SimTime::from_secs(3), 2);
+        outs(|v| s.on_timeout(SimTime::from_secs(2), v)); // retransmits seq 1
+                                                          // The ACK for the retransmitted segment arrives much later; a
+                                                          // naive sample would measure from the *original* send.
+        outs(|v| s.on_ack(SimTime::from_secs(3), 2, v));
         assert_eq!(s.rtt().srtt(), srtt_before, "Karn: sample must be excluded");
         assert_eq!(s.rtt().latest(), latest_before);
         // The next never-retransmitted segment contributes again.
         let next = s.snd_una + 1;
-        s.on_ack(SimTime::from_secs(3) + SimDuration::from_millis(40), next);
+        outs(|v| {
+            s.on_ack(
+                SimTime::from_secs(3) + SimDuration::from_millis(40),
+                next,
+                v,
+            )
+        });
         assert_ne!(s.rtt().latest(), latest_before);
     }
 
@@ -832,7 +835,7 @@ mod tests {
             ..TcpConfig::default()
         };
         let mut s = TcpSender::new(FlowId(0), tcp);
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         let mut state = 0x9e37_79b9_u64 ^ u64::from(cfg.algo.tag()) << 32;
         let mut now = SimTime::ZERO;
         for step in 0..steps {
@@ -843,18 +846,18 @@ mod tests {
             now += SimDuration::from_micros(500 + state % 20_000);
             match state % 10 {
                 0 => {
-                    s.on_timeout(now);
+                    outs(|v| s.on_timeout(now, v));
                 }
                 1..=2 => {
                     // Duplicate ACK burst.
                     for _ in 0..=(state % 4) {
-                        s.on_ack(now, s.snd_una);
+                        outs(|v| s.on_ack(now, s.snd_una, v));
                     }
                 }
                 _ => {
                     let span = 1 + state % 5;
                     let ack = (s.snd_una + span).min(s.next_seq);
-                    s.on_ack(now, ack);
+                    outs(|v| s.on_ack(now, ack, v));
                 }
             }
             check(&s);
@@ -891,16 +894,16 @@ mod tests {
                 ..TcpConfig::default()
             };
             let mut s = TcpSender::new(FlowId(0), tcp);
-            s.start(SimTime::ZERO);
-            s.on_ack(SimTime::from_millis(10), 1);
+            outs(|v| s.start(SimTime::ZERO, v));
+            outs(|v| s.on_ack(SimTime::from_millis(10), 1, v));
             let next = s.next_seq;
-            s.on_ack(SimTime::from_millis(20), next);
+            outs(|v| s.on_ack(SimTime::from_millis(20), next, v));
             let cwnd = s.cwnd();
             // Old (stale) ACK below snd_una: nothing in flight changes.
-            s.on_ack(SimTime::from_millis(30), 0);
+            outs(|v| s.on_ack(SimTime::from_millis(30), 0, v));
             assert_eq!(s.cwnd(), cwnd, "{}: stale ACK moved cwnd", cfg.name());
             // Future ACK beyond next_seq is ignored outright.
-            s.on_ack(SimTime::from_millis(31), s.next_seq + 50);
+            outs(|v| s.on_ack(SimTime::from_millis(31), s.next_seq + 50, v));
             assert_eq!(s.cwnd(), cwnd, "{}: future ACK moved cwnd", cfg.name());
         }
     }
@@ -914,13 +917,13 @@ mod tests {
                 ..TcpConfig::default()
             };
             let mut a = TcpSender::new(FlowId(1), tcp.clone());
-            a.start(SimTime::ZERO);
+            outs(|v| a.start(SimTime::ZERO, v));
             for i in 1..=9 {
-                a.on_ack(SimTime::from_millis(i * 7), i);
+                outs(|v| a.on_ack(SimTime::from_millis(i * 7), i, v));
             }
-            a.on_ack(SimTime::from_millis(80), 9);
-            a.on_ack(SimTime::from_millis(81), 9);
-            a.on_ack(SimTime::from_millis(82), 9); // enter recovery
+            outs(|v| a.on_ack(SimTime::from_millis(80), 9, v));
+            outs(|v| a.on_ack(SimTime::from_millis(81), 9, v));
+            outs(|v| a.on_ack(SimTime::from_millis(82), 9, v)); // enter recovery
             let mut w = Enc::new();
             a.snap_save(&mut w);
             let bytes = w.into_bytes();
@@ -928,8 +931,8 @@ mod tests {
             b.snap_restore(&mut Dec::new(&bytes)).unwrap();
             assert_eq!(a.snap_digest(), b.snap_digest(), "{}", cfg.name());
             let (xa, xb) = (
-                a.on_ack(SimTime::from_millis(95), 11),
-                b.on_ack(SimTime::from_millis(95), 11),
+                outs(|v| a.on_ack(SimTime::from_millis(95), 11, v)),
+                outs(|v| b.on_ack(SimTime::from_millis(95), 11, v)),
             );
             assert_eq!(xa, xb, "{}: divergence after restore", cfg.name());
             assert_eq!(a.cwnd().to_bits(), b.cwnd().to_bits(), "{}", cfg.name());
@@ -940,7 +943,7 @@ mod tests {
     fn restoring_under_a_different_controller_is_corrupt() {
         use snap::{Dec, Enc, SnapState};
         let mut a = TcpSender::new(FlowId(0), TcpConfig::default());
-        a.start(SimTime::ZERO);
+        outs(|v| a.start(SimTime::ZERO, v));
         let mut w = Enc::new();
         a.snap_save(&mut w);
         let bytes = w.into_bytes();
@@ -967,12 +970,12 @@ mod tests {
         };
         let mut s = TcpSender::new(FlowId(0), cfg);
         s.set_recorder(rec.clone(), 1);
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         let mut now = SimTime::ZERO;
         for _ in 0..200 {
             now += SimDuration::from_millis(10);
             let ack = (s.snd_una + 1).min(s.next_seq);
-            s.on_ack(now, ack);
+            outs(|v| s.on_ack(now, ack, v));
         }
         let seen: Vec<&'static str> = rec.borrow().events().map(|e| e.kind.name).collect();
         assert!(

@@ -5,6 +5,13 @@ use gr_transport::{FlowId, RtoEstimator, Segment};
 use proptest::prelude::*;
 use sim::{SimDuration, SimTime};
 
+/// Runs one handler into a fresh buffer and returns what it appended.
+fn outs(call: impl FnOnce(&mut Vec<TcpOutput>)) -> Vec<TcpOutput> {
+    let mut out = Vec::new();
+    call(&mut out);
+    out
+}
+
 fn data_seqs(out: &[TcpOutput]) -> Vec<u64> {
     out.iter()
         .filter_map(|o| match o {
@@ -20,11 +27,11 @@ proptest! {
     #[test]
     fn sender_window_invariant(acks in proptest::collection::vec(0u64..200, 1..100)) {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         let mut t = SimTime::ZERO;
         for ack in acks {
             t += SimDuration::from_millis(1);
-            s.on_ack(t, ack);
+            outs(|v| s.on_ack(t, ack, v));
             prop_assert!(s.flight_size() <= 50, "flight exceeded window cap");
             prop_assert!(s.cwnd() >= 1.0);
         }
@@ -70,13 +77,13 @@ proptest! {
     #[test]
     fn timeout_retransmits_snd_una(acked in 0u64..20) {
         let mut s = TcpSender::new(FlowId(0), TcpConfig::default());
-        s.start(SimTime::ZERO);
+        outs(|v| s.start(SimTime::ZERO, v));
         let mut t = SimTime::ZERO;
         for a in 1..=acked {
             t += SimDuration::from_millis(1);
-            s.on_ack(t, a);
+            outs(|v| s.on_ack(t, a, v));
         }
-        let out = s.on_timeout(t + SimDuration::from_secs(2));
+        let out = outs(|v| s.on_timeout(t + SimDuration::from_secs(2), v));
         prop_assert_eq!(data_seqs(&out), vec![acked]);
         prop_assert_eq!(s.cwnd(), 1.0);
     }
@@ -113,12 +120,12 @@ proptest! {
                 }
             }
         };
-        let out = s.start(SimTime::ZERO);
+        let out = outs(|v| s.start(SimTime::ZERO, v));
         check(&out, &mut highest);
         let mut t = SimTime::ZERO;
         for ack in acks {
             t += SimDuration::from_millis(1);
-            let out = s.on_ack(t, ack);
+            let out = outs(|v| s.on_ack(t, ack, v));
             check(&out, &mut highest);
         }
     }
