@@ -349,8 +349,24 @@ impl Args {
 
     /// The option's last value, parsed with [`FromStr`].
     fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get_with(name, number)
+    }
+
+    /// The option's last value, a count parsed by `count`, as that many
+    /// `unit`s of virtual time. A count whose nanoseconds overflow the
+    /// simulator's 64-bit clock is an error, not a wrapped (and much
+    /// shorter) duration.
+    fn time(
+        &self,
+        name: &str,
+        unit: SimDuration,
+        count: impl Fn(&str) -> Result<u64, String>,
+    ) -> Result<Option<SimDuration>, String> {
         self.get_with(name, |v| {
-            v.parse().map_err(|_| format!("invalid value `{v}`"))
+            count(v)?
+                .checked_mul(unit.as_nanos())
+                .map(SimDuration::from_nanos)
+                .ok_or_else(|| format!("`{v}` overflows the simulator's 64-bit nanosecond clock"))
         })
     }
 
@@ -398,12 +414,7 @@ impl Args {
     /// `--resume` path that does not exist is an error; an existing
     /// directory without a checkpoint for some run reruns that run.
     fn hooks(&self, ctx: RunCtx, dir: &Path) -> Result<(RunCtx, &'static str), String> {
-        let every = |name| {
-            Ok::<_, String>(
-                self.get_with(name, positive::<u64>)?
-                    .map(SimDuration::from_millis),
-            )
-        };
+        let every = |name| self.time(name, SimDuration::from_millis(1), positive);
         let (ckpt, audit) = (every("--checkpoint-every")?, every("--audit-every")?);
         Ok(if let Some(from) = self.get::<PathBuf>("--resume")? {
             if !from.exists() {
@@ -422,6 +433,11 @@ impl Args {
             (ctx, "")
         })
     }
+}
+
+/// Parses a number.
+fn number<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| format!("invalid value `{v}`"))
 }
 
 /// Parses a strictly positive number.
@@ -919,11 +935,11 @@ fn scenario(args: &Args) -> Result<(), Stop> {
     s.shared_sender = args.has("--shared-ap");
     s.rts = !args.has("--no-rts");
     s.byte_error_rate = args.get("--ber")?.unwrap_or(s.byte_error_rate);
-    if let Some(secs) = args.get("--duration")? {
-        s.duration = SimDuration::from_secs(secs);
+    if let Some(duration) = args.time("--duration", SimDuration::from_secs(1), number)? {
+        s.duration = duration;
     }
     s.seed = args.get("--seed")?.unwrap_or(s.seed);
-    s.wire_delay = args.get("--wire")?.map(SimDuration::from_millis);
+    s.wire_delay = args.time("--wire", SimDuration::from_millis(1), number)?;
     s.grc = args.get_with("--grc", |v| match v {
         "detect" => Ok(false),
         "mitigate" => Ok(true),

@@ -9,9 +9,7 @@
 //! motivation ("existing work focuses on sender-side misbehavior") in
 //! one table.
 
-use greedy80211::{
-    DominoDetector, GrcObserver, GreedyConfig, GreedySenderPolicy, NavInflationConfig,
-};
+use greedy80211::{DominoDetector, GrcObserver, GreedyConfig, NavInflationConfig, PolicySlot};
 use net::NetworkBuilder;
 use phy::obs::TxLog;
 use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
@@ -45,7 +43,7 @@ fn run_case(q: &Quality, seed: u64, attack: Attack) -> Vec<f64> {
     let s0 = grc_node(&mut b, Position::new(0.0, 0.0));
     let r0 = grc_node(&mut b, Position::new(20.0, 0.0));
     let s1 = if attack == Attack::GreedySender {
-        b.add_node_with_policy(Position::new(0.0, 20.0), GreedySenderPolicy::new(0.1))
+        b.add_node_with_policy(Position::new(0.0, 20.0), PolicySlot::greedy_sender(0.1))
     } else {
         grc_node(&mut b, Position::new(0.0, 20.0))
     };

@@ -36,7 +36,7 @@ use detsci::roc::linear_grid;
 use detsci::{auc, AdaptiveConfig, AdaptiveThreshold, Cusum, OperatingPoint, Sprt, SprtVerdict};
 use greedy80211::detect::{GrcSnapshot, GrcTuning, WindowStat, WindowTrack};
 use greedy80211::{
-    Axis, CrossLayerDetector, DominoDetector, FakeAckDetector, GreedySenderPolicy, Run, RunOutcome,
+    Axis, CrossLayerDetector, DominoDetector, FakeAckDetector, PolicySlot, Run, RunOutcome,
     Scenario, TransportKind,
 };
 use net::NetworkBuilder;
@@ -748,7 +748,10 @@ fn domino_deficits(q: &Quality, seed: u64, greedy_fraction: Option<f64>) -> Vec<
     let s0 = b.add_node(Position::new(0.0, 0.0));
     let r0 = b.add_node(Position::new(20.0, 0.0));
     let s1 = if let Some(fraction) = greedy_fraction {
-        b.add_node_with_policy(Position::new(0.0, 20.0), GreedySenderPolicy::new(fraction))
+        b.add_node_with_policy(
+            Position::new(0.0, 20.0),
+            PolicySlot::greedy_sender(fraction),
+        )
     } else {
         b.add_node(Position::new(0.0, 20.0))
     };

@@ -357,3 +357,55 @@ fn a_reader_that_quits_early_ends_repro_quietly() {
     assert_eq!(status.code(), Some(141), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn time_options_that_overflow_the_clock_are_typed_errors() {
+    let dir = fresh_dir("overflow");
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    // Each value is the smallest whole count whose nanoseconds exceed
+    // u64::MAX; unchecked, it wrapped into a run of a fraction of a
+    // second, a sub-millisecond wire or a sub-millisecond interval.
+    let run = |option| {
+        vec![
+            "run",
+            "--quick",
+            "--jobs",
+            "1",
+            option,
+            "18446744073710",
+            "--out",
+            out_dir,
+            "fig2",
+        ]
+    };
+    for (args, option, value) in [
+        (
+            vec!["scenario", "--duration", "18446744074"],
+            "--duration",
+            "18446744074",
+        ),
+        (
+            vec!["scenario", "--duration", "1", "--wire", "18446744073710"],
+            "--wire",
+            "18446744073710",
+        ),
+        (
+            run("--checkpoint-every"),
+            "--checkpoint-every",
+            "18446744073710",
+        ),
+        (run("--audit-every"), "--audit-every", "18446744073710"),
+    ] {
+        let out = repro(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!(
+                "{option}: `{value}` overflows the simulator's 64-bit nanosecond clock"
+            )),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+        assert!(stdout(&out).is_empty(), "{args:?} must not run");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

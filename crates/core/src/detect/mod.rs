@@ -28,9 +28,9 @@ mod fake_guard;
 pub use cross_layer::CrossLayerDetector;
 pub use domino::{DominoDetector, DominoReport};
 pub use fake_guard::FakeAckDetector;
-// The MAC-attached guards live in `mac::grc` (they are dispatched through
-// the MAC's ObserverSlot enum); re-exported here so experiment code keeps
-// its historical `greedy80211::detect` paths.
+// The MAC-attached guards live in `mac::grc` (a station's DCF consults
+// its optional GrcObserver directly); re-exported here so experiment code
+// keeps its historical `greedy80211::detect` paths.
 pub use mac::grc::{
     GrcObserver, GrcReportHandles, GrcSnapshot, GrcTuning, NavGuard, NavGuardHandle,
     NavGuardReport, Shared, SpoofGuard, SpoofGuardConfig, SpoofGuardHandle, SpoofGuardReport,

@@ -63,8 +63,7 @@ pub use detect::{
     SpoofGuardReport,
 };
 pub use misbehavior::{
-    AckSpoofPolicy, Axis, FakeAckPolicy, FakeConfig, GreedyConfig, GreedyPolicy,
-    GreedySenderPolicy, InflatedFrames, NavInflationConfig, NavInflationPolicy, SpoofConfig,
+    Axis, FakeConfig, GreedyConfig, InflatedFrames, NavInflationConfig, PolicySlot, SpoofConfig,
 };
 pub use model::{nav_inflation_model, SendProbabilities};
 pub use rssi_study::{RssiStudy, RssiStudyConfig};

@@ -20,8 +20,8 @@
 //!   standard limits, duplicate filtering at the receiver;
 //! * promiscuous observation of every decodable frame (the hook greedy
 //!   receivers and GRC both rely on);
-//! * greedy-policy and observer hooks at the exact protocol points the
-//!   paper identifies;
+//! * the station's [`PolicySlot`] and optional [`GrcObserver`], consulted
+//!   at the exact protocol points the paper identifies;
 //! * per-destination emulation knobs used by the testbed-table
 //!   experiments (`no_retx_to`, `cw_clamp_to`).
 
@@ -35,8 +35,9 @@ use crate::backoff::Backoff;
 use crate::counters::MacCounters;
 use crate::dedup::DedupCache;
 use crate::frame::{Frame, FrameKind, Msdu, NavCalculator, NodeId, ACK_BYTES, CTS_BYTES};
+use crate::grc::{FrameMeta, GrcObserver};
 use crate::nav::Nav;
-use crate::policy::{FrameMeta, MacObserver, ObserverSlot, PolicySlot, StationPolicy};
+use crate::policy::PolicySlot;
 
 /// Timer classes a station arms. The runtime keeps at most one live timer
 /// per kind per station; [`MacAction::SetTimer`] replaces any previous
@@ -106,8 +107,6 @@ pub enum RxEvent<'a, M> {
     Corrupted {
         /// The damaged frame (headers readable, payload unusable).
         frame: &'a Frame<M>,
-        /// Received signal strength.
-        rssi: Rssi,
         /// Why the frame was damaged.
         cause: CorruptionCause,
     },
@@ -311,7 +310,9 @@ pub struct Dcf<M: Msdu> {
     backoff: Backoff,
     rng: SimRng,
     policy: PolicySlot,
-    observer: ObserverSlot,
+    /// GRC detection and mitigation, boxed so honest stations do not
+    /// carry its size.
+    observer: Option<Box<GrcObserver>>,
     /// Statistics, publicly readable by experiments.
     pub counters: MacCounters,
     queue: VecDeque<(NodeId, M, SimTime)>,
@@ -356,16 +357,17 @@ impl<M: Msdu> std::fmt::Debug for Dcf<M> {
 impl<M: Msdu> Dcf<M> {
     /// Creates a station with the honest policy and no observer.
     pub fn new(id: NodeId, cfg: DcfConfig, rng: SimRng) -> Self {
-        Self::with_hooks(id, cfg, rng, PolicySlot::default(), ObserverSlot::default())
+        Self::with_hooks(id, cfg, rng, PolicySlot::Normal, None)
     }
 
-    /// Creates a station with explicit policy and observer hooks.
+    /// Creates a station with an explicit policy and, optionally, the GRC
+    /// observer.
     pub fn with_hooks(
         id: NodeId,
         cfg: DcfConfig,
         rng: SimRng,
-        policy: impl Into<PolicySlot>,
-        observer: impl Into<ObserverSlot>,
+        policy: PolicySlot,
+        observer: Option<GrcObserver>,
     ) -> Self {
         let backoff = Backoff::new(&cfg.params);
         let counters = MacCounters::new(backoff.cw());
@@ -378,8 +380,8 @@ impl<M: Msdu> Dcf<M> {
             nav: Nav::new(),
             backoff,
             rng,
-            policy: policy.into(),
-            observer: observer.into(),
+            policy,
+            observer: observer.map(Box::new),
             counters,
             queue: VecDeque::new(),
             current: None,
@@ -426,13 +428,15 @@ impl<M: Msdu> Dcf<M> {
         self.id
     }
 
-    /// FNV-1a digest over the policy/observer hook state alone — the
-    /// misbehavior-detection layer of the audit ladder. Stateless hooks
-    /// encode to nothing, so honest stations all share one digest.
+    /// FNV-1a digest over the GRC observer's state alone — the
+    /// misbehavior-detection layer of the audit ladder. Policies are
+    /// stateless and a station without an observer encodes nothing, so
+    /// honest stations all share one digest.
     pub fn hooks_digest(&self) -> u64 {
         let mut w = snap::Enc::new();
-        StationPolicy::<M>::snap_save(&self.policy, &mut w);
-        MacObserver::<M>::snap_save(&self.observer, &mut w);
+        if let Some(o) = &self.observer {
+            o.save_state(&mut w);
+        }
         snap::fnv1a(w.bytes())
     }
 
@@ -445,7 +449,7 @@ impl<M: Msdu> Dcf<M> {
     /// declare, as [`crate::policy::quirk`] flags — the conformance
     /// checker's per-station whitelist.
     pub fn quirk_flags(&self) -> u32 {
-        let mut flags = StationPolicy::<M>::quirk_flags(&self.policy);
+        let mut flags = self.policy.quirk_flags();
         if !self.cfg.no_retx_to.is_empty() {
             flags |= crate::policy::quirk::NO_RETX;
         }
@@ -599,9 +603,7 @@ impl<M: Msdu> Dcf<M> {
     ) {
         match event {
             RxEvent::Ok { frame, rssi } => self.on_rx_ok(now, frame, rssi, actions),
-            RxEvent::Corrupted { frame, rssi, cause } => {
-                self.on_rx_corrupted(now, frame, rssi, cause, actions)
-            }
+            RxEvent::Corrupted { frame, cause } => self.on_rx_corrupted(now, frame, cause, actions),
         }
     }
 
@@ -654,7 +656,10 @@ impl<M: Msdu> Dcf<M> {
         self.use_eifs = false;
         let to_me = frame.dst == self.id;
         let meta = FrameMeta { rssi, now };
-        let honored_duration = self.observer.on_frame(frame, &meta, to_me);
+        let honored_duration = match &mut self.observer {
+            Some(o) => o.on_frame(frame, &meta),
+            None => frame.duration_us,
+        };
         if !to_me {
             self.nav.update(now, honored_duration, false);
             if honored_duration > 0 {
@@ -672,13 +677,9 @@ impl<M: Msdu> Dcf<M> {
                 && self.nav.is_idle(now) =>
             {
                 let normal = self.navcalc.cts_duration_us(frame.duration_us);
-                let dur = StationPolicy::<M>::outgoing_duration_us(
-                    &mut self.policy,
-                    FrameKind::Cts,
-                    normal,
-                    false,
-                    &mut self.rng,
-                );
+                let dur =
+                    self.policy
+                        .outgoing_duration_us(FrameKind::Cts, normal, false, &mut self.rng);
                 if dur > normal {
                     self.counters.inflated_navs_sent.incr();
                 }
@@ -693,13 +694,9 @@ impl<M: Msdu> Dcf<M> {
             }
             FrameKind::Data if to_me => {
                 let normal = self.navcalc.ack_duration_us();
-                let dur = StationPolicy::<M>::outgoing_duration_us(
-                    &mut self.policy,
-                    FrameKind::Ack,
-                    normal,
-                    false,
-                    &mut self.rng,
-                );
+                let dur =
+                    self.policy
+                        .outgoing_duration_us(FrameKind::Ack, normal, false, &mut self.rng);
                 if dur > normal {
                     self.counters.inflated_navs_sent.incr();
                 }
@@ -730,7 +727,11 @@ impl<M: Msdu> Dcf<M> {
             }
             FrameKind::Ack if to_me && self.awaiting == Some(Awaiting::Ack) => {
                 let expected_from = self.current.as_ref().map(|c| c.dst).unwrap_or(frame.src);
-                if self.observer.accept_ack(frame, &meta, expected_from) {
+                if self
+                    .observer
+                    .as_mut()
+                    .is_none_or(|o| o.accept_ack(&meta, expected_from))
+                {
                     actions.push(MacAction::CancelTimer(TimerKind::Response));
                     self.awaiting = None;
                     self.complete_current_success(now, actions);
@@ -758,7 +759,6 @@ impl<M: Msdu> Dcf<M> {
         &mut self,
         now: SimTime,
         frame: &Frame<M>,
-        rssi: Rssi,
         cause: CorruptionCause,
         actions: &mut Vec<MacAction<M>>,
     ) {
@@ -767,14 +767,12 @@ impl<M: Msdu> Dcf<M> {
             CorruptionCause::Noise => self.counters.corrupted_rx.incr(),
             CorruptionCause::Collision => self.counters.collision_rx.incr(),
         }
-        let meta = FrameMeta { rssi, now };
-        MacObserver::<M>::on_corrupted(&mut self.observer, &meta);
         // Misbehavior 3: fake ACK for a corrupted frame addressed to us.
         if frame.dst == self.id
             && frame.kind == FrameKind::Data
             && self.pending_response.is_none()
             && !self.txing
-            && self.policy.ack_corrupted(frame, &mut self.rng)
+            && self.policy.ack_corrupted(&mut self.rng)
         {
             self.counters.fake_acks_sent.incr();
             self.queue_response(Frame::ack(self.id, frame.src, 0), actions);
@@ -793,7 +791,7 @@ impl<M: Msdu> Dcf<M> {
     fn draw_slots(&mut self, now: SimTime) -> u32 {
         let cw = self.backoff.cw();
         self.counters.record_draw(cw);
-        let slots = match StationPolicy::<M>::backoff_slots(&mut self.policy, cw, &mut self.rng) {
+        let slots = match self.policy.backoff_slots(cw, &mut self.rng) {
             Some(slots) => slots.min(cw),
             None => self.backoff.draw(&mut self.rng),
         };
@@ -808,13 +806,9 @@ impl<M: Msdu> Dcf<M> {
         let current = self.current.as_ref().expect("data frame without tx op");
         let is_tack = current.body.is_transport_ack();
         let normal = self.navcalc.data_duration_us();
-        let dur = StationPolicy::<M>::outgoing_duration_us(
-            &mut self.policy,
-            FrameKind::Data,
-            normal,
-            is_tack,
-            &mut self.rng,
-        );
+        let dur = self
+            .policy
+            .outgoing_duration_us(FrameKind::Data, normal, is_tack, &mut self.rng);
         if dur > normal {
             self.counters.inflated_navs_sent.incr();
         }
@@ -863,13 +857,9 @@ impl<M: Msdu> Dcf<M> {
         let frame = if use_rts {
             let data_rate = self.current_data_rate_bps();
             let normal = self.navcalc.rts_duration_us_at(mac_bytes, data_rate);
-            let dur = StationPolicy::<M>::outgoing_duration_us(
-                &mut self.policy,
-                FrameKind::Rts,
-                normal,
-                is_tack,
-                &mut self.rng,
-            );
+            let dur =
+                self.policy
+                    .outgoing_duration_us(FrameKind::Rts, normal, is_tack, &mut self.rng);
             if dur > normal {
                 self.counters.inflated_navs_sent.incr();
             }
@@ -1113,9 +1103,9 @@ impl<M: Msdu> Dcf<M> {
 
 /// Snapshot = every field the protocol mutates at runtime, in declaration
 /// order; configuration (`id`, [`DcfConfig`], the NAV calculator), the
-/// hook slots themselves and the recorder plumbing are rebuilt by
-/// the owner before restoring. Policy and observer *state* rides along
-/// through [`StationPolicy::snap_save`] / [`MacObserver::snap_save`].
+/// policy, the observer and the recorder plumbing are rebuilt by the
+/// owner before restoring. Policies are stateless; the observer's
+/// detector state rides along through [`GrcObserver::save_state`].
 impl<M: Msdu> snap::SnapState for Dcf<M> {
     fn snap_save(&self, w: &mut snap::Enc) {
         use snap::SnapValue as _;
@@ -1146,8 +1136,9 @@ impl<M: Msdu> snap::SnapState for Dcf<M> {
             arf.snap_save(w);
         }
         self.last_ack_at.save(w);
-        StationPolicy::<M>::snap_save(&self.policy, w);
-        MacObserver::<M>::snap_save(&self.observer, w);
+        if let Some(o) = &self.observer {
+            o.save_state(w);
+        }
     }
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         use snap::SnapValue as _;
@@ -1189,9 +1180,10 @@ impl<M: Msdu> snap::SnapState for Dcf<M> {
             arf.snap_restore(r)?;
         }
         self.last_ack_at = Option::<SimTime>::load(r)?;
-        StationPolicy::<M>::snap_restore(&mut self.policy, r)?;
-        MacObserver::<M>::snap_restore(&mut self.observer, r)?;
-        Ok(())
+        match &mut self.observer {
+            Some(o) => o.load_state(r),
+            None => Ok(()),
+        }
     }
 }
 
@@ -1458,7 +1450,6 @@ mod tests {
                 t,
                 RxEvent::Corrupted {
                     frame: &garbled,
-                    rssi: Rssi::fixed(-70.0),
                     cause: CorruptionCause::Noise,
                 },
                 v,
@@ -1662,7 +1653,6 @@ mod tests {
                         t0 + SimDuration::from_micros(100),
                         RxEvent::Corrupted {
                             frame: &garbled,
-                            rssi: Rssi::fixed(-70.0),
                             cause: CorruptionCause::Noise,
                         },
                         v,
@@ -1695,7 +1685,7 @@ mod tests {
             DcfConfig::new(PhyParams::dot11b()),
             SimRng::new(8),
             spoof.into_policy(),
-            crate::policy::NoopObserver,
+            None,
         );
         let t = SimTime::from_millis(1);
         // Sniff a data frame addressed to somebody else.
@@ -1740,7 +1730,7 @@ mod tests {
             DcfConfig::new(PhyParams::dot11b()),
             SimRng::new(8),
             crate::greedy::GreedyConfig::fake_acks(1.0).into_policy(),
-            crate::policy::NoopObserver,
+            None,
         );
         let t = SimTime::from_millis(1);
         let garbled: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 7, 1024);
@@ -1749,7 +1739,6 @@ mod tests {
                 t,
                 RxEvent::Corrupted {
                     frame: &garbled,
-                    rssi: Rssi::fixed(-70.0),
                     cause: CorruptionCause::Noise,
                 },
                 v,

@@ -1,4 +1,4 @@
-//! The combined GRC observer: NAV sanitization + ACK vetting in one hook
+//! The combined GRC observer: NAV sanitization + ACK vetting in one place
 //! (paper Fig. 20 — every node can run the scheme; the more nodes run
 //! it, the higher the detection likelihood).
 
@@ -11,9 +11,18 @@ pub use obs::Shared;
 pub use spoof_guard::{SpoofGuard, SpoofGuardConfig, SpoofGuardHandle, SpoofGuardReport};
 pub use window::{WindowStat, WindowTrack};
 
-use crate::{Frame, FrameMeta, MacObserver, Msdu, NodeId};
-use phy::PhyParams;
-use sim::SimDuration;
+use crate::{Frame, Msdu, NodeId};
+use phy::{PhyParams, Rssi};
+use sim::{SimDuration, SimTime};
+
+/// Per-frame reception metadata passed to the GRC observer.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameMeta {
+    /// Received signal strength of this frame.
+    pub rssi: Rssi,
+    /// Reception-complete time.
+    pub now: SimTime,
+}
 
 /// Detection-science tuning of a [`GrcObserver`]: explicit thresholds
 /// plus optional per-window statistic tracking. The defaults reproduce
@@ -123,25 +132,32 @@ impl GrcObserver {
             },
         )
     }
-}
 
-impl<M: Msdu> MacObserver<M> for GrcObserver {
-    fn on_frame(&mut self, frame: &Frame<M>, meta: &FrameMeta, addressed_to_me: bool) -> u32 {
+    /// Called for every correctly received or overheard frame, *before*
+    /// the NAV update. Returns the Duration value (µs) the station should
+    /// honor; in mitigation mode the NAV guard clamps inflated values.
+    pub fn on_frame<M: Msdu>(&mut self, frame: &Frame<M>, meta: &FrameMeta) -> u32 {
         // The spoof guard only learns (never rewrites durations).
-        let _ = MacObserver::<M>::on_frame(&mut self.spoof, frame, meta, addressed_to_me);
-        MacObserver::<M>::on_frame(&mut self.nav, frame, meta, addressed_to_me)
+        self.spoof.on_frame(frame, meta);
+        self.nav.on_frame(frame, meta)
     }
 
-    fn accept_ack(&mut self, ack: &Frame<M>, meta: &FrameMeta, expected_from: NodeId) -> bool {
-        self.spoof.accept_ack(ack, meta, expected_from)
+    /// Called at a transmitter when a MAC ACK arrives for its outstanding
+    /// data frame (which was sent to `expected_from`). Returning `false`
+    /// makes the MAC ignore the ACK — the paper's spoofed-ACK recovery.
+    #[inline]
+    pub fn accept_ack(&mut self, meta: &FrameMeta, expected_from: NodeId) -> bool {
+        self.spoof.accept_ack(meta, expected_from)
     }
 
-    fn snap_save(&self, w: &mut snap::Enc) {
+    /// Serializes both guards' detector state into a station snapshot.
+    pub fn save_state(&self, w: &mut snap::Enc) {
         self.nav.save_state(w);
         self.spoof.save_state(w);
     }
 
-    fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
+    /// Restores state written by [`GrcObserver::save_state`].
+    pub fn load_state(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         self.nav.load_state(r)?;
         self.spoof.load_state(r)
     }
@@ -150,8 +166,6 @@ impl<M: Msdu> MacObserver<M> for GrcObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phy::Rssi;
-    use sim::SimTime;
 
     #[test]
     fn combines_both_guards() {
@@ -162,19 +176,18 @@ mod tests {
         };
         // Inflated ACK NAV → clamped by the NAV guard.
         let inflated: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 30_000);
-        assert_eq!(grc.on_frame(&inflated, &meta, false), 0);
+        assert_eq!(grc.on_frame(&inflated, &meta), 0);
         assert_eq!(handles.nav.borrow().total_detections(), 1);
         // Teach the spoof guard, then reject an anomalous ACK.
         for _ in 0..10 {
             let f: Frame<usize> = Frame::data(NodeId(1), NodeId(0), 314, 1, 60);
-            grc.on_frame(&f, &meta, true);
+            grc.on_frame(&f, &meta);
         }
         let hot = FrameMeta {
             rssi: Rssi::fixed(-30.0),
             now: SimTime::ZERO,
         };
-        let spoofed: Frame<usize> = Frame::spoofed_ack(NodeId(9), NodeId(1), NodeId(0));
-        assert!(!grc.accept_ack(&spoofed, &hot, NodeId(1)));
+        assert!(!grc.accept_ack(&hot, NodeId(1)));
         assert_eq!(handles.spoof.borrow().rejected, 1);
     }
 }

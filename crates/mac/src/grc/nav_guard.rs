@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::{Frame, FrameKind, FrameMeta, MacObserver, Msdu, NavCalculator};
+use crate::{Frame, FrameKind, FrameMeta, Msdu, NavCalculator};
 use phy::PhyParams;
 use sim::{SimDuration, SimTime};
 
@@ -198,10 +198,11 @@ impl NavGuard {
         report.windows = Option::load(r)?;
         Ok(())
     }
-}
 
-impl<M: Msdu> MacObserver<M> for NavGuard {
-    fn on_frame(&mut self, frame: &Frame<M>, meta: &FrameMeta, _addressed_to_me: bool) -> u32 {
+    /// Vets the Duration of a correctly received or overheard frame
+    /// against what its exchange can legitimately reserve; returns the
+    /// value to honor (the claim, or the expectation when mitigating).
+    pub fn on_frame<M: Msdu>(&mut self, frame: &Frame<M>, meta: &FrameMeta) -> u32 {
         let now = meta.now;
         match frame.kind {
             FrameKind::Rts => {
@@ -243,14 +244,6 @@ impl<M: Msdu> MacObserver<M> for NavGuard {
             }
         }
     }
-
-    fn snap_save(&self, w: &mut snap::Enc) {
-        self.save_state(w);
-    }
-
-    fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
-        self.load_state(r)
-    }
 }
 
 #[cfg(test)]
@@ -277,18 +270,15 @@ mod tests {
         let calc = NavCalculator::new(PhyParams::dot11b());
         let rts_dur = calc.rts_duration_us(DATA_HEADER_BYTES + 1024);
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), rts_dur);
-        assert_eq!(g.on_frame(&rts, &meta(0), false), rts_dur);
+        assert_eq!(g.on_frame(&rts, &meta(0)), rts_dur);
         let cts_dur = calc.cts_duration_us(rts_dur);
         let cts: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), cts_dur);
-        assert_eq!(g.on_frame(&cts, &meta(400), false), cts_dur);
+        assert_eq!(g.on_frame(&cts, &meta(400)), cts_dur);
         let data: Frame<usize> =
             Frame::data(NodeId(0), NodeId(1), calc.data_duration_us(), 1, 1024);
-        assert_eq!(
-            g.on_frame(&data, &meta(800), false),
-            calc.data_duration_us()
-        );
+        assert_eq!(g.on_frame(&data, &meta(800)), calc.data_duration_us());
         let ack: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 0);
-        assert_eq!(g.on_frame(&ack, &meta(1800), false), 0);
+        assert_eq!(g.on_frame(&ack, &meta(1800)), 0);
         assert_eq!(report.borrow().total_detections(), 0);
     }
 
@@ -298,11 +288,11 @@ mod tests {
         let calc = NavCalculator::new(PhyParams::dot11b());
         let rts_dur = calc.rts_duration_us(DATA_HEADER_BYTES + 1024);
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), rts_dur);
-        g.on_frame(&rts, &meta(0), false);
+        g.on_frame(&rts, &meta(0));
         let honest_cts = calc.cts_duration_us(rts_dur);
         let inflated: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), honest_cts + 10_000);
         // Clamped to the exact expected value, not the MTU bound.
-        assert_eq!(g.on_frame(&inflated, &meta(400), false), honest_cts);
+        assert_eq!(g.on_frame(&inflated, &meta(400)), honest_cts);
         assert_eq!(report.borrow().detections.get(&1), Some(&1));
         assert_eq!(report.borrow().corrections, 1);
     }
@@ -313,17 +303,17 @@ mod tests {
         let calc = NavCalculator::new(PhyParams::dot11b());
         let bound = calc.cts_duration_bound_us(1500);
         let inflated: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), 32_000);
-        assert_eq!(g.on_frame(&inflated, &meta(0), false), bound);
+        assert_eq!(g.on_frame(&inflated, &meta(0)), bound);
         // A CTS *within* the bound is honored even though unverifiable.
         let modest: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), bound - 100);
-        assert_eq!(g.on_frame(&modest, &meta(10), false), bound - 100);
+        assert_eq!(g.on_frame(&modest, &meta(10)), bound - 100);
     }
 
     #[test]
     fn inflated_ack_clamped_to_zero() {
         let (mut g, report) = guard(true);
         let inflated: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 20_000);
-        assert_eq!(g.on_frame(&inflated, &meta(0), false), 0);
+        assert_eq!(g.on_frame(&inflated, &meta(0)), 0);
         assert_eq!(report.borrow().total_detections(), 1);
     }
 
@@ -332,17 +322,14 @@ mod tests {
         let (mut g, _) = guard(true);
         let calc = NavCalculator::new(PhyParams::dot11b());
         let inflated: Frame<usize> = Frame::data(NodeId(1), NodeId(0), 31_000, 1, 60);
-        assert_eq!(
-            g.on_frame(&inflated, &meta(0), false),
-            calc.data_duration_us()
-        );
+        assert_eq!(g.on_frame(&inflated, &meta(0)), calc.data_duration_us());
     }
 
     #[test]
     fn detection_without_mitigation_keeps_claimed_value() {
         let (mut g, report) = guard(false);
         let inflated: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 20_000);
-        assert_eq!(g.on_frame(&inflated, &meta(0), false), 20_000);
+        assert_eq!(g.on_frame(&inflated, &meta(0)), 20_000);
         assert_eq!(report.borrow().total_detections(), 1);
         assert_eq!(report.borrow().corrections, 0);
     }
@@ -353,11 +340,11 @@ mod tests {
         let calc = NavCalculator::new(PhyParams::dot11b());
         let rts_dur = calc.rts_duration_us(DATA_HEADER_BYTES + 100);
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), rts_dur);
-        g.on_frame(&rts, &meta(0), false);
+        g.on_frame(&rts, &meta(0));
         // 50 ms later the entry expired; the CTS bound applies instead of
         // the (smaller) exact expectation.
         let cts: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), calc.cts_duration_bound_us(1500));
-        let honored = g.on_frame(&cts, &meta(50_000), false);
+        let honored = g.on_frame(&cts, &meta(50_000));
         assert_eq!(honored, calc.cts_duration_bound_us(1500));
     }
 }

@@ -16,7 +16,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::{Frame, FrameKind, FrameMeta, MacObserver, Msdu, NodeId};
+use crate::{Frame, FrameKind, FrameMeta, Msdu, NodeId};
 
 use super::window::WindowTrack;
 use super::Shared;
@@ -234,20 +234,20 @@ impl SpoofGuard {
         report.windows = Option::load(r)?;
         Ok(())
     }
-}
 
-impl<M: Msdu> MacObserver<M> for SpoofGuard {
-    fn on_frame(&mut self, frame: &Frame<M>, meta: &FrameMeta, _addressed_to_me: bool) -> u32 {
-        // Learn the peer's RSSI fingerprint from frames whose origin the
-        // protocol corroborates: CTS responses and data frames. MAC ACKs
-        // are exactly what the attacker forges, so they never teach.
+    /// Learns the peer's RSSI fingerprint from frames whose origin the
+    /// protocol corroborates: CTS responses and data frames. MAC ACKs
+    /// are exactly what the attacker forges, so they never teach.
+    pub fn on_frame<M: Msdu>(&mut self, frame: &Frame<M>, meta: &FrameMeta) {
         if matches!(frame.kind, FrameKind::Cts | FrameKind::Data) {
             self.learn(frame.src, meta.rssi.dbm());
         }
-        frame.duration_us
     }
 
-    fn accept_ack(&mut self, _ack: &Frame<M>, meta: &FrameMeta, expected_from: NodeId) -> bool {
+    /// Vets a MAC ACK that claims to come from `expected_from` against
+    /// that peer's RSSI median; `false` (mitigation only) rejects it.
+    #[inline]
+    pub fn accept_ack(&mut self, meta: &FrameMeta, expected_from: NodeId) -> bool {
         let Some(median) = self.median_for(expected_from) else {
             self.report.borrow_mut().unvetted += 1;
             return true;
@@ -271,14 +271,6 @@ impl<M: Msdu> MacObserver<M> for SpoofGuard {
             true
         }
     }
-
-    fn snap_save(&self, w: &mut snap::Enc) {
-        self.save_state(w);
-    }
-
-    fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
-        self.load_state(r)
-    }
 }
 
 #[cfg(test)]
@@ -297,7 +289,7 @@ mod tests {
     fn teach(g: &mut SpoofGuard, peer: u16, rssi: f64, n: usize) {
         for _ in 0..n {
             let f: Frame<usize> = Frame::data(NodeId(peer), NodeId(0), 314, 1, 60);
-            MacObserver::<usize>::on_frame(g, &f, &meta(rssi), true);
+            g.on_frame(&f, &meta(rssi));
         }
     }
 
@@ -305,8 +297,7 @@ mod tests {
     fn accepts_acks_near_median() {
         let (mut g, report) = SpoofGuard::new(SpoofGuardConfig::default());
         teach(&mut g, 1, -50.0, 10);
-        let ack: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 0);
-        assert!(g.accept_ack(&ack, &meta(-50.4), NodeId(1)));
+        assert!(g.accept_ack(&meta(-50.4), NodeId(1)));
         assert_eq!(report.borrow().accepted, 1);
         assert_eq!(report.borrow().flagged, 0);
     }
@@ -316,8 +307,7 @@ mod tests {
         let (mut g, report) = SpoofGuard::new(SpoofGuardConfig::default());
         teach(&mut g, 1, -50.0, 10);
         // A spoofer 10 m closer is many dB hotter.
-        let spoofed: Frame<usize> = Frame::spoofed_ack(NodeId(9), NodeId(1), NodeId(0));
-        assert!(!g.accept_ack(&spoofed, &meta(-35.0), NodeId(1)));
+        assert!(!g.accept_ack(&meta(-35.0), NodeId(1)));
         assert_eq!(report.borrow().flagged, 1);
         assert_eq!(report.borrow().rejected, 1);
     }
@@ -330,8 +320,7 @@ mod tests {
         };
         let (mut g, report) = SpoofGuard::new(cfg);
         teach(&mut g, 1, -50.0, 10);
-        let spoofed: Frame<usize> = Frame::spoofed_ack(NodeId(9), NodeId(1), NodeId(0));
-        assert!(g.accept_ack(&spoofed, &meta(-35.0), NodeId(1)));
+        assert!(g.accept_ack(&meta(-35.0), NodeId(1)));
         assert_eq!(report.borrow().flagged, 1);
         assert_eq!(report.borrow().rejected, 0);
     }
@@ -339,8 +328,7 @@ mod tests {
     #[test]
     fn no_baseline_means_no_vetting() {
         let (mut g, report) = SpoofGuard::new(SpoofGuardConfig::default());
-        let ack: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 0);
-        assert!(g.accept_ack(&ack, &meta(-90.0), NodeId(1)));
+        assert!(g.accept_ack(&meta(-90.0), NodeId(1)));
         assert_eq!(report.borrow().unvetted, 1);
     }
 
@@ -350,7 +338,7 @@ mod tests {
         // An attacker floods forged ACKs claiming to be node 1.
         for _ in 0..20 {
             let forged: Frame<usize> = Frame::spoofed_ack(NodeId(9), NodeId(1), NodeId(0));
-            MacObserver::<usize>::on_frame(&mut g, &forged, &meta(-35.0), true);
+            g.on_frame(&forged, &meta(-35.0));
         }
         // Baseline still empty → unvetted, not poisoned.
         assert_eq!(g.median_for(NodeId(1)), None);
@@ -409,11 +397,10 @@ mod tests {
         ) {
             let step = |g: &mut SpoofGuard, &(ack, l, peer): &(bool, usize, u16)| {
                 if ack {
-                    let f: Frame<usize> = Frame::ack(NodeId(peer), NodeId(0), 0);
-                    g.accept_ack(&f, &meta(LEVELS[l]), NodeId(peer))
+                    g.accept_ack(&meta(LEVELS[l]), NodeId(peer))
                 } else {
                     let f: Frame<usize> = Frame::data(NodeId(peer), NodeId(0), 314, 1, 60);
-                    MacObserver::<usize>::on_frame(g, &f, &meta(LEVELS[l]), true);
+                    g.on_frame(&f, &meta(LEVELS[l]));
                     true
                 }
             };

@@ -1,32 +1,23 @@
 //! The three greedy-receiver misbehaviors (paper §IV).
 //!
-//! Each misbehavior is a [`StationPolicy`] that plugs into an
-//! otherwise standard DCF station:
+//! A [`GreedyConfig`] composes any subset of them, each gated by the
+//! paper's *greedy percentage* parameter; a station runs it as
+//! [`PolicySlot::Greedy`]:
 //!
-//! 1. [`NavInflationPolicy`] — inflate the Duration/NAV field of outgoing
+//! 1. [`NavInflationConfig`] — inflate the Duration/NAV field of outgoing
 //!    CTS/ACK frames (and of RTS/DATA frames when they carry TCP ACKs) to
 //!    silence competitors;
-//! 2. [`AckSpoofPolicy`] — transmit MAC ACKs on behalf of victim
-//!    receivers, suppressing the sender's link-layer retransmissions and
-//!    pushing losses up to TCP;
-//! 3. [`FakeAckPolicy`] — acknowledge corrupted frames addressed to
-//!    oneself, preventing the sender's exponential backoff.
-//!
-//! [`GreedyConfig`] + [`GreedyPolicy`] compose any subset, each gated by
-//! the paper's *greedy percentage* parameter.
+//! 2. [`SpoofConfig`] — transmit MAC ACKs on behalf of victim receivers,
+//!    suppressing the sender's link-layer retransmissions and pushing
+//!    losses up to TCP;
+//! 3. [`FakeConfig`] — acknowledge corrupted frames addressed to oneself,
+//!    preventing the sender's exponential backoff.
 
-mod ack_spoof;
-mod fake_ack;
-mod greedy_sender;
 mod nav_inflation;
 
-pub use ack_spoof::AckSpoofPolicy;
-pub use fake_ack::FakeAckPolicy;
-pub use greedy_sender::GreedySenderPolicy;
-pub use nav_inflation::{InflatedFrames, NavInflationConfig, NavInflationPolicy};
+pub use nav_inflation::{InflatedFrames, NavInflationConfig};
 
-use crate::{Frame, FrameKind, Msdu, NodeId, PolicySlot, StationPolicy};
-use sim::SimRng;
+use crate::{NodeId, PolicySlot};
 
 /// Full greedy-receiver configuration: any combination of the three
 /// misbehaviors.
@@ -40,7 +31,20 @@ pub struct GreedyConfig {
     pub fake: Option<FakeConfig>,
 }
 
-/// Configuration of the ACK-spoofing misbehavior.
+/// Configuration of misbehavior 2, spoofing MAC-layer ACKs (paper §IV-B).
+///
+/// The greedy receiver runs in promiscuous mode. When it sniffs a data
+/// frame addressed to a victim receiver, it transmits a MAC ACK *on the
+/// victim's behalf* after SIFS. If the victim failed to receive the frame
+/// (lossy link), the spoofed ACK convinces the sender the frame was
+/// delivered, disabling the MAC retransmission that would have repaired
+/// the loss — the loss propagates to TCP, which slows the victim's flow
+/// and frees airtime for the greedy receiver.
+///
+/// When the victim *did* receive the frame, both ACKs go on the air in
+/// the same SIFS slot and the capture effect at the sender decides which
+/// one is heard (the paper's evaluation arranges capture so the overlap
+/// never jams — so does the scenario builder here).
 #[derive(Debug, Clone)]
 pub struct SpoofConfig {
     /// Receivers on whose behalf ACKs are spoofed.
@@ -49,7 +53,21 @@ pub struct SpoofConfig {
     pub gp: f64,
 }
 
-/// Configuration of the fake-ACK misbehavior.
+/// Configuration of misbehavior 3, fake ACKs for corrupted frames
+/// (paper §IV-C).
+///
+/// 802.11 senders back off exponentially when an expected ACK does not
+/// arrive. A greedy receiver that ACKs even *corrupted* frames addressed
+/// to it keeps its sender's contention window pinned at CWmin, granting
+/// the pair more transmission opportunities than honest stations whose
+/// senders keep backing off. The attack is feasible because corrupted
+/// frames overwhelmingly preserve their address fields (paper Table I —
+/// reproduced by the core crate's `corruption` module).
+///
+/// Under *inherent* channel losses faking ACKs is effectively a survival
+/// technique (backoff would not have reduced the loss anyway); under
+/// *collision-induced* losses it is self-destructive when everyone does
+/// it (paper Fig. 18, Table V).
 #[derive(Debug, Clone)]
 pub struct FakeConfig {
     /// Fraction of corrupted own-addressed data frames that get ACKed.
@@ -121,7 +139,7 @@ impl GreedyConfig {
 
     /// Converts this configuration into a MAC station policy slot.
     pub fn into_policy(self) -> PolicySlot {
-        PolicySlot::Greedy(GreedyPolicy::new(self))
+        PolicySlot::Greedy(self)
     }
 
     /// Scales every misbehavior knob by `intensity ∈ [0, 1]`: the NAV
@@ -161,97 +179,9 @@ impl GreedyConfig {
     }
 }
 
-/// Station policy implementing a [`GreedyConfig`].
-#[derive(Debug)]
-pub struct GreedyPolicy {
-    nav: Option<NavInflationPolicy>,
-    spoof: Option<AckSpoofPolicy>,
-    fake: Option<FakeAckPolicy>,
-}
-
-impl GreedyPolicy {
-    /// Creates the composite policy.
-    pub fn new(cfg: GreedyConfig) -> Self {
-        GreedyPolicy {
-            nav: cfg.nav.map(NavInflationPolicy::new),
-            spoof: cfg.spoof.map(|s| AckSpoofPolicy::new(s.victims, s.gp)),
-            fake: cfg.fake.map(|f| FakeAckPolicy::new(f.gp)),
-        }
-    }
-}
-
-impl<M: Msdu> StationPolicy<M> for GreedyPolicy {
-    fn outgoing_duration_us(
-        &mut self,
-        kind: FrameKind,
-        normal_us: u32,
-        carries_transport_ack: bool,
-        rng: &mut SimRng,
-    ) -> u32 {
-        match &self.nav {
-            Some(p) => p.duration_for(kind, normal_us, carries_transport_ack, rng),
-            None => normal_us,
-        }
-    }
-
-    fn ack_corrupted(&mut self, frame: &Frame<M>, rng: &mut SimRng) -> bool {
-        self.fake
-            .as_mut()
-            .is_some_and(|p| StationPolicy::<M>::ack_corrupted(p, frame, rng))
-    }
-
-    fn spoof_ack_for(&mut self, frame: &Frame<M>, rng: &mut SimRng) -> bool {
-        self.spoof
-            .as_mut()
-            .is_some_and(|p| StationPolicy::<M>::spoof_ack_for(p, frame, rng))
-    }
-
-    fn quirk_flags(&self) -> u32 {
-        let mut flags = 0;
-        if self.nav.is_some() {
-            flags |= crate::policy::quirk::NAV_INFLATE;
-        }
-        if self.spoof.is_some() {
-            flags |= crate::policy::quirk::ACK_SPOOF;
-        }
-        if self.fake.is_some() {
-            flags |= crate::policy::quirk::FAKE_ACK;
-        }
-        flags
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn composite_combines_all_three() {
-        let cfg = GreedyConfig {
-            nav: Some(NavInflationConfig::cts_only(5_000, 1.0)),
-            spoof: Some(SpoofConfig {
-                victims: vec![NodeId(1)],
-                gp: 1.0,
-            }),
-            fake: Some(FakeConfig { gp: 1.0 }),
-        };
-        let mut p = GreedyPolicy::new(cfg);
-        let mut rng = SimRng::new(1);
-        assert_eq!(
-            StationPolicy::<usize>::outgoing_duration_us(
-                &mut p,
-                FrameKind::Cts,
-                314,
-                false,
-                &mut rng
-            ),
-            5_314
-        );
-        let victim_frame: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 1, 1024);
-        assert!(p.spoof_ack_for(&victim_frame, &mut rng));
-        let own_frame: Frame<usize> = Frame::data(NodeId(0), NodeId(2), 314, 1, 1024);
-        assert!(p.ack_corrupted(&own_frame, &mut rng));
-    }
 
     #[test]
     fn at_intensity_scales_every_knob() {
@@ -278,24 +208,5 @@ mod tests {
         assert!(cfg.at_intensity(0.0).is_inert());
         assert!(GreedyConfig::default().is_inert());
         assert!(GreedyConfig::ack_spoofing(Vec::new(), 1.0).is_inert());
-    }
-
-    #[test]
-    fn default_config_is_honest() {
-        let mut p = GreedyPolicy::new(GreedyConfig::default());
-        let mut rng = SimRng::new(1);
-        assert_eq!(
-            StationPolicy::<usize>::outgoing_duration_us(
-                &mut p,
-                FrameKind::Cts,
-                314,
-                false,
-                &mut rng
-            ),
-            314
-        );
-        let f: Frame<usize> = Frame::data(NodeId(0), NodeId(1), 314, 1, 1024);
-        assert!(!p.spoof_ack_for(&f, &mut rng));
-        assert!(!p.ack_corrupted(&f, &mut rng));
     }
 }

@@ -11,7 +11,7 @@
 //! so the sender keeps transmitting while every other station defers —
 //! the asymmetry the whole attack rests on.
 
-use crate::{FrameKind, StationPolicy, MAX_NAV_US};
+use crate::{FrameKind, MAX_NAV_US};
 use sim::SimRng;
 
 /// Which outgoing frame kinds carry inflated Durations.
@@ -93,6 +93,30 @@ impl NavInflationConfig {
             frames: InflatedFrames::ALL,
         }
     }
+
+    /// Returns the Duration to put on an outgoing frame of `kind` whose
+    /// honest value is `normal_us`.
+    pub fn duration_for(
+        &self,
+        kind: FrameKind,
+        normal_us: u32,
+        carries_transport_ack: bool,
+        rng: &mut SimRng,
+    ) -> u32 {
+        let eligible = match kind {
+            FrameKind::Cts => self.frames.cts,
+            FrameKind::Ack => self.frames.ack,
+            // RTS/DATA inflation applies only to the receiver's own
+            // transmissions, i.e. frames carrying TCP ACKs.
+            FrameKind::Rts => self.frames.rts && carries_transport_ack,
+            FrameKind::Data => self.frames.data && carries_transport_ack,
+        };
+        if eligible && rng.chance(self.gp) {
+            normal_us.saturating_add(self.inflate_us).min(MAX_NAV_US)
+        } else {
+            normal_us
+        }
+    }
 }
 
 impl snap::SnapValue for InflatedFrames {
@@ -127,57 +151,6 @@ impl snap::SnapValue for NavInflationConfig {
     }
 }
 
-/// The station policy implementing NAV inflation.
-#[derive(Debug, Clone)]
-pub struct NavInflationPolicy {
-    cfg: NavInflationConfig,
-}
-
-impl NavInflationPolicy {
-    /// Creates the policy.
-    pub fn new(cfg: NavInflationConfig) -> Self {
-        NavInflationPolicy { cfg }
-    }
-
-    /// Core rule, shared with the composite policy: returns the Duration
-    /// to put on the frame.
-    pub fn duration_for(
-        &self,
-        kind: FrameKind,
-        normal_us: u32,
-        carries_transport_ack: bool,
-        rng: &mut SimRng,
-    ) -> u32 {
-        let eligible = match kind {
-            FrameKind::Cts => self.cfg.frames.cts,
-            FrameKind::Ack => self.cfg.frames.ack,
-            // RTS/DATA inflation applies only to the receiver's own
-            // transmissions, i.e. frames carrying TCP ACKs.
-            FrameKind::Rts => self.cfg.frames.rts && carries_transport_ack,
-            FrameKind::Data => self.cfg.frames.data && carries_transport_ack,
-        };
-        if eligible && rng.chance(self.cfg.gp) {
-            normal_us
-                .saturating_add(self.cfg.inflate_us)
-                .min(MAX_NAV_US)
-        } else {
-            normal_us
-        }
-    }
-}
-
-impl<M: crate::Msdu> StationPolicy<M> for NavInflationPolicy {
-    fn outgoing_duration_us(
-        &mut self,
-        kind: FrameKind,
-        normal_us: u32,
-        carries_transport_ack: bool,
-        rng: &mut SimRng,
-    ) -> u32 {
-        self.duration_for(kind, normal_us, carries_transport_ack, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +161,7 @@ mod tests {
 
     #[test]
     fn inflates_selected_kinds_only() {
-        let p = NavInflationPolicy::new(NavInflationConfig::cts_only(10_000, 1.0));
+        let p = NavInflationConfig::cts_only(10_000, 1.0);
         let mut r = rng();
         assert_eq!(p.duration_for(FrameKind::Cts, 314, false, &mut r), 10_314);
         assert_eq!(p.duration_for(FrameKind::Ack, 0, false, &mut r), 0);
@@ -197,7 +170,7 @@ mod tests {
 
     #[test]
     fn rts_data_require_transport_ack() {
-        let p = NavInflationPolicy::new(NavInflationConfig::all_frames(5_000, 1.0));
+        let p = NavInflationConfig::all_frames(5_000, 1.0);
         let mut r = rng();
         // Data frame carrying a TCP ACK: inflated.
         assert_eq!(p.duration_for(FrameKind::Data, 314, true, &mut r), 5_314);
@@ -209,7 +182,7 @@ mod tests {
 
     #[test]
     fn clamps_to_standard_max() {
-        let p = NavInflationPolicy::new(NavInflationConfig::cts_only(32_767, 1.0));
+        let p = NavInflationConfig::cts_only(32_767, 1.0);
         let mut r = rng();
         assert_eq!(
             p.duration_for(FrameKind::Cts, 30_000, false, &mut r),
@@ -219,7 +192,7 @@ mod tests {
 
     #[test]
     fn greedy_percentage_gates_inflation() {
-        let p = NavInflationPolicy::new(NavInflationConfig::cts_only(1_000, 0.5));
+        let p = NavInflationConfig::cts_only(1_000, 0.5);
         let mut r = rng();
         let n = 10_000;
         let inflated = (0..n)
@@ -231,7 +204,7 @@ mod tests {
 
     #[test]
     fn zero_gp_never_inflates() {
-        let p = NavInflationPolicy::new(NavInflationConfig::all_frames(31_000, 0.0));
+        let p = NavInflationConfig::all_frames(31_000, 0.0);
         let mut r = rng();
         for _ in 0..100 {
             assert_eq!(p.duration_for(FrameKind::Cts, 314, false, &mut r), 314);

@@ -94,7 +94,6 @@ proptest! {
             let ev = if corrupted {
                 RxEvent::Corrupted {
                     frame: &frame,
-                    rssi: Rssi::fixed(-60.0),
                     cause: gr_mac::CorruptionCause::Noise,
                 }
             } else {

@@ -1,7 +1,7 @@
 //! Fluent construction of simulations.
 //!
 //! [`NetworkBuilder`] assembles nodes (position + MAC configuration +
-//! policy/observer hooks), flows (UDP, TCP, remote-TCP, probes) and
+//! station policy + optional GRC observer), flows (UDP, TCP, remote-TCP, probes) and
 //! channel properties into a runnable [`Network`].
 //!
 //! # Examples
@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use mac::{Dcf, DcfConfig, NodeId, ObserverSlot, PolicySlot};
+use mac::{Dcf, DcfConfig, GrcObserver, NodeId, PolicySlot};
 use phy::{CaptureModel, ChannelModel, ErrorModel, PhyParams, Position};
 use sim::{SimDuration, SimRng};
 use transport::{
@@ -35,8 +35,8 @@ use crate::network::{FlowKindState, FlowState, Network};
 
 struct NodeSpec {
     pos: Position,
-    policy: Option<PolicySlot>,
-    observer: Option<ObserverSlot>,
+    policy: PolicySlot,
+    observer: Option<GrcObserver>,
     no_retx_to: Vec<NodeId>,
     cw_clamp_to: Vec<NodeId>,
     auto_rate: Option<mac::ArfConfig>,
@@ -138,28 +138,25 @@ impl NetworkBuilder {
 
     /// Adds an honest node at `pos`, returning its id.
     pub fn add_node(&mut self, pos: Position) -> NodeId {
-        self.add_node_spec(pos, None, None)
+        self.add_node_spec(pos, PolicySlot::Normal, None)
     }
 
-    /// Adds a node with a custom station policy (greedy receivers).
-    pub fn add_node_with_policy(&mut self, pos: Position, policy: impl Into<PolicySlot>) -> NodeId {
-        self.add_node_spec(pos, Some(policy.into()), None)
+    /// Adds a node running a misbehaving policy (greedy receivers and
+    /// senders).
+    pub fn add_node_with_policy(&mut self, pos: Position, policy: PolicySlot) -> NodeId {
+        self.add_node_spec(pos, policy, None)
     }
 
-    /// Adds a node with a custom observer (GRC detection/mitigation).
-    pub fn add_node_with_observer(
-        &mut self,
-        pos: Position,
-        observer: impl Into<ObserverSlot>,
-    ) -> NodeId {
-        self.add_node_spec(pos, None, Some(observer.into()))
+    /// Adds an honest node running GRC detection/mitigation.
+    pub fn add_node_with_observer(&mut self, pos: Position, observer: GrcObserver) -> NodeId {
+        self.add_node_spec(pos, PolicySlot::Normal, Some(observer))
     }
 
     fn add_node_spec(
         &mut self,
         pos: Position,
-        policy: Option<PolicySlot>,
-        observer: Option<ObserverSlot>,
+        policy: PolicySlot,
+        observer: Option<GrcObserver>,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u16);
         self.nodes.push(NodeSpec {
@@ -307,16 +304,7 @@ impl NetworkBuilder {
                 cfg.cw_clamp_to = spec.cw_clamp_to;
                 cfg.auto_rate = spec.auto_rate;
                 let rng = master.fork(i as u64 + 1000);
-                let dcf = match (spec.policy, spec.observer) {
-                    (None, None) => Dcf::new(NodeId(i as u16), cfg, rng),
-                    (p, o) => Dcf::with_hooks(
-                        NodeId(i as u16),
-                        cfg,
-                        rng,
-                        p.unwrap_or_default(),
-                        o.unwrap_or_default(),
-                    ),
-                };
+                let dcf = Dcf::with_hooks(NodeId(i as u16), cfg, rng, spec.policy, spec.observer);
                 (spec.pos, dcf)
             })
             .collect();

@@ -1161,7 +1161,9 @@ impl Network {
             }
         }
         // Median received power doubles as the capture-comparison input
-        // and the RSSI jitter center (`rx_power_dbm ≡ rssi median`).
+        // and the RSSI jitter center (`rx_power_dbm ≡ rssi median`). The
+        // sample is drawn before the outcome is known, so a corrupted
+        // reception, which ignores it, consumes the same RNG draws.
         let p_a = self.link.power_dbm(a_src.0 as usize, rx);
         let rssi = self.channel.rssi().sample_from_median(p_a, &mut self.rng);
         let captured = max_other == f64::NEG_INFINITY
@@ -1172,7 +1174,6 @@ impl Network {
         let event = if !captured {
             RxEvent::Corrupted {
                 frame,
-                rssi,
                 cause: CorruptionCause::Collision,
             }
         } else {
@@ -1197,7 +1198,6 @@ impl Network {
             if corrupted {
                 RxEvent::Corrupted {
                     frame,
-                    rssi,
                     cause: CorruptionCause::Noise,
                 }
             } else {

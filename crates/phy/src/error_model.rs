@@ -76,11 +76,6 @@ impl ErrorModel {
         self.rate
     }
 
-    /// True if the rate is zero.
-    pub fn is_lossless(&self) -> bool {
-        self.rate == 0.0
-    }
-
     /// Frame error rate for a frame of `frame_bytes` bytes:
     /// `1 − (1 − rate)^units`.
     pub fn fer(&self, frame_bytes: usize) -> f64 {
@@ -198,7 +193,6 @@ mod tests {
     #[test]
     fn lossless_never_corrupts() {
         let em = ErrorModel::lossless();
-        assert!(em.is_lossless());
         assert_eq!(em.fer(1500), 0.0);
         let mut rng = SimRng::new(1);
         assert!(!em.corrupts(1500, &mut rng));

@@ -78,12 +78,6 @@ impl RssiModel {
             jitter: Some((self.jitter_sigma_db, rng.normal_draw())),
         }
     }
-
-    /// Ratio of two received powers in dB (`a − b`), the quantity compared
-    /// against the capture threshold.
-    pub fn power_ratio_db(a_dbm: f64, b_dbm: f64) -> f64 {
-        a_dbm - b_dbm
-    }
 }
 
 /// One per-packet RSSI observation, evaluated on read.
@@ -173,10 +167,5 @@ mod tests {
             (frac - 0.95).abs() < 0.01,
             "fraction within 1 dB = {frac}, expected ≈0.95"
         );
-    }
-
-    #[test]
-    fn power_ratio() {
-        assert_eq!(RssiModel::power_ratio_db(-40.0, -50.0), 10.0);
     }
 }

@@ -15,7 +15,6 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::mpsc;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 pub mod lockstep;
 
@@ -108,18 +107,6 @@ impl Runner {
             .map(|slot| slot.expect("every job reports exactly once"))
             .collect()
     }
-
-    /// Like [`Runner::execute_all`], also reporting the batch's wall-clock
-    /// duration.
-    pub fn execute_all_timed<T, F>(&self, batch: Vec<F>) -> (Vec<T>, Duration)
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let start = Instant::now();
-        let results = self.execute_all(batch);
-        (results, start.elapsed())
-    }
 }
 
 #[cfg(test)]
@@ -169,12 +156,5 @@ mod tests {
     #[test]
     fn jobs_is_clamped_to_one() {
         assert_eq!(Runner::new(0).jobs(), 1);
-    }
-
-    #[test]
-    fn timed_variant_reports_duration() {
-        let (out, elapsed) = Runner::new(2).execute_all_timed(squares_batch(8));
-        assert_eq!(out.len(), 8);
-        assert!(elapsed <= Duration::from_secs(60));
     }
 }

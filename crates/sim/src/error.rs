@@ -17,8 +17,6 @@ use std::fmt;
 pub enum SimError {
     /// A configuration parameter was out of range or inconsistent.
     InvalidConfig(String),
-    /// A referenced entity (node, flow, link) does not exist.
-    UnknownEntity(String),
 }
 
 impl SimError {
@@ -26,33 +24,14 @@ impl SimError {
     pub fn invalid_config(msg: impl Into<String>) -> Self {
         SimError::InvalidConfig(msg.into())
     }
-
-    /// Convenience constructor for [`SimError::UnknownEntity`].
-    pub fn unknown_entity(msg: impl Into<String>) -> Self {
-        SimError::UnknownEntity(msg.into())
-    }
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::InvalidConfig(m) => write!(f, "invalid configuration: {m}"),
-            SimError::UnknownEntity(m) => write!(f, "unknown entity: {m}"),
         }
     }
 }
 
 impl Error for SimError {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_and_error_trait() {
-        let e = SimError::unknown_entity("node 7");
-        assert_eq!(e.to_string(), "unknown entity: node 7");
-        let boxed: Box<dyn Error> = Box::new(e);
-        assert!(boxed.source().is_none());
-    }
-}

@@ -246,11 +246,6 @@ impl Histogram {
         &self.bins
     }
 
-    /// Under- and overflow counts.
-    pub fn outliers(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
     /// Fraction of observations at or below `x` (empirical CDF, counting
     /// whole bins whose upper edge is ≤ x plus any underflow).
     pub fn cdf_at(&self, x: f64) -> f64 {
@@ -463,7 +458,6 @@ mod tests {
         assert_eq!(h.bins()[0], 1);
         assert_eq!(h.bins()[1], 2);
         assert_eq!(h.bins()[9], 1);
-        assert_eq!(h.outliers(), (1, 2));
         // CDF at 2.0: underflow(1) + bin0(1) + bin1(2) = 4/7
         assert!((h.cdf_at(2.0) - 4.0 / 7.0).abs() < 1e-12);
         assert!((h.cdf_at(100.0) - 1.0).abs() < 1e-12);

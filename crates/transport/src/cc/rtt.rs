@@ -96,11 +96,6 @@ impl RttEstimator {
     pub fn min_rtt(&self) -> Option<SimDuration> {
         self.min_rtt
     }
-
-    /// Age of the held minimum at `now`.
-    pub fn min_rtt_age(&self, now: SimTime) -> SimDuration {
-        now.saturating_since(self.min_rtt_at)
-    }
 }
 
 impl Default for RttEstimator {
@@ -154,7 +149,6 @@ mod tests {
         // replaces it even though it is larger.
         r.sample(SimTime::from_secs(12), SimDuration::from_millis(40));
         assert_eq!(r.min_rtt(), Some(SimDuration::from_millis(40)));
-        assert_eq!(r.min_rtt_age(SimTime::from_secs(12)), SimDuration::ZERO);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! ```
 
 use greedy80211_repro::{
-    DominoDetector, GrcObserver, GreedyConfig, GreedySenderPolicy, NavInflationConfig,
+    DominoDetector, GrcObserver, GreedyConfig, NavInflationConfig, PolicySlot,
 };
 use net::NetworkBuilder;
 use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
@@ -40,7 +40,7 @@ fn run(attack: Attack) -> (f64, f64, usize, u64, u64) {
     let s0 = honest(&mut b, Position::new(0.0, 0.0));
     let r0 = honest(&mut b, Position::new(20.0, 0.0));
     let s1 = if attack == Attack::GreedySender {
-        b.add_node_with_policy(Position::new(0.0, 20.0), GreedySenderPolicy::new(0.1))
+        b.add_node_with_policy(Position::new(0.0, 20.0), PolicySlot::greedy_sender(0.1))
     } else {
         honest(&mut b, Position::new(0.0, 20.0))
     };

@@ -2,7 +2,7 @@
 //! *sender* baseline + DOMINO detection, transmission logs, and ARF rate
 //! adaptation interacting with the misbehaviors.
 
-use greedy80211_repro::{DominoDetector, GreedyConfig, GreedySenderPolicy, NavInflationConfig};
+use greedy80211_repro::{DominoDetector, GreedyConfig, NavInflationConfig, PolicySlot};
 use mac::ArfConfig;
 use net::NetworkBuilder;
 use phy::obs::TxLog;
@@ -16,7 +16,7 @@ fn fer_to_byte(fer: f64) -> f64 {
 #[test]
 fn greedy_sender_wins_contention() {
     let mut b = NetworkBuilder::new(PhyParams::dot11b()).seed(1);
-    let s_greedy = b.add_node_with_policy(Position::new(0.0, 0.0), GreedySenderPolicy::new(0.1));
+    let s_greedy = b.add_node_with_policy(Position::new(0.0, 0.0), PolicySlot::greedy_sender(0.1));
     let r1 = b.add_node(Position::new(20.0, 0.0));
     let s_honest = b.add_node(Position::new(0.0, 20.0));
     let r2 = b.add_node(Position::new(20.0, 20.0));
@@ -35,7 +35,7 @@ fn greedy_sender_wins_contention() {
 #[test]
 fn domino_flags_greedy_sender_not_honest_nodes() {
     let mut b = NetworkBuilder::new(PhyParams::dot11b()).seed(2);
-    let s_greedy = b.add_node_with_policy(Position::new(0.0, 0.0), GreedySenderPolicy::new(0.1));
+    let s_greedy = b.add_node_with_policy(Position::new(0.0, 0.0), PolicySlot::greedy_sender(0.1));
     let r1 = b.add_node(Position::new(20.0, 0.0));
     let s_honest = b.add_node(Position::new(0.0, 20.0));
     let r2 = b.add_node(Position::new(20.0, 20.0));

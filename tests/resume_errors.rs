@@ -47,9 +47,7 @@ fn truncated_snap_is_a_typed_error() {
         let cut = dir.join(format!("cut-{keep}.snap"));
         std::fs::write(&cut, &bytes[..keep]).unwrap();
         let err = Run::resume(&cut).expect_err("truncated file accepted");
-        let SimError::InvalidConfig(msg) = err else {
-            panic!("unexpected error variant");
-        };
+        let SimError::InvalidConfig(msg) = err;
         assert!(
             msg.contains("corrupt checkpoint") || msg.contains("truncated"),
             "keep={keep}: {msg}"
@@ -70,9 +68,7 @@ fn wrong_container_version_is_a_typed_error() {
     let bad = dir.join("future-version.snap");
     std::fs::write(&bad, &bytes).unwrap();
     let err = Run::resume(&bad).expect_err("future version accepted");
-    let SimError::InvalidConfig(msg) = err else {
-        panic!("unexpected error variant");
-    };
+    let SimError::InvalidConfig(msg) = err;
     assert!(msg.contains("version 65535"), "{msg}");
 }
 
@@ -85,18 +81,14 @@ fn bad_magic_is_a_typed_error() {
     let bad = dir.join("not-a-snap.snap");
     std::fs::write(&bad, &bytes).unwrap();
     let err = Run::resume(&bad).expect_err("bad magic accepted");
-    let SimError::InvalidConfig(msg) = err else {
-        panic!("unexpected error variant");
-    };
+    let SimError::InvalidConfig(msg) = err;
     assert!(msg.contains("bad magic"), "{msg}");
 }
 
 #[test]
 fn missing_file_is_a_typed_error() {
     let err = Run::resume("/nonexistent/nowhere.snap").expect_err("phantom file accepted");
-    let SimError::InvalidConfig(msg) = err else {
-        panic!("unexpected error variant");
-    };
+    let SimError::InvalidConfig(msg) = err;
     assert!(msg.contains("cannot read checkpoint"), "{msg}");
 }
 
@@ -120,8 +112,6 @@ fn scenario_drift_is_a_typed_error() {
     let bad = dir.join("drift.snap");
     drifted.write(&bad).unwrap();
     let err = Run::resume(&bad).expect_err("drifted scenario accepted");
-    let SimError::InvalidConfig(msg) = err else {
-        panic!("unexpected error variant");
-    };
+    let SimError::InvalidConfig(msg) = err;
     assert!(msg.contains("checkpoint state rejected"), "{msg}");
 }
