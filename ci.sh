@@ -69,6 +69,14 @@ cargo run --release --offline -p gr-bench --bin repro -- \
   run --jobs 2 --conform --out "$CK/fullconf" ext2 >/dev/null
 cmp "$CK/fullconf/ext2.csv" results/ext2.csv
 
+echo "==> detection-science artifacts (full-fidelity roc and intensity diff-equal to results/roc/ and results/intensity/)"
+cargo run --release --offline -p gr-bench --bin repro -- \
+  roc --jobs 2 --out "$CK/rocfull" >/dev/null
+diff -r results/roc "$CK/rocfull/roc"
+cargo run --release --offline -p gr-bench --bin repro -- \
+  intensity --jobs 2 --out "$CK/intfull" >/dev/null
+diff -r results/intensity "$CK/intfull/intensity"
+
 echo "==> audit ladders (re-recorded seeds must show zero divergence)"
 cargo run --release --offline -p gr-bench --bin repro -- \
   run --quick --audit-every 500 --out "$CK/rec2" fig2 fig6 tab5 >/dev/null

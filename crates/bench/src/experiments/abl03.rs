@@ -23,8 +23,7 @@ fn run_case(q: &Quality, seed: u64, mtu: usize) -> Vec<f64> {
         .seed(seed)
         .channel(ChannelModel::grc_evaluation());
     let add_grc = |b: &mut NetworkBuilder, pos: Position| {
-        let (obs, _h) = GrcObserver::with_nav_mtu(params, true, mtu);
-        b.add_node_with_observer(pos, obs)
+        b.add_node_with_observer(pos, GrcObserver::with_nav_mtu(params, true, mtu))
     };
     let s1 = add_grc(&mut b, Position::new(0.0, 0.0));
     let r1 = add_grc(&mut b, Position::new(1.0, 0.0));

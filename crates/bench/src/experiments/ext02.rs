@@ -11,7 +11,6 @@
 
 use greedy80211::{DominoDetector, GrcObserver, GreedyConfig, NavInflationConfig, PolicySlot};
 use net::NetworkBuilder;
-use phy::obs::TxLog;
 use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 
 use crate::table::Experiment;
@@ -32,12 +31,8 @@ fn run_case(q: &Quality, seed: u64, attack: Attack) -> Vec<f64> {
     if attack == Attack::AckSpoof {
         b = b.default_error(ErrorModel::new(ErrorUnit::Byte, 2e-4).expect("rate"));
     }
-    let mut handles = Vec::new();
-    let mut grc_node = |b: &mut NetworkBuilder, pos: Position| {
-        let (obs, h) = GrcObserver::new(params, true);
-        let id = b.add_node_with_observer(pos, obs);
-        handles.push(h);
-        id
+    let grc_node = |b: &mut NetworkBuilder, pos: Position| {
+        b.add_node_with_observer(pos, GrcObserver::new(params, true))
     };
     // Pair 0 is always honest; pair 1 hosts the attacker.
     let s0 = grc_node(&mut b, Position::new(0.0, 0.0));
@@ -61,16 +56,16 @@ fn run_case(q: &Quality, seed: u64, attack: Attack) -> Vec<f64> {
     b.udp_flow(s0, r0, 1024, 10_000_000);
     b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
-    let log = TxLog::default();
-    net.tap(Box::new(log.clone()));
+    net.enable_tx_log();
     net.run(q.duration);
-    let report = DominoDetector::new(params).analyze(&log.events());
-    let nav: u64 = handles
-        .iter()
-        .map(|h| h.nav.borrow().total_detections())
-        .sum();
-    let flagged: u64 = handles.iter().map(|h| h.spoof.borrow().flagged).sum();
-    let accepted: u64 = handles.iter().map(|h| h.spoof.borrow().accepted).sum();
+    let report = DominoDetector::new(params).analyze(&net.drain_tx_log());
+    let (mut nav, mut flagged, mut accepted) = (0, 0, 0);
+    for (_, grc) in net.grc_stations() {
+        let r = grc.report();
+        nav += r.nav.total_detections();
+        flagged += r.spoof.flagged;
+        accepted += r.spoof.accepted;
+    }
     let flag_rate = flagged as f64 / (flagged + accepted).max(1) as f64;
     vec![report.flagged.len() as f64, nav as f64, flag_rate]
 }

@@ -34,8 +34,7 @@ fn run_case(seed: u64, duration: SimDuration, d: f64, udp: bool, mode: Mode) -> 
         .channel(ChannelModel::grc_evaluation());
     let add = |b: &mut NetworkBuilder, pos: Position, grc: bool| {
         if grc {
-            let (obs, _handles) = GrcObserver::new(params, true);
-            b.add_node_with_observer(pos, obs)
+            b.add_node_with_observer(pos, GrcObserver::new(params, true))
         } else {
             b.add_node(pos)
         }

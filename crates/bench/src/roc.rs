@@ -759,10 +759,9 @@ fn domino_deficits(q: &Quality, seed: u64, greedy_fraction: Option<f64>) -> Vec<
     b.udp_flow(s0, r0, 1024, 10_000_000);
     b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
-    let log = phy::obs::TxLog::default();
-    net.tap(Box::new(log.clone()));
+    net.enable_tx_log();
     net.run(q.duration);
-    let report = DominoDetector::new(params).analyze(&log.events());
+    let report = DominoDetector::new(params).analyze(&net.drain_tx_log());
     let nominal = params.cw_min as f64 / 2.0;
     [(s0, false), (s1, greedy_sender)]
         .into_iter()

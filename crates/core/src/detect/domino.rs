@@ -4,7 +4,8 @@
 //! DOMINO monitors transmission *timing*: a station whose transmissions
 //! consume less idle (countdown) time than the protocol demands is
 //! backing off too little. We reconstruct the measurement offline from a
-//! run's `tx_start` events (collected by a [`phy::obs::TxLog`] tap),
+//! run's transmission log ([`net::TxRecord`]s, kept once
+//! [`net::Network::enable_tx_log`] is on; no recorder is needed),
 //! *freeze-aware*: 802.11 counters pause during busy periods, so each
 //! idle gap beyond DIFS is credited to every contending sender's
 //! countdown, and a sender's backoff estimate at its own
@@ -20,8 +21,8 @@
 
 use std::collections::BTreeMap;
 
-use obs::ObsEvent;
-use phy::obs::{FRAME_DATA, FRAME_RTS, TX_START};
+use mac::FrameKind;
+use net::TxRecord;
 use phy::PhyParams;
 
 /// The transmission-log backoff monitor.
@@ -60,20 +61,20 @@ pub struct DominoReport {
 }
 
 impl DominoDetector {
-    /// Analyzes a run's events. Only [`TX_START`] events count; their
-    /// payload is `[dst, frame code, airtime µs]`.
-    pub fn analyze(&self, events: &[ObsEvent]) -> DominoReport {
+    /// Analyzes a run's transmission log, in the order the stations
+    /// keyed up. Times count in whole µs: a transmission's start, and
+    /// its airtime truncated on its own.
+    pub fn analyze(&self, log: &[TxRecord]) -> DominoReport {
         let slot_us = self.params.slot.as_micros().max(1);
         let difs_us = self.params.difs.as_micros();
-        let tx_starts = || events.iter().filter(|e| std::ptr::eq(e.kind, &TX_START));
         // RTS, or DATA when RTS/CTS is off: the frames that end a
         // contention round (CTS/ACK are SIFS responses).
-        let is_access = |e: &ObsEvent| matches!(e.vals[1] as u8, FRAME_RTS | FRAME_DATA);
+        let is_access = |t: &TxRecord| matches!(t.kind, FrameKind::Rts | FrameKind::Data);
         // First pass: the contending senders are the stations that ever
         // transmit an access frame.
         let mut senders: BTreeMap<u16, ()> = BTreeMap::new();
-        for e in tx_starts().filter(|e| is_access(e)) {
-            senders.insert(e.node, ());
+        for t in log.iter().filter(|t| is_access(t)) {
+            senders.insert(t.src.0, ());
         }
         // Second pass, freeze-aware: every idle gap beyond DIFS advances
         // every contender's countdown; a sender's estimate at its own
@@ -83,9 +84,9 @@ impl DominoDetector {
         let mut counts: BTreeMap<u16, usize> = BTreeMap::new();
         let cap = self.params.cw_max as f64;
         let mut busy_until_us: u64 = 0;
-        for e in tx_starts() {
-            let start = e.at.as_micros();
-            let end = start + e.vals[2] as u64;
+        for t in log {
+            let start = t.start.as_micros();
+            let end = start + (t.end - t.start).as_micros();
             if start > busy_until_us + difs_us {
                 let usable = (start - busy_until_us - difs_us) as f64 / slot_us as f64;
                 for (_, acc) in accrued.iter_mut() {
@@ -97,13 +98,14 @@ impl DominoDetector {
                     accrued.entry(node).or_insert(usable.min(cap));
                 }
             }
-            if is_access(e) && senders.contains_key(&e.node) {
-                let acc = accrued.entry(e.node).or_insert(0.0);
+            let node = t.src.0;
+            if is_access(t) && senders.contains_key(&node) {
+                let acc = accrued.entry(node).or_insert(0.0);
                 let estimate = *acc;
                 *acc = 0.0;
                 if estimate < cap {
-                    *sums.entry(e.node).or_insert(0.0) += estimate;
-                    *counts.entry(e.node).or_insert(0) += 1;
+                    *sums.entry(node).or_insert(0.0) += estimate;
+                    *counts.entry(node).or_insert(0) += 1;
                 }
             }
             busy_until_us = busy_until_us.max(end);
@@ -125,19 +127,20 @@ impl DominoDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mac::NodeId;
     use sim::SimTime;
 
     /// An RTS from `node` at `at_us`, 352 µs long.
-    fn rts(at_us: u64, node: u16) -> ObsEvent {
-        ObsEvent::new(
-            SimTime::from_micros(at_us),
-            node,
-            &TX_START,
-            &[99.0, FRAME_RTS as f64, 352.0],
-        )
+    fn rts(at_us: u64, node: u16) -> TxRecord {
+        TxRecord {
+            src: NodeId(node),
+            kind: FrameKind::Rts,
+            start: SimTime::from_micros(at_us),
+            end: SimTime::from_micros(at_us + 352),
+        }
     }
 
-    fn synthetic_trace(backoff_slots: &[(u16, u64)]) -> Vec<ObsEvent> {
+    fn synthetic_trace(backoff_slots: &[(u16, u64)]) -> Vec<TxRecord> {
         // Each listed access waits DIFS + k slots after the previous
         // frame ends.
         let mut t = Vec::new();

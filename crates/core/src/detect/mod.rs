@@ -16,10 +16,11 @@
 //! * [`FakeAckDetector`] — compares probed application loss against
 //!   `MACLoss^(maxRetries+1)`.
 //!
-//! Detector state is shared out through [`Shared`] handles (`obs::Shared`,
-//! single-threaded cells) so experiments can read detection counts after
-//! a run while the observer itself lives inside the MAC; run outcomes
-//! carry detached snapshots, never the cells.
+//! The MAC-attached guards keep their reports as plain fields: after a
+//! run, experiments read them from the station that owns the observer
+//! ([`mac::Dcf::grc`], [`GrcObserver::report`]), and run outcomes carry
+//! the copies. DOMINO reads the network's transmission log
+//! ([`net::TxRecord`]).
 
 mod cross_layer;
 mod domino;
@@ -32,7 +33,6 @@ pub use fake_guard::FakeAckDetector;
 // its optional GrcObserver directly); re-exported here so experiment code
 // keeps its historical `greedy80211::detect` paths.
 pub use mac::grc::{
-    GrcObserver, GrcReportHandles, GrcSnapshot, GrcTuning, NavGuard, NavGuardHandle,
-    NavGuardReport, Shared, SpoofGuard, SpoofGuardConfig, SpoofGuardHandle, SpoofGuardReport,
-    WindowStat, WindowTrack,
+    GrcObserver, GrcSnapshot, GrcTuning, NavGuard, NavGuardReport, SpoofGuard, SpoofGuardConfig,
+    SpoofGuardReport, WindowStat, WindowTrack,
 };

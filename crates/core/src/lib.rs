@@ -58,9 +58,8 @@ pub use capacity::CapacityModel;
 pub use checkpoint::{CampaignSpec, Checkpoint};
 pub use corruption::{CorruptionCounts, CorruptionStudy};
 pub use detect::{
-    CrossLayerDetector, DominoDetector, DominoReport, FakeAckDetector, GrcObserver,
-    GrcReportHandles, GrcSnapshot, NavGuard, NavGuardReport, Shared, SpoofGuard, SpoofGuardConfig,
-    SpoofGuardReport,
+    CrossLayerDetector, DominoDetector, DominoReport, FakeAckDetector, GrcObserver, GrcSnapshot,
+    NavGuard, NavGuardReport, SpoofGuard, SpoofGuardConfig, SpoofGuardReport,
 };
 pub use misbehavior::{
     Axis, FakeConfig, GreedyConfig, InflatedFrames, NavInflationConfig, PolicySlot, SpoofConfig,

@@ -19,8 +19,9 @@
 //! ```
 //!
 //! `execute` always returns a plain-data [`RunOutcome`] — detector
-//! reports arrive as detached snapshots, never as live `Rc` handles, so
-//! results can cross threads no matter how the run was seeded.
+//! reports arrive as copies read from the finished network, never as
+//! live `Rc` handles, so results can cross threads no matter how the run
+//! was seeded.
 //!
 //! Seeding comes in two flavours:
 //!
@@ -246,7 +247,8 @@ pub struct RunOutcome {
     pub senders: Vec<NodeId>,
     /// Receiver node ids, index-aligned with flows.
     pub receivers: Vec<NodeId>,
-    /// Detached GRC report copies per observed node (empty unless GRC).
+    /// GRC report copies per observed node, in ascending node id (empty
+    /// unless GRC).
     pub grc: Vec<(NodeId, GrcSnapshot)>,
     /// Drained flight-recorder report, if the scenario set `record`.
     pub obs: Option<::obs::ObsReport>,

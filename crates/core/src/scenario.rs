@@ -28,7 +28,7 @@ use snap::SnapState as _;
 use transport::{CcConfig, FlowId, TcpConfig};
 
 use crate::checkpoint::Checkpoint;
-use crate::detect::{GrcObserver, GrcReportHandles};
+use crate::detect::GrcObserver;
 use crate::misbehavior::GreedyConfig;
 use crate::run::RunOutcome;
 
@@ -212,12 +212,7 @@ impl snap::SnapValue for Scenario {
         let shared_sender = r.bool()?;
         let rts = r.bool()?;
         let payload = r.usize()?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "greedy receiver count {n} exceeds input"
-            )));
-        }
+        let n = r.count("greedy receiver count")?;
         let mut greedy = Vec::with_capacity(n);
         for _ in 0..n {
             let idx = r.usize()?;
@@ -225,12 +220,7 @@ impl snap::SnapValue for Scenario {
         }
         let grc = Option::load(r)?;
         let byte_error_rate = r.f64()?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "flow error override count {n} exceeds input"
-            )));
-        }
+        let n = r.count("flow error override count")?;
         let mut flow_error_overrides = Vec::with_capacity(n);
         for _ in 0..n {
             let idx = r.usize()?;
@@ -268,9 +258,10 @@ impl snap::SnapValue for Scenario {
 /// [`start`](Self::start), [`restore`](Self::restore) or
 /// [`advance`](Self::advance) (no hooks), or at `finish`.
 ///
-/// Not `Send`: the network's report handles are single-threaded
-/// `Rc<RefCell<…>>` cells. Campaign workers therefore build **and** run
-/// inside one closure, and only plain-data [`RunOutcome`]s travel back.
+/// Not `Send`: the network's recorder and conformance-checker handles
+/// are single-threaded `Rc<RefCell<…>>` cells. Campaign workers
+/// therefore build **and** run inside one closure, and only plain-data
+/// [`RunOutcome`]s travel back.
 #[derive(Debug)]
 pub struct BuiltScenario {
     /// The wired-up simulation.
@@ -283,8 +274,6 @@ pub struct BuiltScenario {
     pub senders: Vec<NodeId>,
     /// Receiver node ids, index-aligned with flows.
     pub receivers: Vec<NodeId>,
-    /// GRC report handles per observed node (empty unless GRC).
-    pub grc_reports: Vec<(NodeId, GrcReportHandles)>,
     /// The scenario this network was built from; checkpoint containers
     /// embed it.
     scenario: Scenario,
@@ -347,7 +336,8 @@ impl BuiltScenario {
     }
 
     /// Runs to the scenario horizon and snapshots the result into a
-    /// plain-data [`RunOutcome`] under `key`: detached GRC snapshots, the
+    /// plain-data [`RunOutcome`] under `key`: each GRC station's reports
+    /// (read from its guards, in ascending node id), the
     /// flight-recorder report when the scenario set `record` (a recorder
     /// inherited from the job context belongs to the campaign, which
     /// drains it itself), the audit ladder, and every checkpoint encoded
@@ -357,10 +347,8 @@ impl BuiltScenario {
         self.advance(SimTime::ZERO + duration);
         let cursor = self.cursor.take().expect("advance starts the run");
         let (metrics, artifacts) = self.net.finish_hooked(cursor, duration);
-        let grc = self
-            .grc_reports
-            .iter()
-            .map(|(node, handles)| (*node, handles.snapshot()))
+        let grc = (self.net.grc_stations())
+            .map(|(id, grc)| (id, grc.report()))
             .collect();
         let obs = (self.scenario.record.as_ref())
             .and(self.net.recorder())
@@ -529,29 +517,21 @@ impl Scenario {
         // --- nodes -----------------------------------------------------
         // Honest nodes get the GRC observer when requested; greedy
         // receivers get their misbehavior policy.
-        let mut grc_reports = Vec::new();
-        let add_honest = |b: &mut NetworkBuilder,
-                          grc_reports: &mut Vec<(NodeId, GrcReportHandles)>,
-                          pos: Position| {
-            match self.grc {
-                Some(mitigate) => {
-                    let tuning = crate::detect::GrcTuning {
-                        windows: self.grc_windows,
-                        ..Default::default()
-                    };
-                    let (obs, handles) = GrcObserver::tuned(params, mitigate, tuning);
-                    let id = b.add_node_with_observer(pos, obs);
-                    grc_reports.push((id, handles));
-                    id
-                }
-                None => b.add_node(pos),
+        let add_honest = |b: &mut NetworkBuilder, pos: Position| match self.grc {
+            Some(mitigate) => {
+                let tuning = crate::detect::GrcTuning {
+                    windows: self.grc_windows,
+                    ..Default::default()
+                };
+                b.add_node_with_observer(pos, GrcObserver::tuned(params, mitigate, tuning))
             }
+            None => b.add_node(pos),
         };
         let mut senders = Vec::new();
         let sender_count = if self.shared_sender { 1 } else { self.pairs };
         for i in 0..sender_count {
             let pos = Position::new(0.0, 20.0 * i as f64);
-            senders.push(add_honest(&mut b, &mut grc_reports, pos));
+            senders.push(add_honest(&mut b, pos));
         }
         let mut receivers = Vec::new();
         for i in 0..self.pairs {
@@ -562,7 +542,7 @@ impl Scenario {
                 }
                 None => {
                     let pos = Position::new(20.0, 20.0 * i as f64);
-                    receivers.push(add_honest(&mut b, &mut grc_reports, pos));
+                    receivers.push(add_honest(&mut b, pos));
                 }
             }
         }
@@ -631,7 +611,6 @@ impl Scenario {
             probe_flows,
             senders,
             receivers,
-            grc_reports,
             scenario: self.clone(),
             cursor: None,
         })

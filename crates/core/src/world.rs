@@ -33,7 +33,7 @@
 //! straight pass (see [`net::HookCursor`]).
 
 use mac::NodeId;
-use net::{JobContext, RunHooks, TxInterval};
+use net::{JobContext, RunHooks, TxInterval, TxRecord};
 use phy::{ChannelIndex, ChannelModel, Position};
 use runner::{Lockstep, Runner};
 use sim::{RunKey, SimDuration, SimError, SimTime};
@@ -271,7 +271,7 @@ impl WorldRun {
     /// batch for the epoch just completed.
     fn execute_with<X>(self, mut exchange: X) -> Result<WorldOutcome, SimError>
     where
-        X: FnMut(&Exchange, usize, &[Vec<TxInterval>]) -> Vec<Vec<TxInterval>>,
+        X: FnMut(&Exchange, usize, &[Vec<TxRecord>]) -> Vec<Vec<TxInterval>>,
     {
         let WorldRun {
             spec,
@@ -407,14 +407,18 @@ struct Exchange {
 
 impl Exchange {
     /// Every cell's injection batch for the epoch that produced
-    /// `reports`: each reported interval, shifted one epoch later, at
-    /// every coupled node, in `(cell, neighbor, report order)` order.
-    fn couple(&self, reports: &[Vec<TxInterval>]) -> Vec<Vec<TxInterval>> {
+    /// `reports`: each reported transmission's interval, shifted one
+    /// epoch later, at every coupled node, in `(cell, neighbor, report
+    /// order)` order.
+    fn couple(&self, reports: &[Vec<TxRecord>]) -> Vec<Vec<TxInterval>> {
         let shift = self.shift;
         let mut inject: Vec<Vec<TxInterval>> = vec![Vec::new(); reports.len()];
         for (a, batch) in inject.iter_mut().enumerate() {
             for (map, &b) in self.coupling[a].iter().zip(&self.neighbors[a]) {
-                for &(src, start, end) in &reports[b] {
+                for &TxRecord {
+                    src, start, end, ..
+                } in &reports[b]
+                {
                     for &dst in &map[src.0 as usize] {
                         batch.push((dst, start + shift, end + shift));
                     }
@@ -427,7 +431,7 @@ impl Exchange {
     /// The exchange after epoch `epoch`. The last epoch's intervals
     /// would start after the run ends and never be dispatched, so its
     /// batches are empty.
-    fn after_epoch(&self, epoch: usize, reports: &[Vec<TxInterval>]) -> Vec<Vec<TxInterval>> {
+    fn after_epoch(&self, epoch: usize, reports: &[Vec<TxRecord>]) -> Vec<Vec<TxInterval>> {
         if epoch + 1 == self.epochs {
             vec![Vec::new(); reports.len()]
         } else {
@@ -645,8 +649,8 @@ struct CellPlan {
     scenario: Scenario,
 }
 
-/// Worker-resident cell state (deliberately not `Send`: report handles
-/// are `Rc<RefCell<…>>`).
+/// Worker-resident cell state (deliberately not `Send`: the network's
+/// recorder and checker handles are `Rc<RefCell<…>>`).
 struct CellShard {
     built: BuiltScenario,
     plan: CellPlan,
@@ -662,7 +666,7 @@ struct WorldProto {
 impl Lockstep for WorldProto {
     type Seed = CellPlan;
     type Shard = CellShard;
-    type Report = Vec<TxInterval>;
+    type Report = Vec<TxRecord>;
     type Inject = Vec<TxInterval>;
     type Out = CellOutcome;
 
@@ -686,7 +690,7 @@ impl Lockstep for WorldProto {
         CellShard { built, plan }
     }
 
-    fn step(&self, shard: &mut CellShard, epoch: usize) -> Vec<TxInterval> {
+    fn step(&self, shard: &mut CellShard, epoch: usize) -> Vec<TxRecord> {
         let horizon = SimTime::from_nanos(
             self.epoch
                 .as_nanos()

@@ -440,6 +440,12 @@ impl<M: Msdu> Dcf<M> {
         snap::fnv1a(w.bytes())
     }
 
+    /// This station's GRC observer, if it runs one: its guards hold the
+    /// detection reports.
+    pub fn grc(&self) -> Option<&GrcObserver> {
+        self.observer.as_deref()
+    }
+
     /// The configuration in effect.
     pub fn config(&self) -> &DcfConfig {
         &self.cfg
@@ -1146,12 +1152,7 @@ impl<M: Msdu> snap::SnapState for Dcf<M> {
         self.backoff = Backoff::load(r)?;
         self.rng.snap_restore(r)?;
         self.counters = MacCounters::load(r)?;
-        let queue_len = r.usize()?;
-        if queue_len > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "MAC queue length {queue_len} exceeds input"
-            )));
-        }
+        let queue_len = r.count("MAC queue length")?;
         self.queue.clear();
         for _ in 0..queue_len {
             self.queue.push_back(<(NodeId, M, SimTime)>::load(r)?);

@@ -6,9 +6,8 @@ mod nav_guard;
 mod spoof_guard;
 mod window;
 
-pub use nav_guard::{NavGuard, NavGuardHandle, NavGuardReport};
-pub use obs::Shared;
-pub use spoof_guard::{SpoofGuard, SpoofGuardConfig, SpoofGuardHandle, SpoofGuardReport};
+pub use nav_guard::{NavGuard, NavGuardReport};
+pub use spoof_guard::{SpoofGuard, SpoofGuardConfig, SpoofGuardReport};
 pub use window::{WindowStat, WindowTrack};
 
 use crate::{Frame, Msdu, NodeId};
@@ -51,33 +50,14 @@ impl Default for GrcTuning {
     }
 }
 
-/// Handles for reading a [`GrcObserver`]'s reports after a run.
-#[derive(Debug, Clone)]
-pub struct GrcReportHandles {
-    /// NAV-inflation detections and corrections.
-    pub nav: NavGuardHandle,
-    /// Spoofed-ACK detections and rejections.
-    pub spoof: SpoofGuardHandle,
-}
-
 /// Plain-data copy of both GRC reports — what a run outcome carries back
-/// to the aggregating thread once the run (and its live handles) is done.
+/// to the aggregating thread once the run is done.
 #[derive(Debug, Clone, Default)]
 pub struct GrcSnapshot {
     /// NAV-inflation detections and corrections.
     pub nav: NavGuardReport,
     /// Spoofed-ACK detections and rejections.
     pub spoof: SpoofGuardReport,
-}
-
-impl GrcReportHandles {
-    /// Detached copies of the current report contents.
-    pub fn snapshot(&self) -> GrcSnapshot {
-        GrcSnapshot {
-            nav: self.nav.snapshot(),
-            spoof: self.spoof.snapshot(),
-        }
-    }
 }
 
 /// Observer stacking the NAV guard and the spoof guard.
@@ -89,13 +69,13 @@ pub struct GrcObserver {
 
 impl GrcObserver {
     /// Creates the full GRC observer for one station.
-    pub fn new(params: PhyParams, mitigate: bool) -> (Self, GrcReportHandles) {
+    pub fn new(params: PhyParams, mitigate: bool) -> Self {
         Self::with_nav_mtu(params, mitigate, 1500)
     }
 
     /// Like [`new`](Self::new) with an explicit MTU assumption for the
     /// NAV guard's fallback bounds.
-    pub fn with_nav_mtu(params: PhyParams, mitigate: bool, mtu: usize) -> (Self, GrcReportHandles) {
+    pub fn with_nav_mtu(params: PhyParams, mitigate: bool, mtu: usize) -> Self {
         Self::tuned(
             params,
             mitigate,
@@ -108,29 +88,28 @@ impl GrcObserver {
 
     /// Like [`new`](Self::new) with explicit thresholds and optional
     /// per-window statistic tracking.
-    pub fn tuned(params: PhyParams, mitigate: bool, tuning: GrcTuning) -> (Self, GrcReportHandles) {
-        let (nav, nav_handle) = NavGuard::new(params, mitigate);
-        let mut nav = nav
+    pub fn tuned(params: PhyParams, mitigate: bool, tuning: GrcTuning) -> Self {
+        let mut nav = NavGuard::new(params, mitigate)
             .with_mtu(tuning.nav_mtu)
             .with_tolerance(tuning.nav_tolerance_us);
-        let spoof_cfg = SpoofGuardConfig {
+        let mut spoof = SpoofGuard::new(SpoofGuardConfig {
             rssi_threshold_db: tuning.rssi_threshold_db,
             mitigate,
             ..SpoofGuardConfig::default()
-        };
-        let (spoof, spoof_handle) = SpoofGuard::new(spoof_cfg);
-        let mut spoof = spoof;
+        });
         if let Some(width) = tuning.windows {
             nav = nav.with_windows(width);
             spoof = spoof.with_windows(width);
         }
-        (
-            GrcObserver { nav, spoof },
-            GrcReportHandles {
-                nav: nav_handle,
-                spoof: spoof_handle,
-            },
-        )
+        GrcObserver { nav, spoof }
+    }
+
+    /// Copies of both guards' reports as they stand.
+    pub fn report(&self) -> GrcSnapshot {
+        GrcSnapshot {
+            nav: self.nav.report().clone(),
+            spoof: self.spoof.report().clone(),
+        }
     }
 
     /// Called for every correctly received or overheard frame, *before*
@@ -169,7 +148,7 @@ mod tests {
 
     #[test]
     fn combines_both_guards() {
-        let (mut grc, handles) = GrcObserver::new(PhyParams::dot11b(), true);
+        let mut grc = GrcObserver::new(PhyParams::dot11b(), true);
         let meta = FrameMeta {
             rssi: Rssi::fixed(-50.0),
             now: SimTime::ZERO,
@@ -177,7 +156,7 @@ mod tests {
         // Inflated ACK NAV → clamped by the NAV guard.
         let inflated: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 30_000);
         assert_eq!(grc.on_frame(&inflated, &meta), 0);
-        assert_eq!(handles.nav.borrow().total_detections(), 1);
+        assert_eq!(grc.report().nav.total_detections(), 1);
         // Teach the spoof guard, then reject an anomalous ACK.
         for _ in 0..10 {
             let f: Frame<usize> = Frame::data(NodeId(1), NodeId(0), 314, 1, 60);
@@ -188,6 +167,6 @@ mod tests {
             now: SimTime::ZERO,
         };
         assert!(!grc.accept_ack(&hot, NodeId(1)));
-        assert_eq!(handles.spoof.borrow().rejected, 1);
+        assert_eq!(grc.report().spoof.rejected, 1);
     }
 }

@@ -21,9 +21,9 @@ use phy::PhyParams;
 use sim::{SimDuration, SimTime};
 
 use super::window::WindowTrack;
-use super::Shared;
 
-/// Detection statistics shared out of the observer.
+/// The NAV guard's detection statistics, read after a run through
+/// [`NavGuard::report`].
 #[derive(Debug, Clone, Default)]
 pub struct NavGuardReport {
     /// Detections per claimed source station.
@@ -44,10 +44,6 @@ impl NavGuardReport {
     }
 }
 
-/// Shared handle to a [`NavGuardReport`] (single-threaded, like the run
-/// that owns it).
-pub type NavGuardHandle = Shared<NavGuardReport>;
-
 /// The NAV-sanitizing observer.
 #[derive(Debug)]
 pub struct NavGuard {
@@ -55,31 +51,30 @@ pub struct NavGuard {
     mitigate: bool,
     tolerance_us: u32,
     mtu: usize,
-    windowed: bool,
     /// Expected CTS Duration per (initiator, responder), learned from the
     /// RTS, valid for a short window.
     pending_cts: HashMap<(u16, u16), (u32, SimTime)>,
-    report: NavGuardHandle,
+    report: NavGuardReport,
 }
 
 impl NavGuard {
     /// Creates a guard for the given PHY. `mitigate = false` detects but
     /// honors claimed values (used to measure attack impact with
     /// detection-only deployments).
-    pub fn new(params: PhyParams, mitigate: bool) -> (Self, NavGuardHandle) {
-        let report: NavGuardHandle = Shared::new(NavGuardReport::default());
-        (
-            NavGuard {
-                calc: NavCalculator::new(params),
-                mitigate,
-                tolerance_us: 2,
-                mtu: 1500,
-                windowed: false,
-                pending_cts: HashMap::new(),
-                report: report.clone(),
-            },
-            report,
-        )
+    pub fn new(params: PhyParams, mitigate: bool) -> Self {
+        NavGuard {
+            calc: NavCalculator::new(params),
+            mitigate,
+            tolerance_us: 2,
+            mtu: 1500,
+            pending_cts: HashMap::new(),
+            report: NavGuardReport::default(),
+        }
+    }
+
+    /// Detections and corrections so far.
+    pub fn report(&self) -> &NavGuardReport {
+        &self.report
     }
 
     /// Overrides the MTU assumption behind the no-RTS-heard bounds
@@ -100,28 +95,19 @@ impl NavGuard {
     /// Enables per-window margin tracking with the given window width
     /// (see [`NavGuardReport::windows`]). Off by default; the enabled
     /// path never alters detection or mitigation behavior.
-    pub fn with_windows(self, width: SimDuration) -> Self {
-        self.report.borrow_mut().windows = Some(WindowTrack::new(width));
-        let mut g = self;
-        g.windowed = true;
-        g
+    pub fn with_windows(mut self, width: SimDuration) -> Self {
+        self.report.windows = Some(WindowTrack::new(width));
+        self
     }
 
-    fn flag(&self, src: u16) {
-        *self.report.borrow_mut().detections.entry(src).or_insert(0) += 1;
-    }
-
-    fn resolve(&self, claimed: u32, expected: u32, src: u16, now: SimTime) -> u32 {
-        if self.windowed {
-            let margin = claimed.saturating_sub(expected) as f64;
-            if let Some(track) = &mut self.report.borrow_mut().windows {
-                track.push(now, margin);
-            }
+    fn resolve(&mut self, claimed: u32, expected: u32, src: u16, now: SimTime) -> u32 {
+        if let Some(track) = &mut self.report.windows {
+            track.push(now, claimed.saturating_sub(expected) as f64);
         }
         if claimed > expected.saturating_add(self.tolerance_us) {
-            self.flag(src);
+            *self.report.detections.entry(src).or_insert(0) += 1;
             if self.mitigate {
-                self.report.borrow_mut().corrections += 1;
+                self.report.corrections += 1;
                 return expected;
             }
         }
@@ -131,9 +117,9 @@ impl NavGuard {
 
 impl NavGuard {
     /// Serializes the runtime-mutable detector state: the pending-CTS
-    /// expectations (sorted for a canonical encoding) and the shared
-    /// report. Configuration (PHY calculator, tolerance, MTU, mitigation
-    /// flag) is rebuilt by the owner.
+    /// expectations (sorted for a canonical encoding) and the report.
+    /// Configuration (PHY calculator, tolerance, MTU, mitigation flag) is
+    /// rebuilt by the owner.
     pub fn save_state(&self, w: &mut snap::Enc) {
         use snap::SnapValue as _;
         let mut pending: Vec<_> = self
@@ -149,7 +135,7 @@ impl NavGuard {
             w.u32(exp);
             until.save(w);
         }
-        let report = self.report.borrow();
+        let report = &self.report;
         w.usize(report.detections.len());
         for (&src, &n) in &report.detections {
             w.u16(src);
@@ -159,20 +145,14 @@ impl NavGuard {
         report.windows.save(w);
     }
 
-    /// Restores state written by [`NavGuard::save_state`], writing the
-    /// report through the shared handle so external readers see it.
+    /// Restores state written by [`NavGuard::save_state`].
     ///
     /// # Errors
     ///
     /// [`snap::SnapError::Corrupt`] on truncated or oversized input.
     pub fn load_state(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         use snap::SnapValue as _;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "NAV guard pending-CTS count {n} exceeds input"
-            )));
-        }
+        let n = r.count("NAV guard pending-CTS count")?;
         self.pending_cts.clear();
         for _ in 0..n {
             let a = r.u16()?;
@@ -181,13 +161,8 @@ impl NavGuard {
             let until = SimTime::load(r)?;
             self.pending_cts.insert((a, b), (exp, until));
         }
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "NAV guard detection count {n} exceeds input"
-            )));
-        }
-        let mut report = self.report.borrow_mut();
+        let n = r.count("NAV guard detection count")?;
+        let report = &mut self.report;
         report.detections.clear();
         for _ in 0..n {
             let src = r.u16()?;
@@ -260,13 +235,13 @@ mod tests {
         }
     }
 
-    fn guard(mitigate: bool) -> (NavGuard, NavGuardHandle) {
+    fn guard(mitigate: bool) -> NavGuard {
         NavGuard::new(PhyParams::dot11b(), mitigate)
     }
 
     #[test]
     fn honest_exchange_passes_untouched() {
-        let (mut g, report) = guard(true);
+        let mut g = guard(true);
         let calc = NavCalculator::new(PhyParams::dot11b());
         let rts_dur = calc.rts_duration_us(DATA_HEADER_BYTES + 1024);
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), rts_dur);
@@ -279,12 +254,12 @@ mod tests {
         assert_eq!(g.on_frame(&data, &meta(800)), calc.data_duration_us());
         let ack: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 0);
         assert_eq!(g.on_frame(&ack, &meta(1800)), 0);
-        assert_eq!(report.borrow().total_detections(), 0);
+        assert_eq!(g.report().total_detections(), 0);
     }
 
     #[test]
     fn inflated_cts_detected_and_clamped_exactly_when_rts_heard() {
-        let (mut g, report) = guard(true);
+        let mut g = guard(true);
         let calc = NavCalculator::new(PhyParams::dot11b());
         let rts_dur = calc.rts_duration_us(DATA_HEADER_BYTES + 1024);
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), rts_dur);
@@ -293,13 +268,13 @@ mod tests {
         let inflated: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), honest_cts + 10_000);
         // Clamped to the exact expected value, not the MTU bound.
         assert_eq!(g.on_frame(&inflated, &meta(400)), honest_cts);
-        assert_eq!(report.borrow().detections.get(&1), Some(&1));
-        assert_eq!(report.borrow().corrections, 1);
+        assert_eq!(g.report().detections.get(&1), Some(&1));
+        assert_eq!(g.report().corrections, 1);
     }
 
     #[test]
     fn cts_without_rts_clamped_to_mtu_bound() {
-        let (mut g, _report) = guard(true);
+        let mut g = guard(true);
         let calc = NavCalculator::new(PhyParams::dot11b());
         let bound = calc.cts_duration_bound_us(1500);
         let inflated: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), 32_000);
@@ -311,15 +286,15 @@ mod tests {
 
     #[test]
     fn inflated_ack_clamped_to_zero() {
-        let (mut g, report) = guard(true);
+        let mut g = guard(true);
         let inflated: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 20_000);
         assert_eq!(g.on_frame(&inflated, &meta(0)), 0);
-        assert_eq!(report.borrow().total_detections(), 1);
+        assert_eq!(g.report().total_detections(), 1);
     }
 
     #[test]
     fn inflated_data_clamped_to_sifs_plus_ack() {
-        let (mut g, _) = guard(true);
+        let mut g = guard(true);
         let calc = NavCalculator::new(PhyParams::dot11b());
         let inflated: Frame<usize> = Frame::data(NodeId(1), NodeId(0), 31_000, 1, 60);
         assert_eq!(g.on_frame(&inflated, &meta(0)), calc.data_duration_us());
@@ -327,16 +302,16 @@ mod tests {
 
     #[test]
     fn detection_without_mitigation_keeps_claimed_value() {
-        let (mut g, report) = guard(false);
+        let mut g = guard(false);
         let inflated: Frame<usize> = Frame::ack(NodeId(1), NodeId(0), 20_000);
         assert_eq!(g.on_frame(&inflated, &meta(0)), 20_000);
-        assert_eq!(report.borrow().total_detections(), 1);
-        assert_eq!(report.borrow().corrections, 0);
+        assert_eq!(g.report().total_detections(), 1);
+        assert_eq!(g.report().corrections, 0);
     }
 
     #[test]
     fn stale_rts_entry_falls_back_to_bound() {
-        let (mut g, _) = guard(true);
+        let mut g = guard(true);
         let calc = NavCalculator::new(PhyParams::dot11b());
         let rts_dur = calc.rts_duration_us(DATA_HEADER_BYTES + 100);
         let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), rts_dur);

@@ -19,7 +19,6 @@ use std::collections::{HashMap, VecDeque};
 use crate::{Frame, FrameKind, FrameMeta, Msdu, NodeId};
 
 use super::window::WindowTrack;
-use super::Shared;
 use sim::SimDuration;
 
 /// Tuning of the [`SpoofGuard`].
@@ -47,7 +46,8 @@ impl Default for SpoofGuardConfig {
     }
 }
 
-/// Detection statistics shared out of the observer.
+/// The spoof guard's detection statistics, read after a run through
+/// [`SpoofGuard::report`].
 #[derive(Debug, Clone, Default)]
 pub struct SpoofGuardReport {
     /// ACKs flagged as spoofed.
@@ -65,17 +65,12 @@ pub struct SpoofGuardReport {
     pub windows: Option<WindowTrack>,
 }
 
-/// Shared handle to a [`SpoofGuardReport`] (single-threaded, like the run
-/// that owns it).
-pub type SpoofGuardHandle = Shared<SpoofGuardReport>;
-
 /// The sender-side ACK-vetting observer.
 #[derive(Debug)]
 pub struct SpoofGuard {
     cfg: SpoofGuardConfig,
-    windowed: bool,
     history: HashMap<u16, RssiWindow>,
-    report: SpoofGuardHandle,
+    report: SpoofGuardReport,
 }
 
 /// One peer's sliding RSSI window: the samples in arrival order, and
@@ -124,25 +119,24 @@ impl RssiWindow {
 
 impl SpoofGuard {
     /// Creates a guard with the given configuration.
-    pub fn new(cfg: SpoofGuardConfig) -> (Self, SpoofGuardHandle) {
-        let report: SpoofGuardHandle = Shared::new(SpoofGuardReport::default());
-        (
-            SpoofGuard {
-                cfg,
-                windowed: false,
-                history: HashMap::new(),
-                report: report.clone(),
-            },
-            report,
-        )
+    pub fn new(cfg: SpoofGuardConfig) -> Self {
+        SpoofGuard {
+            cfg,
+            history: HashMap::new(),
+            report: SpoofGuardReport::default(),
+        }
+    }
+
+    /// Vetting outcomes so far.
+    pub fn report(&self) -> &SpoofGuardReport {
+        &self.report
     }
 
     /// Enables per-window deviation tracking with the given window width
     /// (see [`SpoofGuardReport::windows`]). Off by default; the enabled
     /// path never alters detection or mitigation behavior.
     pub fn with_windows(mut self, width: SimDuration) -> Self {
-        self.report.borrow_mut().windows = Some(WindowTrack::new(width));
-        self.windowed = true;
+        self.report.windows = Some(WindowTrack::new(width));
         self
     }
 
@@ -167,8 +161,8 @@ impl SpoofGuard {
 
 impl SpoofGuard {
     /// Serializes the runtime-mutable detector state: the per-peer RSSI
-    /// windows (sorted by peer for a canonical encoding) and the shared
-    /// report. Configuration is rebuilt by the owner.
+    /// windows (sorted by peer for a canonical encoding) and the report.
+    /// Configuration is rebuilt by the owner.
     pub fn save_state(&self, w: &mut snap::Enc) {
         use snap::SnapValue as _;
         let mut peers: Vec<_> = self.history.iter().collect();
@@ -181,7 +175,7 @@ impl SpoofGuard {
                 w.f64(rssi);
             }
         }
-        let report = self.report.borrow();
+        let report = &self.report;
         w.u64(report.flagged);
         w.u64(report.rejected);
         w.u64(report.accepted);
@@ -189,9 +183,8 @@ impl SpoofGuard {
         report.windows.save(w);
     }
 
-    /// Restores state written by [`SpoofGuard::save_state`], writing the
-    /// report through the shared handle so external readers see it. Each
-    /// window's sorted mirror is rebuilt from its samples.
+    /// Restores state written by [`SpoofGuard::save_state`]. Each window's
+    /// sorted mirror is rebuilt from its samples.
     ///
     /// # Errors
     ///
@@ -199,21 +192,11 @@ impl SpoofGuard {
     /// NaN sample.
     pub fn load_state(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         use snap::SnapValue as _;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "spoof guard peer count {n} exceeds input"
-            )));
-        }
+        let n = r.count("spoof guard peer count")?;
         self.history.clear();
         for _ in 0..n {
             let peer = r.u16()?;
-            let len = r.usize()?;
-            if len > r.remaining() {
-                return Err(snap::SnapError::Corrupt(format!(
-                    "spoof guard window length {len} exceeds input"
-                )));
-            }
+            let len = r.count("spoof guard window length")?;
             let mut window = RssiWindow::default();
             for _ in 0..len {
                 let rssi = r.f64()?;
@@ -226,7 +209,7 @@ impl SpoofGuard {
             }
             self.history.insert(peer, window);
         }
-        let mut report = self.report.borrow_mut();
+        let report = &mut self.report;
         report.flagged = r.u64()?;
         report.rejected = r.u64()?;
         report.accepted = r.u64()?;
@@ -249,17 +232,15 @@ impl SpoofGuard {
     #[inline]
     pub fn accept_ack(&mut self, meta: &FrameMeta, expected_from: NodeId) -> bool {
         let Some(median) = self.median_for(expected_from) else {
-            self.report.borrow_mut().unvetted += 1;
+            self.report.unvetted += 1;
             return true;
         };
         let deviation = (median - meta.rssi.dbm()).abs();
-        if self.windowed {
-            if let Some(track) = &mut self.report.borrow_mut().windows {
-                track.push(meta.now, deviation);
-            }
+        let r = &mut self.report;
+        if let Some(track) = &mut r.windows {
+            track.push(meta.now, deviation);
         }
         if deviation > self.cfg.rssi_threshold_db {
-            let mut r = self.report.borrow_mut();
             r.flagged += 1;
             if self.cfg.mitigate {
                 r.rejected += 1;
@@ -267,7 +248,7 @@ impl SpoofGuard {
             }
             true
         } else {
-            self.report.borrow_mut().accepted += 1;
+            r.accepted += 1;
             true
         }
     }
@@ -295,21 +276,21 @@ mod tests {
 
     #[test]
     fn accepts_acks_near_median() {
-        let (mut g, report) = SpoofGuard::new(SpoofGuardConfig::default());
+        let mut g = SpoofGuard::new(SpoofGuardConfig::default());
         teach(&mut g, 1, -50.0, 10);
         assert!(g.accept_ack(&meta(-50.4), NodeId(1)));
-        assert_eq!(report.borrow().accepted, 1);
-        assert_eq!(report.borrow().flagged, 0);
+        assert_eq!(g.report().accepted, 1);
+        assert_eq!(g.report().flagged, 0);
     }
 
     #[test]
     fn rejects_acks_far_from_median() {
-        let (mut g, report) = SpoofGuard::new(SpoofGuardConfig::default());
+        let mut g = SpoofGuard::new(SpoofGuardConfig::default());
         teach(&mut g, 1, -50.0, 10);
         // A spoofer 10 m closer is many dB hotter.
         assert!(!g.accept_ack(&meta(-35.0), NodeId(1)));
-        assert_eq!(report.borrow().flagged, 1);
-        assert_eq!(report.borrow().rejected, 1);
+        assert_eq!(g.report().flagged, 1);
+        assert_eq!(g.report().rejected, 1);
     }
 
     #[test]
@@ -318,23 +299,23 @@ mod tests {
             mitigate: false,
             ..SpoofGuardConfig::default()
         };
-        let (mut g, report) = SpoofGuard::new(cfg);
+        let mut g = SpoofGuard::new(cfg);
         teach(&mut g, 1, -50.0, 10);
         assert!(g.accept_ack(&meta(-35.0), NodeId(1)));
-        assert_eq!(report.borrow().flagged, 1);
-        assert_eq!(report.borrow().rejected, 0);
+        assert_eq!(g.report().flagged, 1);
+        assert_eq!(g.report().rejected, 0);
     }
 
     #[test]
     fn no_baseline_means_no_vetting() {
-        let (mut g, report) = SpoofGuard::new(SpoofGuardConfig::default());
+        let mut g = SpoofGuard::new(SpoofGuardConfig::default());
         assert!(g.accept_ack(&meta(-90.0), NodeId(1)));
-        assert_eq!(report.borrow().unvetted, 1);
+        assert_eq!(g.report().unvetted, 1);
     }
 
     #[test]
     fn acks_never_teach_the_baseline() {
-        let (mut g, _report) = SpoofGuard::new(SpoofGuardConfig::default());
+        let mut g = SpoofGuard::new(SpoofGuardConfig::default());
         // An attacker floods forged ACKs claiming to be node 1.
         for _ in 0..20 {
             let forged: Frame<usize> = Frame::spoofed_ack(NodeId(9), NodeId(1), NodeId(0));
@@ -366,7 +347,7 @@ mod tests {
             window in 1usize..61,
             min_samples in 0usize..4,
         ) {
-            let (mut g, _r) = SpoofGuard::new(config(window, min_samples));
+            let mut g = SpoofGuard::new(config(window, min_samples));
             let min = g.cfg.min_samples;
             for (k, &l) in levels.iter().enumerate() {
                 g.learn(NodeId(1), LEVELS[l]);
@@ -405,31 +386,31 @@ mod tests {
                 }
             };
             let cut = cut.min(stream.len());
-            let (mut straight, straight_report) = SpoofGuard::new(config(window, min_samples));
-            let (mut first, _) = SpoofGuard::new(config(window, min_samples));
+            let mut straight = SpoofGuard::new(config(window, min_samples));
+            let mut first = SpoofGuard::new(config(window, min_samples));
             for ev in &stream[..cut] {
                 step(&mut straight, ev);
                 step(&mut first, ev);
             }
             let mut w = snap::Enc::new();
             first.save_state(&mut w);
-            let (mut resumed, resumed_report) = SpoofGuard::new(config(window, min_samples));
+            let mut resumed = SpoofGuard::new(config(window, min_samples));
             resumed.load_state(&mut snap::Dec::new(w.bytes())).unwrap();
             for ev in &stream[cut..] {
                 assert_eq!(step(&mut straight, ev), step(&mut resumed, ev));
             }
-            let counts = |r: &SpoofGuardHandle| {
-                let r = r.borrow();
+            let counts = |g: &SpoofGuard| {
+                let r = g.report();
                 (r.flagged, r.rejected, r.accepted, r.unvetted)
             };
-            assert_eq!(counts(&straight_report), counts(&resumed_report));
+            assert_eq!(counts(&straight), counts(&resumed));
         }
     }
 
     #[test]
     #[should_panic(expected = "median over NaN")]
     fn nan_rssi_stops_the_run() {
-        let (mut g, _r) = SpoofGuard::new(SpoofGuardConfig::default());
+        let mut g = SpoofGuard::new(SpoofGuardConfig::default());
         teach(&mut g, 1, -50.0, 3);
         teach(&mut g, 1, f64::NAN, 1);
     }
@@ -440,7 +421,7 @@ mod tests {
             window: 10,
             ..SpoofGuardConfig::default()
         };
-        let (mut g, _r) = SpoofGuard::new(cfg);
+        let mut g = SpoofGuard::new(cfg);
         teach(&mut g, 1, -50.0, 10);
         // Peer drifts to −47 dBm; window follows after enough frames.
         teach(&mut g, 1, -47.0, 10);

@@ -151,12 +151,7 @@ impl snap::SnapValue for WindowTrack {
             ));
         }
         let current = Option::load(r)?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "window track count {n} exceeds input"
-            )));
-        }
+        let n = r.count("window track count")?;
         let mut closed = Vec::with_capacity(n);
         for _ in 0..n {
             closed.push(WindowStat::load(r)?);

@@ -36,7 +36,7 @@ pub use arf::{Arf, ArfConfig};
 pub use counters::MacCounters;
 pub use dcf::{CorruptionCause, Dcf, DcfConfig, DropReason, MacAction, RxEvent, TimerKind};
 pub use frame::{Frame, FrameKind, Msdu, NavCalculator, NodeId, MAX_NAV_US};
-pub use grc::{FrameMeta, GrcObserver, GrcReportHandles, GrcSnapshot, GrcTuning};
+pub use grc::{FrameMeta, GrcObserver, GrcSnapshot, GrcTuning};
 pub use greedy::GreedyConfig;
 pub use nav::Nav;
 pub use policy::PolicySlot;

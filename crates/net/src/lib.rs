@@ -17,7 +17,7 @@ pub use builder::NetworkBuilder;
 pub use job::{run_file_stem, CampaignSpec, JobContext, JobGuard};
 pub use metrics::{FlowMetrics, NodeMetrics, RunMetrics};
 pub use network::{
-    HookCursor, Network, RunArtifacts, RunHooks, TxInterval, GAUGE_CW, GAUGE_CWND,
+    HookCursor, Network, RunArtifacts, RunHooks, TxInterval, TxRecord, GAUGE_CW, GAUGE_CWND,
     GAUGE_NAV_REMAINING_US, GAUGE_QUEUE_LEN,
 };
 pub use stats::SimStats;

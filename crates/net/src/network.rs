@@ -148,8 +148,22 @@ pub struct RunArtifacts {
 
 /// One transmission interval `(source, start, end)` in a network's node-id
 /// space and the shared virtual timebase, as the world's epoch exchange
-/// harvests and injects them.
+/// injects them.
 pub type TxInterval = (NodeId, SimTime, SimTime);
+
+/// One logged transmission (see [`Network::enable_tx_log`]): the
+/// transmitting station, the frame's kind and its time on air.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxRecord {
+    /// The station that keyed up (a spoofer, for a spoofed frame).
+    pub src: NodeId,
+    /// The frame's kind.
+    pub kind: FrameKind,
+    /// When the transmission began.
+    pub start: SimTime,
+    /// When it left the air.
+    pub end: SimTime,
+}
 
 /// Hook kinds, ordered by firing priority at equal instants.
 const HOOK_GAUGE: u8 = 0;
@@ -309,13 +323,14 @@ pub struct Network {
         Option<sim::RunKey>,
         ::conform::SharedChecker,
     )>,
-    /// Opt-in transmission log for the world's epoch exchange: every
-    /// `(source, start, end)` since the last drain. `None` (the default)
-    /// costs nothing. Excluded from snapshots — it is boundary-exchange
-    /// scratch, not simulation state, and must not perturb audit digests.
-    epoch_tx_log: Option<Vec<TxInterval>>,
+    /// Opt-in transmission log, read by the world's epoch exchange and
+    /// by DOMINO: every transmission since the last drain. `None` (the
+    /// default) costs nothing. Excluded from snapshots — it is a reading
+    /// of the run, not simulation state, and must not perturb audit
+    /// digests.
+    tx_log: Option<Vec<TxRecord>>,
     /// [`Network::inject_busy`]'s buffers, reused across calls. Scratch
-    /// like `epoch_tx_log`: excluded from snapshots and audit digests.
+    /// like `tx_log`: excluded from snapshots and audit digests.
     fuse: FuseScratch,
     /// Idle MAC action buffers, used as a stack by [`Network::mac`]: a
     /// handler's actions can enqueue at another station (a delivered
@@ -415,7 +430,7 @@ impl Network {
             link_em,
             recorder: None,
             conform: None,
-            epoch_tx_log: None,
+            tx_log: None,
             fuse: FuseScratch::default(),
             mac_bufs: Vec::new(),
             tcp_out: Vec::new(),
@@ -476,18 +491,11 @@ impl Network {
         self.recorder.as_ref()
     }
 
-    /// Attaches a live tap to the run's event stream, beside any tap
-    /// already attached (the conformance checker's, for one). Without a
-    /// recorder, installs a PHY-only recorder that buffers nothing and
-    /// samples no gauges, so the tap sees every PHY emission and the MAC
-    /// and transport layers stay unrecorded.
-    pub fn tap(&mut self, tap: Box<dyn ::obs::EventTap>) {
-        self.recorder
-            .get_or_insert_with(|| {
-                ::obs::ObsSpec::silent(::obs::Filter::layers(&[::obs::Layer::Phy])).recorder()
-            })
-            .borrow_mut()
-            .add_tap(tap);
+    /// Every station that runs a GRC observer, in ascending node id;
+    /// the observers' guards hold the run's detection reports.
+    pub fn grc_stations(&self) -> impl Iterator<Item = (NodeId, &mac::GrcObserver)> {
+        (self.nodes.iter().enumerate())
+            .filter_map(|(i, st)| Some((NodeId(i as u16), st.dcf.grc()?)))
     }
 
     /// Immutable access to a node's DCF (counters, NAV, …).
@@ -510,20 +518,17 @@ impl Network {
         self.nodes.iter().map(|st| st.pos).collect()
     }
 
-    /// Starts logging every transmission `(source, start, end)` for the
-    /// world's epoch exchange. Off by default; the log is not part of
-    /// snapshots.
+    /// Starts logging every transmission, in the order the stations key
+    /// up: the world's epoch exchange and DOMINO read the log. Off by
+    /// default; the log is not part of snapshots.
     pub fn enable_tx_log(&mut self) {
-        self.epoch_tx_log = Some(Vec::new());
+        self.tx_log = Some(Vec::new());
     }
 
     /// Takes the transmissions logged since the last drain (empty when
     /// logging is off).
-    pub fn drain_tx_log(&mut self) -> Vec<TxInterval> {
-        self.epoch_tx_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
+    pub fn drain_tx_log(&mut self) -> Vec<TxRecord> {
+        self.tx_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Runs the simulation for `duration` of virtual time and returns the
@@ -1118,8 +1123,13 @@ impl Network {
                 airtime,
             );
         }
-        if let Some(log) = &mut self.epoch_tx_log {
-            log.push((src, now, end));
+        if let Some(log) = &mut self.tx_log {
+            log.push(TxRecord {
+                src,
+                kind: frame.kind,
+                start: now,
+                end,
+            });
         }
         // The frame moves into the arena once; everything downstream —
         // busy tracking, reception, tx-end bookkeeping — works through

@@ -268,7 +268,7 @@ fn world_cell_resumes_with_pending_fusion_credits() {
     // one epoch late; cell 0's batches are kept for the resumed twin.
     let mut batches = Vec::new();
     for k in 0..epochs {
-        let reports: Vec<Vec<gr_net::TxInterval>> = cells
+        let reports: Vec<Vec<gr_net::TxRecord>> = cells
             .iter_mut()
             .map(|(net, cursor)| {
                 net.advance(cursor, horizon(k));
@@ -281,7 +281,7 @@ fn world_cell_resumes_with_pending_fusion_credits() {
         for (a, (net, _)) in cells.iter_mut().enumerate() {
             let batch: Vec<_> = reports[1 - a]
                 .iter()
-                .flat_map(|&(_, start, end)| {
+                .flat_map(|&gr_net::TxRecord { start, end, .. }| {
                     (0..4).map(move |dst| (mac::NodeId(dst), start + epoch, end + epoch))
                 })
                 .collect();

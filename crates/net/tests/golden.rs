@@ -204,7 +204,7 @@ fn two_cell_co_channel_interference() {
     let epochs = (dur.as_nanos() as usize).div_ceil(epoch.as_nanos() as usize);
     for k in 0..epochs {
         let horizon = SimTime::from_nanos(((k + 1) as u64 * epoch.as_nanos()).min(dur.as_nanos()));
-        let reports: Vec<Vec<gr_net::TxInterval>> = cells
+        let reports: Vec<Vec<gr_net::TxRecord>> = cells
             .iter_mut()
             .map(|(net, cursor)| {
                 net.advance(cursor, horizon);
@@ -219,7 +219,10 @@ fn two_cell_co_channel_interference() {
                 if a == b {
                     continue;
                 }
-                for &(src, start, end) in report {
+                for &gr_net::TxRecord {
+                    src, start, end, ..
+                } in report
+                {
                     for dst in coupled(a, b, src.0) {
                         batch.push((mac::NodeId(dst), start + epoch, end + epoch));
                     }

@@ -162,9 +162,8 @@ impl ObsSpec {
 /// A live subscriber to a recorder's event stream.
 ///
 /// A tap sees **every** emitted event, before the filter and before
-/// ring eviction — a conformance checker or a DOMINO transmission log
-/// attached here misses nothing even when the ring is tiny or a
-/// `--record-filter` is active.
+/// ring eviction — a conformance checker attached here misses nothing
+/// even when the ring is tiny or a `--record-filter` is active.
 pub trait EventTap {
     /// Called for each event at its emission site.
     fn on_event(&mut self, ev: &ObsEvent);
@@ -367,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn tap_sees_filtered_and_evicted_events() {
+    fn taps_see_filtered_and_evicted_events() {
         struct Counting(std::rc::Rc<std::cell::Cell<usize>>);
         impl EventTap for Counting {
             fn on_event(&mut self, _ev: &ObsEvent) {

@@ -1,16 +1,17 @@
 //! Shared mutable handles to per-run state.
 //!
-//! An `Rc<RefCell<T>>`. Every layer of one run holds a clone of the same
-//! [`crate::RecorderHandle`], and the MAC's GRC detectors hand their
-//! reports to the experiment through the same cell type (re-exported as
-//! `mac::grc::Shared`). Runs never share a cell and each run is
+//! An `Rc<RefCell<T>>`, with two users: every layer of one run holds a
+//! clone of the same [`crate::RecorderHandle`], and an armed conformance
+//! checker is read through the same cell type after the recorder's tap
+//! has fed it. Detectors keep their evidence as plain run state instead
+//! (the GRC guards' reports live in the guards, DOMINO reads the
+//! network's transmission log). Runs never share a cell and each run is
 //! single-threaded — the campaign runner builds and executes a run inside
 //! one worker closure — so interior mutability without atomics is exactly
 //! right; the borrow sits on the per-event hot path. What crosses threads
-//! is plain data: [`Shared::snapshot`] detaches a copy for the run's
-//! outcome. Campaign aggregation state that genuinely crosses worker
-//! threads (e.g. the bench sink) uses an explicit `Arc<Mutex<…>>` at that
-//! one site instead.
+//! is plain data. Campaign aggregation state that genuinely crosses
+//! worker threads (e.g. the bench sink) uses an explicit `Arc<Mutex<…>>`
+//! at that one site instead.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
@@ -46,15 +47,6 @@ impl<T> Shared<T> {
     pub fn same_cell(&self, other: &Self) -> bool {
         Rc::ptr_eq(&self.0, &other.0)
     }
-
-    /// An owned copy of the current contents — what run outcomes carry
-    /// back across the thread boundary.
-    pub fn snapshot(&self) -> T
-    where
-        T: Clone,
-    {
-        self.borrow().clone()
-    }
 }
 
 impl<T> Clone for Shared<T> {
@@ -83,14 +75,5 @@ mod tests {
         assert_eq!(*a.borrow(), 42);
         assert!(a.same_cell(&b));
         assert!(!a.same_cell(&Shared::new(1)));
-    }
-
-    #[test]
-    fn snapshot_is_detached() {
-        let a = Shared::new(vec![1, 2]);
-        let snap = a.snapshot();
-        a.borrow_mut().push(3);
-        assert_eq!(snap, vec![1, 2]);
-        assert_eq!(*a.borrow(), vec![1, 2, 3]);
     }
 }

@@ -114,18 +114,6 @@ impl ErrorModel {
         }
     }
 
-    /// Samples a batch of frames for corruption, appending one verdict
-    /// per size to `out`. Draws exactly one `chance` per element **in
-    /// slice order**, so a batch over frames in dispatch order consumes
-    /// the RNG stream identically to per-frame [`ErrorModel::corrupts`]
-    /// calls in that order — the draw-order contract DESIGN.md §16
-    /// relies on.
-    pub fn corrupts_batch(&self, frame_bytes: &[usize], rng: &mut SimRng, out: &mut Vec<bool>) {
-        for &b in frame_bytes {
-            out.push(rng.chance(self.fer(b)));
-        }
-    }
-
     /// Samples whether a specific contiguous field of `field_bytes` bytes
     /// within a frame is hit by the error process (used by the corrupted-
     /// address study, Table I).

@@ -8,13 +8,8 @@
 //!
 //! Frame kinds travel as compact codes (see [`frame code`](FRAME_RTS)
 //! constants) because the PHY does not know the MAC's `FrameKind` enum.
-//!
-//! A [`TxLog`] tap collects the [`TX_START`] events of one run: what a
-//! sender-side timing monitor such as DOMINO reads.
 
-use std::cell::Ref;
-
-use ::obs::{EventKind, EventTap, Layer, ObsEvent, RecorderHandle, Shared};
+use ::obs::{EventKind, Layer, RecorderHandle};
 use sim::{SimDuration, SimTime};
 
 /// Frame code for RTS in event payloads.
@@ -76,33 +71,6 @@ pub enum RxOutcome {
     Noise,
     /// Lost the capture decision among overlapping frames.
     Collision,
-}
-
-/// An [`EventTap`] keeping every [`TX_START`] event of a run, whatever
-/// the recorder's capacity or filter. Clones share one log: attach one
-/// clone, read through another.
-#[derive(Clone, Debug)]
-pub struct TxLog(Shared<Vec<ObsEvent>>);
-
-impl Default for TxLog {
-    fn default() -> Self {
-        TxLog(Shared::new(Vec::new()))
-    }
-}
-
-impl TxLog {
-    /// The transmission starts logged so far, in emission order.
-    pub fn events(&self) -> Ref<'_, Vec<ObsEvent>> {
-        self.0.borrow()
-    }
-}
-
-impl EventTap for TxLog {
-    fn on_event(&mut self, ev: &ObsEvent) {
-        if std::ptr::eq(ev.kind, &TX_START) {
-            self.0.borrow_mut().push(*ev);
-        }
-    }
 }
 
 /// Records a transmission start.
@@ -183,36 +151,5 @@ mod tests {
         assert_eq!(report.events[0].kind.name, "tx_start");
         assert_eq!(report.events[1].kind.name, "rx_ok");
         assert_eq!(report.events[1].vals[2], FRAME_RTS as f64);
-    }
-
-    #[test]
-    fn tx_log_keeps_only_transmission_starts() {
-        let rec = ObsSpec {
-            capacity: 0,
-            ..ObsSpec::default()
-        }
-        .recorder();
-        let log = TxLog::default();
-        rec.borrow_mut().add_tap(Box::new(log.clone()));
-        let air = SimDuration::from_micros(352);
-        record_tx_start(&rec, SimTime::from_micros(10), 0, 1, FRAME_RTS, air);
-        record_rx(
-            &rec,
-            SimTime::from_micros(362),
-            1,
-            0,
-            1,
-            FRAME_RTS,
-            RxOutcome::Ok,
-            air,
-        );
-        let events = log.events();
-        assert_eq!(
-            events.len(),
-            1,
-            "a zero-capacity recorder still feeds the tap"
-        );
-        assert_eq!(events[0].node, 0);
-        assert_eq!(events[0].vals[..3], [1.0, FRAME_RTS as f64, 352.0]);
     }
 }

@@ -278,13 +278,6 @@ mod tests {
         for &b in &sizes {
             assert_eq!(t.fer(i, b).to_bits(), em.fer(b).to_bits());
         }
-        // Batch corruption draws in slice order ≡ per-frame draws.
-        let mut r1 = sim::SimRng::new(3);
-        let mut r2 = sim::SimRng::new(3);
-        let mut verdicts = Vec::new();
-        em.corrupts_batch(&sizes, &mut r1, &mut verdicts);
-        let sequential: Vec<bool> = sizes.iter().map(|&b| em.corrupts(b, &mut r2)).collect();
-        assert_eq!(verdicts, sequential);
     }
 
     #[test]

@@ -184,12 +184,7 @@ impl<T: snap::SnapValue> snap::SnapValue for Arena<T> {
         w.usize(self.live);
     }
     fn load(r: &mut snap::Dec) -> Result<Self, snap::SnapError> {
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "arena slot count {n} exceeds input"
-            )));
-        }
+        let n = r.count("arena slot count")?;
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
             let gen = r.u32()?;

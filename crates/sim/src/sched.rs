@@ -341,12 +341,7 @@ impl<E: snap::SnapValue> snap::SnapState for Scheduler<E> {
     fn snap_restore(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         let now = SimTime::from_nanos(r.u64()?);
         let next_seq = r.u64()?;
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(snap::SnapError::Corrupt(format!(
-                "scheduler slab count {n} exceeds input"
-            )));
-        }
+        let n = r.count("scheduler slab count")?;
         let mut s = Scheduler::new();
         s.now = now;
         s.next_seq = next_seq;

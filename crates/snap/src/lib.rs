@@ -271,6 +271,22 @@ impl<'a> Dec<'a> {
         usize::try_from(v).map_err(|_| SnapError::Corrupt(format!("usize overflow: {v}")))
     }
 
+    /// Reads an element count, rejecting one larger than the bytes left
+    /// (every encoded element takes at least one byte), so corrupt input
+    /// can never make a loader reserve an absurd amount of memory.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Corrupt`] naming `what` when the count exceeds the
+    /// input.
+    pub fn count(&mut self, what: &str) -> Result<usize, SnapError> {
+        let n = self.usize()?;
+        if n > self.remaining() {
+            return Err(SnapError::Corrupt(format!("{what} {n} exceeds input")));
+        }
+        Ok(n)
+    }
+
     /// Reads an `f64` from its exact bit pattern.
     pub fn f64(&mut self) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64()?))
@@ -384,12 +400,7 @@ impl<T: SnapValue> SnapValue for Vec<T> {
         }
     }
     fn load(r: &mut Dec) -> Result<Self, SnapError> {
-        let n = r.usize()?;
-        // Guard against absurd lengths from corrupt input: never reserve
-        // more than the bytes that could plausibly remain.
-        if n > r.remaining() {
-            return Err(SnapError::Corrupt(format!("vec length {n} exceeds input")));
-        }
+        let n = r.count("vec length")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(T::load(r)?);
@@ -503,6 +514,24 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "snap");
         assert!(r.is_done());
+    }
+
+    #[test]
+    fn count_beyond_the_input_is_corrupt() {
+        let encode = |n: usize| {
+            let mut w = Enc::new();
+            w.usize(n);
+            w.u8(0);
+            w.u8(0);
+            w.into_bytes()
+        };
+        let b = encode(3);
+        assert_eq!(
+            Dec::new(&b).count("slot count"),
+            Err(SnapError::Corrupt("slot count 3 exceeds input".into()))
+        );
+        let b = encode(2);
+        assert_eq!(Dec::new(&b).count("slot count"), Ok(2));
     }
 
     #[test]

@@ -30,13 +30,8 @@ fn run(attack: Attack) -> (f64, f64, usize, u64, u64) {
     if attack == Attack::AckSpoof {
         b = b.default_error(ErrorModel::new(ErrorUnit::Byte, 2e-4).expect("rate"));
     }
-    let mut handles = Vec::new();
-    let mut honest = |b: &mut NetworkBuilder, pos| {
-        let (obs, h) = GrcObserver::new(params, true);
-        let id = b.add_node_with_observer(pos, obs);
-        handles.push(h);
-        id
-    };
+    let honest =
+        |b: &mut NetworkBuilder, pos| b.add_node_with_observer(pos, GrcObserver::new(params, true));
     let s0 = honest(&mut b, Position::new(0.0, 0.0));
     let r0 = honest(&mut b, Position::new(20.0, 0.0));
     let s1 = if attack == Attack::GreedySender {
@@ -58,15 +53,15 @@ fn run(attack: Attack) -> (f64, f64, usize, u64, u64) {
     let f0 = b.udp_flow(s0, r0, 1024, 10_000_000);
     let f1 = b.udp_flow(s1, r1, 1024, 10_000_000);
     let mut net = b.build();
-    let log = phy::obs::TxLog::default();
-    net.tap(Box::new(log.clone()));
+    net.enable_tx_log();
     let m = net.run(SimDuration::from_secs(10));
-    let report = DominoDetector::new(params).analyze(&log.events());
-    let nav: u64 = handles
-        .iter()
-        .map(|h| h.nav.borrow().total_detections())
-        .sum();
-    let spoof: u64 = handles.iter().map(|h| h.spoof.borrow().flagged).sum();
+    let report = DominoDetector::new(params).analyze(&net.drain_tx_log());
+    let (mut nav, mut spoof) = (0, 0);
+    for (_, grc) in net.grc_stations() {
+        let r = grc.report();
+        nav += r.nav.total_detections();
+        spoof += r.spoof.flagged;
+    }
     (
         m.goodput_mbps(f0),
         m.goodput_mbps(f1),

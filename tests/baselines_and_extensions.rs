@@ -3,9 +3,8 @@
 //! adaptation interacting with the misbehaviors.
 
 use greedy80211_repro::{DominoDetector, GreedyConfig, NavInflationConfig, PolicySlot};
-use mac::ArfConfig;
+use mac::{ArfConfig, NodeId};
 use net::NetworkBuilder;
-use phy::obs::TxLog;
 use phy::{ErrorModel, ErrorUnit, PhyParams, Position};
 use sim::SimDuration;
 
@@ -42,10 +41,9 @@ fn domino_flags_greedy_sender_not_honest_nodes() {
     b.udp_flow(s_greedy, r1, 1024, 10_000_000);
     b.udp_flow(s_honest, r2, 1024, 10_000_000);
     let mut net = b.build();
-    let log = TxLog::default();
-    net.tap(Box::new(log.clone()));
+    net.enable_tx_log();
     net.run(SimDuration::from_secs(5));
-    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&log.events());
+    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&net.drain_tx_log());
     assert!(
         report.flagged.contains(&s_greedy.0),
         "DOMINO must flag the backoff cheat: {report:?}"
@@ -54,6 +52,19 @@ fn domino_flags_greedy_sender_not_honest_nodes() {
         !report.flagged.contains(&s_honest.0),
         "honest sender must pass: {report:?}"
     );
+    // Exact per-sender output: a dropped, reordered or re-timed
+    // transmission in the log moves these even when the flagged set
+    // holds.
+    let avg: Vec<(u16, f64)> = report.avg_backoff_slots.into_iter().collect();
+    let samples: Vec<(u16, usize)> = report.samples.into_iter().collect();
+    assert_eq!(
+        avg,
+        [
+            (s_greedy.0, 0.8637238836542392),
+            (s_honest.0, 63.88095238095232)
+        ]
+    );
+    assert_eq!(samples, [(s_greedy.0, 4882), (s_honest.0, 63)]);
 }
 
 #[test]
@@ -69,13 +80,12 @@ fn domino_is_blind_to_nav_inflating_receivers() {
     let f1 = b.udp_flow(s1, r1, 1024, 10_000_000);
     let f2 = b.udp_flow(s2, r2, 1024, 10_000_000);
     let mut net = b.build();
-    let log = TxLog::default();
-    net.tap(Box::new(log.clone()));
+    net.enable_tx_log();
     let m = net.run(SimDuration::from_secs(5));
     // The attack works…
     assert!(m.goodput_mbps(f2) > m.goodput_mbps(f1) * 3.0);
     // …but DOMINO sees honest timing everywhere.
-    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&log.events());
+    let report = DominoDetector::new(PhyParams::dot11b()).analyze(&net.drain_tx_log());
     assert!(
         report.flagged.is_empty(),
         "DOMINO must not flag receiver misbehavior: {report:?}"
@@ -95,20 +105,18 @@ fn trace_reveals_airtime_monopoly() {
     b.udp_flow(s1, r1, 1024, 10_000_000);
     b.udp_flow(s2, r2, 1024, 10_000_000);
     let mut net = b.build();
-    let log = TxLog::default();
-    net.tap(Box::new(log.clone()));
+    net.enable_tx_log();
     net.run(SimDuration::from_secs(3));
-    // Seconds on air per transmitter: `tx_start` payload 2 is the
-    // frame's airtime in µs.
-    let airtime_of = |node: Option<u16>| -> f64 {
-        log.events()
-            .iter()
-            .filter(|e| node.is_none_or(|n| e.node == n))
-            .map(|e| e.vals[2] * 1e-6)
+    let log = net.drain_tx_log();
+    // Seconds on air per transmitter.
+    let airtime_of = |node: Option<NodeId>| -> f64 {
+        log.iter()
+            .filter(|t| node.is_none_or(|n| t.src == n))
+            .map(|t| (t.end - t.start).as_secs_f64())
             .sum()
     };
-    let greedy_air = airtime_of(Some(s2.0));
-    let honest_air = airtime_of(Some(s1.0));
+    let greedy_air = airtime_of(Some(s2));
+    let honest_air = airtime_of(Some(s1));
     assert!(
         greedy_air > honest_air * 10.0,
         "airtime shares must expose the monopoly: {greedy_air} vs {honest_air}"

@@ -57,8 +57,8 @@ fn greedy_sender_run_is_pinned() {
         .default_error(ErrorModel::new(ErrorUnit::Byte, 1e-4).unwrap());
     let cheat = b.add_node_with_policy(Position::new(0.0, 0.0), PolicySlot::greedy_sender(0.1));
     let r0 = b.add_node(Position::new(20.0, 0.0));
-    let s1 = b.add_node_with_observer(Position::new(0.0, 20.0), GrcObserver::new(params, true).0);
-    let r1 = b.add_node_with_observer(Position::new(20.0, 20.0), GrcObserver::new(params, false).0);
+    let s1 = b.add_node_with_observer(Position::new(0.0, 20.0), GrcObserver::new(params, true));
+    let r1 = b.add_node_with_observer(Position::new(20.0, 20.0), GrcObserver::new(params, false));
     b.udp_flow(cheat, r0, 1024, 5_000_000);
     b.udp_flow(s1, r1, 1024, 5_000_000);
     let mut net = b.build();
