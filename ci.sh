@@ -28,6 +28,12 @@ for w in hotspot_udp paper_sweep world_cochannel; do
     --workload "$w" --seed 1 --seconds 1 --trace 0 >/dev/null
 done
 
+echo "==> simbench traced (split untraced/traced passes, world_cochannel's lockstep pool: same pinned digests)"
+for w in hotspot_udp paper_sweep world_cochannel; do
+  cargo run --release --offline -q --manifest-path simbench/Cargo.toml -- \
+    --workload "$w" --seed 1 --seconds 1 --trace 1 >/dev/null
+done
+
 echo "==> obs determinism (artifacts byte-identical across --jobs)"
 cargo test --offline -q -p gr-bench --test obs_determinism
 

@@ -25,7 +25,7 @@ use net::{HookCursor, NetworkBuilder, RunHooks};
 use phy::{CaptureModel, ErrorModel, ErrorUnit, PhyParams, PhyStandard, Position};
 use sim::{RunKey, SimDuration, SimError, SimTime};
 use snap::SnapState as _;
-use transport::{CcConfig, FlowId, TcpConfig};
+use transport::{CbrSource, CcConfig, FlowId, TcpConfig};
 
 use crate::checkpoint::Checkpoint;
 use crate::detect::GrcObserver;
@@ -445,8 +445,10 @@ impl Scenario {
     /// Returns [`SimError::InvalidConfig`] for zero pairs, more than
     /// [`Scenario::MAX_STATIONS`] stations, out-of-range greedy or flow
     /// override indices, a greedy receiver listed twice, a greedy
-    /// percentage outside `[0, 1]` (NaN included), or invalid error
-    /// rates.
+    /// percentage outside `[0, 1]` (NaN included), invalid error rates,
+    /// or a zero period: a UDP rate and payload whose CBR interval
+    /// rounds to 0 ns, a zero `probe_interval` with probes on, or a
+    /// `grc_windows` width under 1 µs.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.pairs == 0 {
             return Err(SimError::invalid_config("need at least one pair"));
@@ -483,6 +485,25 @@ impl Scenario {
                     )));
                 }
             }
+        }
+        // Periods that are zero at their source's resolution: CBR
+        // sources and GRC windows panic on them, and a probe flow would
+        // re-arm at the same instant forever.
+        if let TransportKind::Udp { rate_bps } = self.transport {
+            if CbrSource::rate_interval(self.payload, rate_bps).is_zero() {
+                return Err(SimError::invalid_config(format!(
+                    "UDP rate {rate_bps} b/s with payload {} B gives a zero CBR interval",
+                    self.payload
+                )));
+            }
+        }
+        if self.probes && self.probe_interval.is_zero() {
+            return Err(SimError::invalid_config("probe_interval must be positive"));
+        }
+        if let Some(w) = self.grc_windows.filter(|w| w.as_micros() == 0) {
+            return Err(SimError::invalid_config(format!(
+                "grc_windows width {w} is under the 1us window resolution"
+            )));
         }
         ErrorModel::new(ErrorUnit::Byte, self.byte_error_rate)?;
         for (i, rate) in &self.flow_error_overrides {

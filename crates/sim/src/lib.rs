@@ -3,7 +3,8 @@
 //! This crate is the foundation of the `greedy80211` simulator: it provides
 //! virtual time ([`SimTime`], [`SimDuration`]), a cancellable [`Scheduler`]
 //! backed by an indexed binary heap (arm and cancel in O(log pending)
-//! through generation-stamped [`TimerHandle`]s), allocation-free hot-path
+//! through generation-stamped [`TimerHandle`]s) beside a time-ordered lane
+//! for periodic source ticks, allocation-free hot-path
 //! storage ([`Arena`]), seedable deterministic random-number
 //! generation ([`SimRng`]) and small statistics primitives used by every
 //! layer above (PHY, MAC, transport, experiments).
@@ -37,6 +38,6 @@ pub mod time;
 pub use arena::{Arena, ArenaHandle};
 pub use error::SimError;
 pub use rng::{NormalDraw, RunKey, SimRng};
-pub use sched::{Scheduler, TimerHandle};
+pub use sched::{Due, Scheduler, TimerHandle};
 pub use stats::{Counter, Histogram, LogHistogram, Mean, TimeWeightedMean};
 pub use time::{SimDuration, SimTime};

@@ -1,5 +1,5 @@
-//! Cancellable scheduler: an indexed binary min-heap plus a simulation
-//! clock.
+//! Cancellable scheduler: an indexed binary min-heap, a lane for
+//! periodic source ticks and a simulation clock.
 //!
 //! Events live in a generation-stamped slab; the heap holds one node per
 //! live event, keyed by `(time, seq)`, and every slab slot records its
@@ -15,6 +15,22 @@
 //! would cost a sift-down plus a sift-up. The vacant root keeps the key
 //! of the node just popped, which precedes every pending key, so sifts
 //! below it never climb into it.
+//!
+//! Events armed through [`Scheduler::arm_tick`] skip the heap. Source
+//! ticks are never cancelled and re-arm about one period ahead, so a
+//! saturated hotspot's heap used to be mostly ticks that every other
+//! node sifted past. They wait instead in a *tick lane*, a deque kept in
+//! `(time, seq)` order by inserting from the back, where a re-armed tick
+//! usually belongs. A pop takes whichever comes first, the lane's front
+//! or the heap's next node; with an empty lane it costs one branch more
+//! than a heap pop. [`Scheduler::peek`] compares the two once and names
+//! the winner's queue in a [`Due`], which [`Scheduler::pop`] takes
+//! without comparing again. A tick takes its seq, slab slot and generation
+//! exactly as [`Scheduler::arm`] would, so the dispatch order, the slab
+//! and the snapshot bytes do not depend on which queue an event waited
+//! in.
+
+use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -47,9 +63,29 @@ impl snap::SnapValue for TimerHandle {
 #[derive(Debug)]
 struct Slot<E> {
     gen: u32,
-    /// Heap position of this slot's node while `event` is live.
+    /// Heap position of this slot's node while `event` is live, or
+    /// [`IN_LANE`].
     pos: u32,
     event: Option<E>,
+}
+
+/// [`Slot::pos`] of a live event waiting in the tick lane.
+const IN_LANE: u32 = u32::MAX;
+
+/// The next pending event, as [`Scheduler::peek`] found it: its instant
+/// and the queue it waits in, so [`Scheduler::pop`] takes it without
+/// comparing the queues again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Due {
+    time: SimTime,
+    in_lane: bool,
+}
+
+impl Due {
+    /// When the event fires.
+    pub fn time(self) -> SimTime {
+        self.time
+    }
 }
 
 /// A heap node: the dispatch key inline, so sifting never leaves the heap.
@@ -96,6 +132,9 @@ pub struct Scheduler<E> {
     heap: Vec<Node>,
     /// `heap[0]` is the hole a pop left, awaiting the next arm.
     vacant: bool,
+    /// Events armed by [`Scheduler::arm_tick`], ascending by
+    /// `(time, seq)`.
+    lane: VecDeque<Node>,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -114,6 +153,7 @@ impl<E> Scheduler<E> {
             free: Vec::new(),
             heap: Vec::new(),
             vacant: false,
+            lane: VecDeque::new(),
         }
     }
 
@@ -125,7 +165,7 @@ impl<E> Scheduler<E> {
 
     /// Number of live pending events (cancelled events leave no residue).
     pub fn pending(&self) -> usize {
-        self.heap.len() - usize::from(self.vacant)
+        self.heap.len() - usize::from(self.vacant) + self.lane.len()
     }
 
     /// Arms `event` to fire after delay `d` from now.
@@ -149,7 +189,28 @@ impl<E> Scheduler<E> {
         self.insert(at.max(self.now), event)
     }
 
-    fn insert(&mut self, time: SimTime, event: E) -> TimerHandle {
+    /// Arms `event` to fire after delay `d` from now, for an event that is
+    /// never cancelled: no handle is returned. Meant for periodic sources
+    /// that re-arm about one period ahead; see the module docs.
+    ///
+    /// Ticks wait in a lane searched from its back, so an arm costs one
+    /// step per pending tick due later. Arming many more ticks than
+    /// sources, or far out of time order, makes that search long.
+    pub fn arm_tick(&mut self, d: SimDuration, event: E) {
+        let node = self.claim(self.now + d, event);
+        self.slab[node.idx as usize].pos = IN_LANE;
+        // The new seq is the largest, so a tick at the same instant as a
+        // lane node goes behind it.
+        let mut at = self.lane.len();
+        while at > 0 && node.time < self.lane[at - 1].time {
+            at -= 1;
+        }
+        self.lane.insert(at, node);
+    }
+
+    /// Takes the next seq and a slab slot (the free list's last, else a
+    /// new one) for `event` at `time`.
+    fn claim(&mut self, time: SimTime, event: E) -> Node {
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = match self.free.pop() {
@@ -166,7 +227,12 @@ impl<E> Scheduler<E> {
                 (self.slab.len() - 1) as u32
             }
         };
-        let node = Node { time, seq, idx };
+        Node { time, seq, idx }
+    }
+
+    fn insert(&mut self, time: SimTime, event: E) -> TimerHandle {
+        let node = self.claim(time, event);
+        let idx = node.idx;
         if self.vacant {
             self.vacant = false;
             self.sift_down(0, node);
@@ -189,6 +255,9 @@ impl<E> Scheduler<E> {
         if slot.gen != handle.gen || slot.event.is_none() {
             return false;
         }
+        // A tick's slot was claimed after every earlier holder's event
+        // was released, which moved the generation past their handles.
+        debug_assert_ne!(slot.pos, IN_LANE, "a handle reached a tick");
         let pos = slot.pos as usize;
         self.release(handle.idx);
         self.remove_at(pos);
@@ -199,16 +268,51 @@ impl<E> Scheduler<E> {
     /// Returns `None` when the queue is exhausted.
     #[allow(clippy::should_implement_trait)] // not an Iterator: &mut self with internal clock
     pub fn next(&mut self) -> Option<(SimTime, E)> {
-        if self.vacant {
-            self.vacant = false;
-            self.remove_at(0);
+        let due = self.peek()?;
+        Some(self.pop(due))
+    }
+
+    /// The next live event's instant and queue, without dispatching it,
+    /// or `None` when the queue is exhausted.
+    pub fn peek(&self) -> Option<Due> {
+        let heap = if self.vacant {
+            // The next heap node is the earlier of the hole's children.
+            self.heap.iter().skip(1).take(2).min_by_key(|n| n.key())
+        } else {
+            self.heap.first()
+        };
+        match (self.lane.front(), heap) {
+            (Some(tick), h) if h.is_none_or(|h| tick.before(h)) => Some(Due {
+                time: tick.time,
+                in_lane: true,
+            }),
+            (_, h) => h.map(|h| Due {
+                time: h.time,
+                in_lane: false,
+            }),
         }
-        let Node { time, idx, .. } = *self.heap.first()?;
+    }
+
+    /// Pops the event `due` names, advancing the clock to its timestamp.
+    /// `due` must come from a [`peek`](Self::peek) with no arm or cancel
+    /// since.
+    pub fn pop(&mut self, due: Due) -> (SimTime, E) {
+        debug_assert_eq!(self.peek(), Some(due), "popping a stale peek");
+        let Node { time, idx, .. } = if due.in_lane {
+            // The heap is untouched; a vacant root stays vacant, its key
+            // still before every pending heap key.
+            self.lane.pop_front().expect("peeked tick")
+        } else {
+            if self.vacant {
+                self.remove_at(0);
+            }
+            self.vacant = true;
+            self.heap[0]
+        };
         debug_assert!(time >= self.now, "event queue time went backwards");
         let ev = self.release(idx);
-        self.vacant = true;
         self.now = time;
-        Some((time, ev))
+        (time, ev)
     }
 
     /// Moves the clock forward to `at` without dispatching anything, as
@@ -228,13 +332,7 @@ impl<E> Scheduler<E> {
     /// Timestamp of the next live event without dispatching it, or `None`
     /// when the queue is exhausted.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let first = if self.vacant {
-            // The next event is the earlier of the hole's children.
-            self.heap.iter().skip(1).take(2).min_by_key(|n| n.key())
-        } else {
-            self.heap.first()
-        };
-        first.map(|n| n.time)
+        self.peek().map(Due::time)
     }
 
     /// Takes a live slot's event and frees the slot, invalidating every
@@ -315,17 +413,25 @@ impl<E> Scheduler<E> {
 /// valid across a restore, and post-restore arms assign the same handles
 /// the uninterrupted run would have. Heap placement is derived state: the
 /// `(time, seq)` keys are unique, so any valid heap over the same nodes
-/// dispatches identically, and restore rebuilds one.
+/// dispatches identically, and restore rebuilds one. Which queue a node
+/// waits in is derived state too: a tick's slot is written from its lane
+/// node like any other, and restore puts every node in the heap.
 impl<E: snap::SnapValue> snap::SnapState for Scheduler<E> {
     fn snap_save(&self, w: &mut snap::Enc) {
         w.u64(self.now.as_nanos());
         w.u64(self.next_seq);
         w.usize(self.slab.len());
-        for slot in &self.slab {
+        for (idx, slot) in self.slab.iter().enumerate() {
             w.u32(slot.gen);
             match &slot.event {
                 Some(ev) => {
-                    let node = self.heap[slot.pos as usize];
+                    let node = match slot.pos {
+                        // The lane is at most a few dozen ticks long.
+                        IN_LANE => *(self.lane.iter())
+                            .find(|n| n.idx as usize == idx)
+                            .expect("a tick's slot has a lane node"),
+                        pos => self.heap[pos as usize],
+                    };
                     w.bool(true);
                     w.u64(node.time.as_nanos());
                     w.u64(node.seq);
@@ -396,14 +502,16 @@ mod tests {
         std::iter::from_fn(|| s.next().map(|(t, e)| (t.as_nanos(), e))).collect()
     }
 
-    /// The heap holds exactly the live slots plus at most one vacant
-    /// root, every live node's slot points back at it, and every node
-    /// follows its parent (a vacant root included).
+    /// The heap and the tick lane hold exactly the live slots plus at
+    /// most one vacant root, every live heap node's slot points back at
+    /// it, every node follows its parent (a vacant root included, which
+    /// so precedes every pending heap node), the lane is in `(time, seq)`
+    /// order with its slots marked, and a vacant root precedes the lane.
     fn assert_heap_invariant<E>(s: &Scheduler<E>) {
         let live = s.slab.iter().filter(|slot| slot.event.is_some()).count();
         let hole = usize::from(s.vacant);
-        assert_eq!(s.heap.len(), live + hole);
-        assert_eq!(s.heap.len(), s.pending() + hole);
+        assert_eq!(s.heap.len() + s.lane.len(), live + hole);
+        assert_eq!(s.heap.len() + s.lane.len(), s.pending() + hole);
         assert_eq!(s.slab.len(), live + s.free.len());
         for (pos, node) in s.heap.iter().enumerate() {
             if pos < hole {
@@ -413,6 +521,17 @@ mod tests {
             if pos > 0 {
                 assert!(s.heap[(pos - 1) / 2].before(node), "heap order broken");
             }
+        }
+        for (a, b) in s.lane.iter().zip(s.lane.iter().skip(1)) {
+            assert!(a.before(b), "lane order broken");
+        }
+        for node in &s.lane {
+            let slot = &s.slab[node.idx as usize];
+            assert_eq!(slot.pos, IN_LANE, "lane slot unmarked");
+            assert!(slot.event.is_some(), "lane node without an event");
+        }
+        if let (true, Some(tick)) = (s.vacant, s.lane.front()) {
+            assert!(s.heap[0].before(tick), "hole after a pending tick");
         }
     }
 
@@ -500,10 +619,10 @@ mod tests {
     }
 
     proptest! {
-        /// Eager cancellation: after every step of a random arm / cancel /
-        /// rearm / pop sequence the heap holds `pending()` nodes plus at
-        /// most one vacant root, and the slab never grows past the peak
-        /// number of live events.
+        /// Eager cancellation: after every step of a random arm / tick /
+        /// cancel / rearm / pop sequence the heap and the lane hold
+        /// `pending()` nodes plus at most one vacant root, and the slab
+        /// never grows past the peak number of live events.
         #[test]
         fn heap_holds_exactly_the_pending_events(
             ops in proptest::collection::vec((any::<u8>(), any::<u32>()), 1..300),
@@ -514,7 +633,9 @@ mod tests {
             for (i, &(op, r)) in ops.iter().enumerate() {
                 let d = SimDuration::from_nanos(u64::from(r % 50_000));
                 match op % 4 {
-                    0 | 1 => handles.push(s.arm(d, i)),
+                    0 => handles.push(s.arm(d, i)),
+                    1 if op & 8 != 0 => s.arm_tick(d, i),
+                    1 => handles.push(s.arm(d, i)),
                     2 if !handles.is_empty() => {
                         let h = handles.swap_remove(r as usize % handles.len());
                         if op & 4 == 0 {
@@ -656,6 +777,62 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn ticks_and_heap_events_pop_in_time_then_seq_order() {
+        let mut s: Scheduler<u8> = Scheduler::new();
+        s.arm_tick(SimDuration::from_micros(5), 1);
+        s.arm_at(SimTime::from_micros(5), 2);
+        s.arm_tick(SimDuration::from_micros(5), 3);
+        // Inserted into the middle of the lane, and before the heap.
+        s.arm_tick(SimDuration::from_micros(2), 4);
+        s.arm_at(SimTime::from_micros(9), 5);
+        s.arm_tick(SimDuration::from_micros(7), 6);
+        assert_heap_invariant(&s);
+        assert_eq!(s.pending(), 6);
+        let order: Vec<u8> = std::iter::from_fn(|| s.next().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![4, 1, 2, 3, 6, 5]);
+    }
+
+    #[test]
+    fn a_tick_pop_leaves_the_vacant_root_for_the_next_arm() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        s.arm_at(SimTime::from_micros(1), 1);
+        s.arm_at(SimTime::from_micros(8), 2);
+        s.arm_tick(SimDuration::from_micros(3), 3);
+        assert_eq!(s.next(), Some((SimTime::from_micros(1), 1)));
+        assert!(s.vacant);
+        assert_eq!(s.next(), Some((SimTime::from_micros(3), 3)));
+        assert!(s.vacant, "a lane pop leaves the heap alone");
+        assert_heap_invariant(&s);
+        let h = s.arm(SimDuration::from_micros(1), 4);
+        assert!(!s.vacant, "the arm filled the hole");
+        assert_heap_invariant(&s);
+        assert_eq!(h.idx, 2, "the tick's slot, freed last, is reused first");
+        assert_eq!(drain(&mut s), vec![(4_000, 4), (8_000, 2)]);
+    }
+
+    #[test]
+    fn ticks_take_the_slots_and_bytes_an_arm_would() {
+        use snap::SnapState;
+        let mut ticked: Scheduler<u32> = Scheduler::new();
+        let mut armed: Scheduler<u32> = Scheduler::new();
+        for s in [&mut ticked, &mut armed] {
+            s.arm(SimDuration::from_micros(4), 0);
+            s.next();
+        }
+        ticked.arm_tick(SimDuration::from_micros(6), 1);
+        armed.arm(SimDuration::from_micros(6), 1);
+        ticked.arm_tick(SimDuration::from_micros(2), 2);
+        armed.arm(SimDuration::from_micros(2), 2);
+        assert_eq!(ticked.snap_digest(), armed.snap_digest());
+        let (a, b) = (
+            ticked.arm(SimDuration::ZERO, 3),
+            armed.arm(SimDuration::ZERO, 3),
+        );
+        assert_eq!(a, b);
+        assert_eq!(drain(&mut ticked), drain(&mut armed));
     }
 
     #[test]

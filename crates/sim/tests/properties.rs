@@ -106,8 +106,9 @@ impl HeapReference {
 struct Lockstep {
     s: Scheduler<usize>,
     reference: HeapReference,
-    /// Pending events: (scheduler handle, reference id, payload).
-    live: Vec<(gr_sim::TimerHandle, EventId, usize)>,
+    /// Pending events: (scheduler handle, reference id, payload); a tick
+    /// has no handle.
+    live: Vec<(Option<gr_sim::TimerHandle>, EventId, usize)>,
     next_payload: usize,
 }
 
@@ -126,8 +127,57 @@ impl Lockstep {
         let payload = self.next_payload;
         let h = self.s.arm(d, payload);
         let id = self.reference.push(at, payload);
-        self.live.push((h, id, payload));
+        self.live.push((Some(h), id, payload));
         self.next_payload += 1;
+    }
+
+    /// Arms a tick, which waits in the scheduler's lane.
+    fn tick(&mut self, d: SimDuration) {
+        let at = self.s.now() + d;
+        let payload = self.next_payload;
+        self.s.arm_tick(d, payload);
+        let id = self.reference.push(at, payload);
+        self.live.push((None, id, payload));
+        self.next_payload += 1;
+    }
+
+    /// Cancels a pending non-tick event picked by `r`, if there is one;
+    /// with `rearm`, arms a replacement after `d`.
+    fn cancel(&mut self, r: u64, rearm: Option<SimDuration>) {
+        let cancellable: Vec<usize> = (0..self.live.len())
+            .filter(|&i| self.live[i].0.is_some())
+            .collect();
+        if cancellable.is_empty() {
+            return;
+        }
+        let (h, id, _) = self
+            .live
+            .swap_remove(cancellable[r as usize % cancellable.len()]);
+        assert!(
+            self.s.cancel(h.expect("a cancellable event")),
+            "a pending event cancels"
+        );
+        self.reference.cancel(id);
+        if let Some(d) = rearm {
+            self.arm(d);
+        }
+    }
+
+    /// Round-trips the scheduler through its snapshot, checking the
+    /// restored copy re-encodes to the same bytes.
+    fn snapshot_round_trip(&mut self) {
+        use snap::SnapState as _;
+        let mut w = snap::Enc::new();
+        self.s.snap_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored: Scheduler<usize> = Scheduler::new();
+        restored.snap_restore(&mut snap::Dec::new(&bytes)).unwrap();
+        assert_eq!(restored.pending(), self.live.len());
+        assert_eq!(restored.peek_time(), self.s.peek_time());
+        let mut again = snap::Enc::new();
+        restored.snap_save(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        self.s = restored;
     }
 
     /// Pops one event from both sides; they must agree.
@@ -374,7 +424,6 @@ proptest! {
         initial in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..60),
         ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 1..200),
     ) {
-        use snap::SnapState as _;
         let mut l = Lockstep::new();
         for &(r, shape) in &initial {
             l.arm(SimDuration::from_nanos(shaped_nanos(r, shape)));
@@ -387,11 +436,7 @@ proptest! {
             l.pop();
             // The root is vacant now.
             match op % 7 {
-                0 if !l.live.is_empty() => {
-                    let (h, id, _) = l.live.swap_remove(r as usize % l.live.len());
-                    prop_assert!(l.s.cancel(h), "a pending event cancels");
-                    l.reference.cancel(id);
-                }
+                0 if !l.live.is_empty() => l.cancel(r, None),
                 1 => prop_assert_eq!(l.s.peek_time(), l.reference.peek_time()),
                 2 => prop_assert_eq!(l.s.pending(), l.live.len()),
                 3 => {
@@ -400,19 +445,7 @@ proptest! {
                     l.s.advance_clock(target);
                     prop_assert_eq!(l.s.now(), now.max(target));
                 }
-                4 => {
-                    let mut w = snap::Enc::new();
-                    l.s.snap_save(&mut w);
-                    let bytes = w.into_bytes();
-                    let mut restored: Scheduler<usize> = Scheduler::new();
-                    restored.snap_restore(&mut snap::Dec::new(&bytes)).unwrap();
-                    prop_assert_eq!(restored.pending(), l.live.len());
-                    prop_assert_eq!(restored.peek_time(), l.s.peek_time());
-                    let mut again = snap::Enc::new();
-                    restored.snap_save(&mut again);
-                    prop_assert_eq!(again.into_bytes(), bytes);
-                    l.s = restored;
-                }
+                4 => l.snapshot_round_trip(),
                 5 => l.pop(),
                 _ => l.arm(d),
             }
@@ -422,6 +455,107 @@ proptest! {
         }
         prop_assert_eq!(l.s.next(), None);
         prop_assert_eq!(l.reference.pop(), None);
+    }
+
+    /// Ticks armed through `arm_tick`, at arbitrary and non-monotone
+    /// delays from near-ties to far-future ones, interleaved with arms,
+    /// cancels, re-arms, pops, peeks, `advance_clock` and snapshot round
+    /// trips: every step agrees with the reference, including ties
+    /// between lane and heap events at one instant.
+    #[test]
+    fn scheduler_with_ticks_matches_reference(
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 1..300),
+    ) {
+        let mut l = Lockstep::new();
+        for &(op, r, shape) in &ops {
+            // Shapes 0 and 1 are near-ties; a few delays repeat exactly.
+            let d = SimDuration::from_nanos(match op & 0x80 {
+                0 => shaped_nanos(r, shape),
+                _ => r % 4 * 1_000,
+            });
+            match op % 8 {
+                0 => l.arm(d),
+                1 | 2 => l.tick(d),
+                3 => l.cancel(r, None),
+                4 => l.cancel(r, Some(d)),
+                5 => l.pop(),
+                6 => match shape % 3 {
+                    0 => prop_assert_eq!(l.s.peek_time(), l.reference.peek_time()),
+                    1 => {
+                        let now = l.s.now();
+                        let target = l.reference.peek_time().map_or(now + d, |t| t.min(now + d));
+                        l.s.advance_clock(target);
+                        prop_assert_eq!(l.s.now(), now.max(target));
+                    }
+                    _ => l.snapshot_round_trip(),
+                },
+                _ => {
+                    l.pop();
+                    l.pop();
+                }
+            }
+            prop_assert_eq!(l.s.pending(), l.live.len());
+        }
+        while !l.live.is_empty() {
+            l.pop();
+        }
+        prop_assert_eq!(l.s.next(), None);
+        prop_assert_eq!(l.reference.pop(), None);
+    }
+
+    /// Which queue an event waits in leaves no trace: the same operation
+    /// sequence with its ticks armed through `arm_tick` or through `arm`
+    /// encodes to the same snapshot bytes after every step, and both
+    /// restored copies drain exactly as the originals do.
+    #[test]
+    fn ticks_snapshot_as_arms_do(
+        ops in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 1..200),
+    ) {
+        use snap::SnapState as _;
+        let encode = |s: &Scheduler<usize>| {
+            let mut w = snap::Enc::new();
+            s.snap_save(&mut w);
+            w.into_bytes()
+        };
+        let mut ticked: Scheduler<usize> = Scheduler::new();
+        let mut armed: Scheduler<usize> = Scheduler::new();
+        let mut handles = Vec::new();
+        for (i, &(op, r, shape)) in ops.iter().enumerate() {
+            let d = SimDuration::from_nanos(shaped_nanos(r, shape));
+            match op % 5 {
+                0 => {
+                    let h = ticked.arm(d, i);
+                    prop_assert_eq!(armed.arm(d, i), h);
+                    handles.push(h);
+                }
+                1 | 2 => {
+                    ticked.arm_tick(d, i);
+                    armed.arm(d, i);
+                }
+                3 if !handles.is_empty() => {
+                    let h = handles.swap_remove(r as usize % handles.len());
+                    prop_assert_eq!(ticked.cancel(h), armed.cancel(h));
+                }
+                _ => prop_assert_eq!(ticked.next(), armed.next()),
+            }
+            prop_assert_eq!(encode(&ticked), encode(&armed));
+        }
+        let bytes = encode(&ticked);
+        let restore = || {
+            let mut s: Scheduler<usize> = Scheduler::new();
+            s.snap_restore(&mut snap::Dec::new(&bytes)).unwrap();
+            s
+        };
+        let mut queues = [ticked, armed, restore(), restore()];
+        loop {
+            let [a, b, c, d] = queues.each_mut().map(|s| s.next());
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(a, c);
+            prop_assert_eq!(a, d);
+            if a.is_none() {
+                break;
+            }
+        }
     }
 
     /// `normal_draw` takes exactly the uniforms `normal` took, and its

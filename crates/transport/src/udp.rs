@@ -50,11 +50,21 @@ impl CbrSource {
 
     /// Creates a source that offers `rate_bps` of *payload* bits per
     /// second using `payload`-byte datagrams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CbrSource::rate_interval`] is zero.
     pub fn with_rate(flow: FlowId, payload: usize, rate_bps: u64) -> Self {
-        let interval = SimDuration::from_nanos(
+        Self::new(flow, payload, Self::rate_interval(payload, rate_bps))
+    }
+
+    /// The interval at which `payload`-byte datagrams offer `rate_bps`,
+    /// rounded down to the nanosecond: zero for an empty payload or a
+    /// rate above `payload` bytes per nanosecond.
+    pub fn rate_interval(payload: usize, rate_bps: u64) -> SimDuration {
+        SimDuration::from_nanos(
             (payload as u64 * 8).saturating_mul(1_000_000_000) / rate_bps.max(1),
-        );
-        Self::new(flow, payload, interval)
+        )
     }
 
     /// The flow identifier.

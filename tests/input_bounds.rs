@@ -1,7 +1,9 @@
 //! Oversized inputs are rejected with a typed error before anything is
 //! allocated for them, never by an allocation failure that aborts.
 
-use greedy80211_repro::{GreedyConfig, NavInflationConfig, Run, Scenario, WorldSpec};
+use greedy80211_repro::{
+    GreedyConfig, NavInflationConfig, Run, Scenario, TransportKind, WorldSpec,
+};
 use sim::{SimDuration, SimError};
 
 fn invalid_config(result: Result<impl std::fmt::Debug, SimError>) -> String {
@@ -112,4 +114,65 @@ fn a_greedy_receiver_listed_twice_is_a_typed_error() {
         msg.contains("greedy receiver index 0 listed twice"),
         "{msg}"
     );
+}
+
+#[test]
+fn a_udp_rate_whose_cbr_interval_rounds_to_zero_is_a_typed_error() {
+    for (payload, transport) in [
+        (0, TransportKind::SATURATING_UDP),
+        (64, TransportKind::Udp { rate_bps: u64::MAX }),
+    ] {
+        let s = Scenario {
+            transport,
+            payload,
+            duration: SimDuration::from_millis(10),
+            ..Scenario::default()
+        };
+        let msg = invalid_config(s.build().map(|_| ()));
+        assert!(msg.contains("zero CBR interval"), "{payload}: {msg}");
+        assert!(Run::plan(&s).execute().is_err(), "{payload}");
+    }
+    // One datagram per nanosecond is the fastest source there is.
+    let fastest = Scenario {
+        transport: TransportKind::Udp {
+            rate_bps: 64 * 8 * 1_000_000_000,
+        },
+        payload: 64,
+        ..Scenario::default()
+    };
+    assert!(fastest.validate().is_ok());
+}
+
+#[test]
+fn a_zero_probe_interval_is_a_typed_error() {
+    let s = Scenario {
+        probes: true,
+        probe_interval: SimDuration::ZERO,
+        duration: SimDuration::from_millis(10),
+        ..Scenario::default()
+    };
+    let msg = invalid_config(s.build().map(|_| ()));
+    assert!(msg.contains("probe_interval"), "{msg}");
+    assert!(Run::plan(&s).execute().is_err());
+    // Without probes the interval is unused.
+    let unused = Scenario { probes: false, ..s };
+    assert!(unused.validate().is_ok());
+}
+
+#[test]
+fn a_grc_window_under_a_microsecond_is_a_typed_error() {
+    let s = Scenario {
+        grc: Some(true),
+        grc_windows: Some(SimDuration::from_nanos(500)),
+        duration: SimDuration::from_millis(10),
+        ..Scenario::default()
+    };
+    let msg = invalid_config(s.build().map(|_| ()));
+    assert!(msg.contains("grc_windows"), "{msg}");
+    assert!(Run::plan(&s).execute().is_err());
+    let one_us = Scenario {
+        grc_windows: Some(SimDuration::from_micros(1)),
+        ..s
+    };
+    assert!(one_us.validate().is_ok());
 }
