@@ -40,15 +40,23 @@ cargo test --offline -q -p gr-bench --test obs_determinism
 echo "==> scheduler vs reference-queue property tests"
 cargo test --offline -q -p gr-sim --test properties
 
-echo "==> checkpoint round-trip (resume must emit byte-identical CSVs)"
+echo "==> checkpoint round-trip (resume must emit byte-identical CSVs and the recorded ladders' tails)"
 CK=$(mktemp -d)
 trap 'rm -rf "$CK"' EXIT
+# Quick runs last 2 s, so every run's newest checkpoint is at 1.4 s and
+# its resume simulates 0.6 s, crossing the audit rungs at 1.5 s and 2 s.
+CK_AT_NS=1400000000
 cargo run --release --offline -p gr-bench --bin repro -- \
-  run --quick --checkpoint-every 500 --audit-every 500 --out "$CK/rec" fig2 fig6 tab5 >/dev/null
+  run --quick --checkpoint-every 700 --audit-every 500 --out "$CK/rec" fig2 fig6 tab5 >/dev/null
 cargo run --release --offline -p gr-bench --bin repro -- \
-  run --quick --jobs 8 --resume "$CK/rec" --out "$CK/res" fig2 fig6 tab5 >/dev/null
+  run --quick --jobs 8 --audit-every 500 --resume "$CK/rec" --out "$CK/res" fig2 fig6 tab5 >/dev/null
 for id in fig2 fig6 tab5; do
   cmp "$CK/rec/$id.csv" "$CK/res/$id.csv"
+done
+for a in "$CK"/rec/audit/*.audit; do
+  r="$CK/res/audit/$(basename "$a")"
+  grep -q '^[0-9]' "$r" || { echo "resumed ladder without rungs: $r" >&2; exit 1; }
+  diff <(awk -F '\t' -v at="$CK_AT_NS" '/^[0-9]/ && $1 > at' "$a") <(grep '^[0-9]' "$r")
 done
 
 echo "==> committed artifacts (every full-fidelity paper artifact and the CC zoo cmp-equal to results/)"

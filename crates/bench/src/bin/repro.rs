@@ -64,7 +64,9 @@
 //! `DIR/audit/<run>.audit`. `--resume DIR` re-runs the selected
 //! experiments, restoring each run from its recorded checkpoint and
 //! simulating only the tail — the CSVs come out byte-identical to the
-//! uninterrupted campaign's, at any `--jobs` width. `repro audit` exits
+//! uninterrupted campaign's, at any `--jobs` width; with `--audit-every`
+//! each resumed run writes its tail's rungs (those after its checkpoint)
+//! into `DIR/audit/` of `--out`. `repro audit` exits
 //! non-zero when the ladders diverge and names the first diverging layer
 //! and virtual-time bracket.
 
@@ -410,7 +412,8 @@ impl Args {
     }
 
     /// Applies `--resume DIR`, or `--checkpoint-every`/`--audit-every`
-    /// recording under `dir`, to `ctx`. Returns the banner suffix. A
+    /// recording under `dir`, to `ctx`; a resumed campaign writes its
+    /// `--audit-every` ladders under `dir`. Returns the banner suffix. A
     /// `--resume` path that does not exist is an error; an existing
     /// directory without a checkpoint for some run reruns that run.
     fn hooks(&self, ctx: RunCtx, dir: &Path) -> Result<(RunCtx, &'static str), String> {
@@ -421,7 +424,7 @@ impl Args {
                 return Err(format!("--resume: {} does not exist", from.display()));
             }
             (
-                ctx.with_checkpoints(CampaignSpec::resume_from(from)),
+                ctx.with_checkpoints(CampaignSpec::resume_from(from, dir, audit)),
                 ", resuming from checkpoints",
             )
         } else if ckpt.is_some() || audit.is_some() {
@@ -531,6 +534,7 @@ Each subcommand accepts only the options on its line.
   --checkpoint-every MS freeze every run at each MS of virtual time
                         into DIR/checkpoints/
   --audit-every MS      record per-layer state-hash ladders into DIR/audit/
+                        (with --resume, each resumed run's tail)
   --resume PATH         a campaign directory: resume every selected run from
                         its checkpoint (CSVs byte-identical to an uninterrupted
                         campaign); a .snap file: resume that one run and print it

@@ -50,7 +50,7 @@ fn recorded_campaigns_resume_to_byte_identical_csvs() {
         // only the tail, sequentially and across 8 workers.
         for jobs in [1usize, 8] {
             let resume = RunCtx::with_jobs(Quality::quick(), jobs)
-                .with_checkpoints(CampaignSpec::resume_from(&camp));
+                .with_checkpoints(CampaignSpec::resume_from(&camp, dir.join("resumed"), None));
             let out = csv_for(id, &resume, &dir.join(format!("jobs{jobs}")));
             assert_eq!(out, gold, "{id}: resumed CSV differs at jobs={jobs}");
         }

@@ -292,8 +292,11 @@ fn campaign_resumes_mid_sweep_byte_identically() {
     assert!(snaps > 0, "recording pass left no checkpoint files");
 
     let resumed_dir = tmp("resume-replay");
-    let resume_ctx =
-        RunCtx::with_jobs(quality, 2).with_checkpoints(CampaignSpec::resume_from(&gold_dir));
+    let resume_ctx = RunCtx::with_jobs(quality, 2).with_checkpoints(CampaignSpec::resume_from(
+        &gold_dir,
+        &resumed_dir,
+        None,
+    ));
     let resumed = campaign.run_with(&resume_ctx, &resumed_dir).unwrap();
     assert_eq!(gold.csvs.len(), resumed.csvs.len());
     for (a, b) in gold.csvs.iter().zip(&resumed.csvs) {

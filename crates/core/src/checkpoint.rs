@@ -16,7 +16,8 @@
 //! its audit ladder to `<dir>/audit/<run>.audit`; in resume mode a run
 //! whose checkpoint file exists restores it and simulates only the tail
 //! — producing bit-identical metrics, and therefore byte-identical CSV
-//! output, at any `--jobs` width.
+//! output, at any `--jobs` width — and, with an audit interval, writes
+//! the tail's rungs to `<dir>/audit/<run>.audit`.
 //!
 //! [`sweep`]: ../../gr_bench/fn.sweep.html
 //! [`Run::execute`]: crate::Run::execute
@@ -106,15 +107,17 @@ impl Checkpoint {
     }
 
     /// Rebuilds the scenario's network, restores the frozen state and
-    /// simulates the remaining virtual time.
+    /// simulates the remaining virtual time, firing `hooks`' barriers
+    /// after the frozen instant: an audit grid records the rungs the
+    /// uninterrupted run records after it.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] when the embedded scenario is
     /// malformed or the state blob does not match its topology.
-    pub fn resume(self) -> Result<RunOutcome, SimError> {
+    pub fn resume(self, hooks: RunHooks) -> Result<RunOutcome, SimError> {
         let mut built = self.scenario.build()?;
-        built.restore(&self.net_state, self.at, RunHooks::default())?;
+        built.restore(&self.net_state, self.at, hooks)?;
         Ok(built.finish(self.key))
     }
 }

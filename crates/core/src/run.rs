@@ -114,7 +114,8 @@ impl Run {
     /// [`CampaignSpec`](crate::checkpoint::CampaignSpec), the run
     /// additionally records its checkpoint and audit files under the
     /// campaign's artifact root, named by the job's key — or, in resume
-    /// mode, restores its own checkpoint and simulates only the tail.
+    /// mode, restores its own checkpoint, simulates only the tail and
+    /// records the tail's audit ladder.
     ///
     /// # Errors
     ///
@@ -140,42 +141,11 @@ impl Run {
         let job = JobContext::current();
         // Campaign files are named by the job's key, else the run's own.
         let file_key = job.key.unwrap_or_else(|| key.clone());
-        let (resume_from, record_to) = match job.checkpoint {
-            Some(spec) if spec.resume => (Some(spec), None),
-            spec => (None, spec),
-        };
+        let spec = job.checkpoint;
         let explicit_hooks = hooks != RunHooks::default();
-
-        // Campaign resume: restore this run's own checkpoint, if one was
-        // recorded, and simulate only the remaining virtual time. A
-        // missing file, or one frozen under a different scenario (a job
-        // that executes several runs records only its last), just means
-        // "no checkpoint for this run" — fall through and run it from
-        // the start; either way the outcome is identical.
-        if let Some(spec) = resume_from.filter(|_| !explicit_hooks) {
-            let path = spec.checkpoint_path(&file_key);
-            if path.exists() {
-                let ckpt = Checkpoint::read(&path)?;
-                let mut planned = snap::Enc::new();
-                scenario.save(&mut planned);
-                let mut frozen = snap::Enc::new();
-                ckpt.scenario.save(&mut frozen);
-                if planned.bytes() == frozen.bytes() {
-                    // The planned scenario differs from the frozen one
-                    // only in what the encoding leaves out (`record`).
-                    return Checkpoint {
-                        key,
-                        scenario,
-                        ..ckpt
-                    }
-                    .resume();
-                }
-            }
-        }
-
-        // Hook intervals: explicit builder calls win; otherwise a
-        // recording campaign spec supplies them.
-        let hooks = match &record_to {
+        // Hook intervals: explicit builder calls win; otherwise the
+        // campaign spec supplies them.
+        let hooks = match &spec {
             Some(spec) if !explicit_hooks => RunHooks {
                 checkpoint_every: spec.every,
                 audit_every: spec.audit_every,
@@ -185,19 +155,54 @@ impl Run {
         };
         hooks.validate()?;
 
-        let mut built = scenario.build()?;
-        built.start(hooks);
+        // Campaign resume: restore this run's own checkpoint, if one was
+        // recorded, and simulate only the remaining virtual time. A
+        // missing file, or one frozen under a different scenario (a job
+        // that executes several runs records only its last), just means
+        // "no checkpoint for this run" — fall through and run it from
+        // the start; either way the outcome is identical.
+        let mut resumed = None;
+        let path = spec.as_ref().and_then(|s| s.resume_path(&file_key));
+        if let Some(path) = path.filter(|p| !explicit_hooks && p.exists()) {
+            let ckpt = Checkpoint::read(&path)?;
+            let mut planned = snap::Enc::new();
+            scenario.save(&mut planned);
+            let mut frozen = snap::Enc::new();
+            ckpt.scenario.save(&mut frozen);
+            if planned.bytes() == frozen.bytes() {
+                // The planned scenario differs from the frozen one only
+                // in what the encoding leaves out (`record`).
+                let ckpt = Checkpoint {
+                    key: file_key.clone(),
+                    scenario: scenario.clone(),
+                    ..ckpt
+                };
+                resumed = Some(ckpt.resume(hooks)?);
+            }
+        }
+
+        // A resumed run writes its ladder even when no rung falls after
+        // its checkpoint, so the file holds this run's tail rather than
+        // an earlier run's of the same job.
+        let tail_ladder = resumed.is_some() && hooks.audit_every.is_some();
         // Checkpoint containers carry the file key; the outcome names
         // the run.
-        let mut out = built.finish(file_key.clone());
+        let mut out = match resumed {
+            Some(out) => out,
+            None => {
+                let mut built = scenario.build()?;
+                built.start(hooks);
+                built.finish(file_key.clone())
+            }
+        };
         out.key = key;
-        if let Some(spec) = &record_to {
+        if let Some(spec) = &spec {
             // Newest checkpoint wins: resuming it leaves the least tail
             // to resimulate.
             if let Some((_, bytes)) = out.checkpoints.last() {
                 write_file(&spec.checkpoint_path(&file_key), bytes, "checkpoint")?;
             }
-            if !out.audit.entries.is_empty() {
+            if tail_ladder || !out.audit.entries.is_empty() {
                 let text = out.audit.to_text();
                 write_file(&spec.audit_path(&file_key), text.as_bytes(), "audit ladder")?;
             }
@@ -215,7 +220,7 @@ impl Run {
     /// [`SimError::InvalidConfig`] when the file is unreadable, corrupt,
     /// or its state does not match the embedded scenario.
     pub fn resume(path: impl AsRef<Path>) -> Result<RunOutcome, SimError> {
-        Checkpoint::read(path.as_ref())?.resume()
+        Checkpoint::read(path.as_ref())?.resume(RunHooks::default())
     }
 }
 

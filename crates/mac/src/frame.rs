@@ -311,12 +311,21 @@ impl<M: Msdu> snap::SnapValue for Frame<M> {
 #[derive(Debug, Clone, Copy)]
 pub struct NavCalculator {
     params: PhyParams,
+    /// SIFS + CTS airtime at the basic rate.
+    sifs_cts: SimDuration,
+    /// SIFS + ACK airtime at the basic rate.
+    sifs_ack: SimDuration,
 }
 
 impl NavCalculator {
-    /// Creates a calculator for the given PHY.
+    /// Creates a calculator for the given PHY, timing its control
+    /// frames once.
     pub fn new(params: PhyParams) -> Self {
-        NavCalculator { params }
+        NavCalculator {
+            params,
+            sifs_cts: params.sifs + airtime::tx_duration_basic(&params, CTS_BYTES),
+            sifs_ack: params.sifs + airtime::tx_duration_basic(&params, ACK_BYTES),
+        }
     }
 
     /// The PHY parameters in use.
@@ -334,28 +343,24 @@ impl NavCalculator {
     /// total MAC bytes transmitted at `rate_bps` (rate-adaptive senders).
     pub fn rts_duration_us_at(&self, data_mac_bytes: usize, rate_bps: u64) -> u32 {
         let p = &self.params;
-        let total = p.sifs
-            + airtime::tx_duration_basic(p, CTS_BYTES)
+        let total = self.sifs_cts
             + p.sifs
             + airtime::tx_duration_at(p, data_mac_bytes, rate_bps)
-            + p.sifs
-            + airtime::tx_duration_basic(p, ACK_BYTES);
+            + self.sifs_ack;
         (total.as_micros() as u32).min(MAX_NAV_US)
     }
 
     /// Duration field for a CTS answering an RTS whose Duration was
     /// `rts_duration_us`.
     pub fn cts_duration_us(&self, rts_duration_us: u32) -> u32 {
-        let own = self.params.sifs + airtime::tx_duration_basic(&self.params, CTS_BYTES);
         rts_duration_us
-            .saturating_sub(own.as_micros() as u32)
+            .saturating_sub(self.sifs_cts.as_micros() as u32)
             .min(MAX_NAV_US)
     }
 
     /// Duration field for a data frame (reserves SIFS + ACK).
     pub fn data_duration_us(&self) -> u32 {
-        let d = self.params.sifs + airtime::tx_duration_basic(&self.params, ACK_BYTES);
-        (d.as_micros() as u32).min(MAX_NAV_US)
+        (self.sifs_ack.as_micros() as u32).min(MAX_NAV_US)
     }
 
     /// Duration field for a final ACK: zero without fragmentation.
@@ -368,10 +373,7 @@ impl NavCalculator {
     /// nodes that did not hear the RTS.
     pub fn cts_duration_bound_us(&self, mtu: usize) -> u32 {
         let p = &self.params;
-        let total = p.sifs
-            + airtime::tx_duration(p, DATA_HEADER_BYTES + mtu)
-            + p.sifs
-            + airtime::tx_duration_basic(p, ACK_BYTES);
+        let total = p.sifs + airtime::tx_duration(p, DATA_HEADER_BYTES + mtu) + self.sifs_ack;
         (total.as_micros() as u32).min(MAX_NAV_US)
     }
 }

@@ -14,7 +14,7 @@
 //! reconstructed value (when mitigation is enabled), recovering virtual
 //! carrier sense.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::{Frame, FrameKind, FrameMeta, Msdu, NavCalculator};
 use phy::PhyParams;
@@ -44,16 +44,25 @@ impl NavGuardReport {
     }
 }
 
+/// How long an RTS's expectation for the answering CTS stays valid.
+const PENDING_CTS_VALID: SimDuration = SimDuration::from_millis(5);
+
 /// The NAV-sanitizing observer.
 #[derive(Debug)]
 pub struct NavGuard {
     calc: NavCalculator,
     mitigate: bool,
     tolerance_us: u32,
-    mtu: usize,
-    /// Expected CTS Duration per (initiator, responder), learned from the
-    /// RTS, valid for a short window.
-    pending_cts: HashMap<(u16, u16), (u32, SimTime)>,
+    /// What an RTS may reserve: an MTU-sized exchange.
+    rts_bound_us: u32,
+    /// What a CTS whose RTS went unheard may reserve.
+    cts_bound_us: u32,
+    /// What a DATA frame reserves: SIFS + ACK.
+    data_us: u32,
+    /// Expected CTS Duration per (initiator, responder) and the instant
+    /// it expires, learned from the RTS; one entry per key, few alive at
+    /// once.
+    pending_cts: Vec<((u16, u16), (u32, SimTime))>,
     report: NavGuardReport,
 }
 
@@ -62,14 +71,18 @@ impl NavGuard {
     /// honors claimed values (used to measure attack impact with
     /// detection-only deployments).
     pub fn new(params: PhyParams, mitigate: bool) -> Self {
+        let calc = NavCalculator::new(params);
         NavGuard {
-            calc: NavCalculator::new(params),
+            calc,
             mitigate,
             tolerance_us: 2,
-            mtu: 1500,
-            pending_cts: HashMap::new(),
+            rts_bound_us: 0,
+            cts_bound_us: 0,
+            data_us: calc.data_duration_us(),
+            pending_cts: Vec::new(),
             report: NavGuardReport::default(),
         }
+        .with_mtu(1500)
     }
 
     /// Detections and corrections so far.
@@ -81,7 +94,10 @@ impl NavGuard {
     /// (default 1500, the Internet MTU the paper argues for; 2304 is the
     /// 802.11 maximum MSDU — a looser, safer-but-weaker bound).
     pub fn with_mtu(mut self, mtu: usize) -> Self {
-        self.mtu = mtu;
+        self.rts_bound_us = self
+            .calc
+            .rts_duration_us(crate::frame::DATA_HEADER_BYTES + mtu);
+        self.cts_bound_us = self.calc.cts_duration_bound_us(mtu);
         self
     }
 
@@ -122,14 +138,10 @@ impl NavGuard {
     /// rebuilt by the owner.
     pub fn save_state(&self, w: &mut snap::Enc) {
         use snap::SnapValue as _;
-        let mut pending: Vec<_> = self
-            .pending_cts
-            .iter()
-            .map(|(&(a, b), &(exp, until))| (a, b, exp, until))
-            .collect();
-        pending.sort_unstable_by_key(|&(a, b, _, _)| (a, b));
+        let mut pending = self.pending_cts.clone();
+        pending.sort_unstable_by_key(|&(key, _)| key);
         w.usize(pending.len());
-        for (a, b, exp, until) in pending {
+        for ((a, b), (exp, until)) in pending {
             w.u16(a);
             w.u16(b);
             w.u32(exp);
@@ -149,17 +161,23 @@ impl NavGuard {
     ///
     /// # Errors
     ///
-    /// [`snap::SnapError::Corrupt`] on truncated or oversized input.
+    /// [`snap::SnapError::Corrupt`] on truncated or oversized input, or
+    /// pending-CTS keys out of ascending order (a key listed twice among
+    /// them).
     pub fn load_state(&mut self, r: &mut snap::Dec) -> Result<(), snap::SnapError> {
         use snap::SnapValue as _;
         let n = r.count("NAV guard pending-CTS count")?;
         self.pending_cts.clear();
         for _ in 0..n {
-            let a = r.u16()?;
-            let b = r.u16()?;
+            let key = (r.u16()?, r.u16()?);
+            if self.pending_cts.last().is_some_and(|&(k, _)| k >= key) {
+                return Err(snap::SnapError::Corrupt(format!(
+                    "NAV guard pending CTS {key:?} repeated or out of order"
+                )));
+            }
             let exp = r.u32()?;
             let until = SimTime::load(r)?;
-            self.pending_cts.insert((a, b), (exp, until));
+            self.pending_cts.push((key, (exp, until)));
         }
         let n = r.count("NAV guard detection count")?;
         let report = &mut self.report;
@@ -181,32 +199,35 @@ impl NavGuard {
         let now = meta.now;
         match frame.kind {
             FrameKind::Rts => {
-                // Remember what the CTS answering this RTS must reserve.
-                let expected_cts = self.calc.cts_duration_us(frame.duration_us);
-                let valid_until = now + SimDuration::from_millis(5);
-                self.pending_cts
-                    .insert((frame.src.0, frame.dst.0), (expected_cts, valid_until));
-                self.pending_cts.retain(|_, &mut (_, t)| t > now);
+                // Remember what the CTS answering this RTS must reserve,
+                // replacing the key's older expectation; expectations
+                // expired by now go.
+                let entry = (
+                    self.calc.cts_duration_us(frame.duration_us),
+                    now + PENDING_CTS_VALID,
+                );
+                let key = (frame.src.0, frame.dst.0);
+                self.pending_cts.retain(|&(_, (_, t))| t > now);
+                match self.pending_cts.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, slot)) => *slot = entry,
+                    None => self.pending_cts.push((key, entry)),
+                }
                 // The RTS itself is bounded by an MTU-sized exchange.
-                let bound = self
-                    .calc
-                    .rts_duration_us(crate::frame::DATA_HEADER_BYTES + self.mtu);
-                self.resolve(frame.duration_us, bound, frame.src.0, now)
+                self.resolve(frame.duration_us, self.rts_bound_us, frame.src.0, now)
             }
             FrameKind::Cts => {
                 // The matching RTS ran initiator → responder, i.e. the
                 // CTS's destination → its source.
                 let key = (frame.dst.0, frame.src.0);
-                let expected = match self.pending_cts.get(&key) {
-                    Some(&(exp, valid_until)) if valid_until > now => exp,
-                    _ => self.calc.cts_duration_bound_us(self.mtu),
+                let expected = match self.pending_cts.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, (exp, valid_until))) if valid_until > now => exp,
+                    _ => self.cts_bound_us,
                 };
                 self.resolve(frame.duration_us, expected, frame.src.0, now)
             }
             FrameKind::Data => {
                 // Data reserves exactly SIFS + ACK.
-                let expected = self.calc.data_duration_us();
-                self.resolve(frame.duration_us, expected, frame.src.0, now)
+                self.resolve(frame.duration_us, self.data_us, frame.src.0, now)
             }
             FrameKind::Ack => {
                 // Without fragmentation an ACK's NAV is always zero.
@@ -227,6 +248,7 @@ mod tests {
     use crate::frame::DATA_HEADER_BYTES;
     use crate::NodeId;
     use phy::Rssi;
+    use std::collections::HashMap;
 
     fn meta(now_us: u64) -> FrameMeta {
         FrameMeta {
@@ -321,5 +343,155 @@ mod tests {
         let cts: Frame<usize> = Frame::cts(NodeId(1), NodeId(0), calc.cts_duration_bound_us(1500));
         let honored = g.on_frame(&cts, &meta(50_000));
         assert_eq!(honored, calc.cts_duration_bound_us(1500));
+    }
+
+    #[test]
+    fn a_pending_cts_listed_twice_is_corrupt() {
+        let mut g = guard(true);
+        let rts: Frame<usize> = Frame::rts(NodeId(0), NodeId(1), 1_000);
+        g.on_frame(&rts, &meta(0));
+        let rts: Frame<usize> = Frame::rts(NodeId(2), NodeId(3), 1_000);
+        g.on_frame(&rts, &meta(10));
+        let mut w = snap::Enc::new();
+        g.save_state(&mut w);
+        let mut bytes = w.bytes().to_vec();
+        // The second entry's key follows the count and the first entry
+        // (two ids, the expectation and its expiry).
+        let at = 8 + 2 + 2 + 4 + 8;
+        assert_eq!(&bytes[at..at + 4], &[2, 0, 3, 0]);
+        bytes[at..at + 4].copy_from_slice(&[0, 0, 1, 0]);
+        let err = guard(true)
+            .load_state(&mut snap::Dec::new(&bytes))
+            .unwrap_err();
+        assert!(
+            matches!(&err, snap::SnapError::Corrupt(m) if m.contains("(0, 1) repeated")),
+            "{err:?}"
+        );
+    }
+
+    /// The guard as it was written first: a hash map of pending CTS
+    /// expectations, every bound recomputed per frame.
+    struct Reference {
+        calc: NavCalculator,
+        mitigate: bool,
+        mtu: usize,
+        pending_cts: HashMap<(u16, u16), (u32, SimTime)>,
+        detections: BTreeMap<u16, u64>,
+        corrections: u64,
+    }
+
+    impl Reference {
+        fn resolve(&mut self, claimed: u32, expected: u32, src: u16) -> u32 {
+            if claimed > expected.saturating_add(2) {
+                *self.detections.entry(src).or_insert(0) += 1;
+                if self.mitigate {
+                    self.corrections += 1;
+                    return expected;
+                }
+            }
+            claimed
+        }
+
+        fn on_frame(&mut self, frame: &Frame<usize>, now: SimTime) -> u32 {
+            let expected = match frame.kind {
+                FrameKind::Rts => {
+                    let expected_cts = self.calc.cts_duration_us(frame.duration_us);
+                    let valid_until = now + SimDuration::from_millis(5);
+                    self.pending_cts
+                        .insert((frame.src.0, frame.dst.0), (expected_cts, valid_until));
+                    self.pending_cts.retain(|_, &mut (_, t)| t > now);
+                    self.calc.rts_duration_us(DATA_HEADER_BYTES + self.mtu)
+                }
+                FrameKind::Cts => match self.pending_cts.get(&(frame.dst.0, frame.src.0)) {
+                    Some(&(exp, valid_until)) if valid_until > now => exp,
+                    _ => self.calc.cts_duration_bound_us(self.mtu),
+                },
+                FrameKind::Data => self.calc.data_duration_us(),
+                FrameKind::Ack => self.calc.ack_duration_us(),
+            };
+            self.resolve(frame.duration_us, expected, frame.src.0)
+        }
+
+        fn save_state(&self) -> Vec<u8> {
+            use snap::SnapValue as _;
+            let mut w = snap::Enc::new();
+            let mut pending: Vec<_> = self.pending_cts.iter().collect();
+            pending.sort_unstable_by_key(|(&key, _)| key);
+            w.usize(pending.len());
+            for (&(a, b), &(exp, until)) in pending {
+                w.u16(a);
+                w.u16(b);
+                w.u32(exp);
+                until.save(&mut w);
+            }
+            w.usize(self.detections.len());
+            for (&src, &n) in &self.detections {
+                w.u16(src);
+                w.u64(n);
+            }
+            w.u64(self.corrections);
+            Option::<WindowTrack>::None.save(&mut w);
+            w.bytes().to_vec()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// Random RTS/CTS/DATA/ACK streams between four stations, with
+        /// gaps around the 5 ms expectation lifetime and snapshot round
+        /// trips: the guard honors, reports and saves exactly what the
+        /// hash-map reference does.
+        #[test]
+        fn matches_the_hash_map_reference(
+            frames in proptest::collection::vec(
+                ((0u16..5, 0u16..4, 0u16..4), (0u32..40_000, 0u64..4_000, 0usize..4)),
+                1..200,
+            ),
+            mitigate in proptest::prelude::any::<bool>(),
+            mtu in 0usize..3,
+        ) {
+            let params = PhyParams::dot11b();
+            let calc = NavCalculator::new(params);
+            let mtu = [1500, 2304, 100][mtu];
+            let fresh = || NavGuard::new(params, mitigate).with_mtu(mtu);
+            let mut g = fresh();
+            let mut reference = Reference {
+                calc,
+                mitigate,
+                mtu,
+                pending_cts: HashMap::new(),
+                detections: BTreeMap::new(),
+                corrections: 0,
+            };
+            let mut now = SimTime::ZERO;
+            for &((kind, src, dst), (claim, gap_us, honest)) in &frames {
+                now += SimDuration::from_micros(gap_us);
+                // Mostly honest Durations, so exact expectations matter.
+                let rts_dur = calc.rts_duration_us(DATA_HEADER_BYTES + [60, 1024, 1500, 2304][honest]);
+                let (src, dst) = (NodeId(src), NodeId(dst));
+                let frame: Frame<usize> = match kind {
+                    0 => Frame::rts(src, dst, if honest < 3 { rts_dur } else { claim }),
+                    1 => Frame::cts(src, dst, if honest < 2 { calc.cts_duration_us(rts_dur) } else { claim }),
+                    2 => Frame::data(src, dst, if honest < 2 { calc.data_duration_us() } else { claim }, 1, 60),
+                    3 => Frame::ack(src, dst, if honest < 2 { 0 } else { claim }),
+                    _ => {
+                        let mut w = snap::Enc::new();
+                        g.save_state(&mut w);
+                        assert_eq!(w.bytes(), &reference.save_state()[..]);
+                        g = fresh();
+                        g.load_state(&mut snap::Dec::new(w.bytes())).unwrap();
+                        continue;
+                    }
+                };
+                let m = FrameMeta { rssi: Rssi::fixed(-40.0), now };
+                assert_eq!(g.on_frame(&frame, &m), reference.on_frame(&frame, now));
+            }
+            assert_eq!(g.report().detections, reference.detections);
+            assert_eq!(g.report().corrections, reference.corrections);
+            let mut w = snap::Enc::new();
+            g.save_state(&mut w);
+            assert_eq!(w.bytes(), &reference.save_state()[..]);
+        }
     }
 }

@@ -108,13 +108,13 @@ pub struct CampaignSpec {
     pub every: Option<SimDuration>,
     /// Audit-ladder barrier interval; `None` records no ladder.
     pub audit_every: Option<SimDuration>,
-    /// Artifact root: checkpoints land in `<dir>/checkpoints/`, audit
-    /// ladders in `<dir>/audit/`.
+    /// Artifact root the campaign writes: checkpoints land in
+    /// `<dir>/checkpoints/`, audit ladders in `<dir>/audit/`.
     pub dir: PathBuf,
-    /// Resume mode: instead of recording, each run looks for its own
-    /// checkpoint file and, when present, restores it and simulates only
-    /// the tail.
-    pub resume: bool,
+    /// Resume mode: the artifact root of a recorded campaign. Each run
+    /// looks for its own checkpoint under it and, when present, restores
+    /// it and simulates only the tail.
+    pub resume: Option<PathBuf>,
 }
 
 impl CampaignSpec {
@@ -129,26 +129,35 @@ impl CampaignSpec {
             every,
             audit_every,
             dir: dir.into(),
-            resume: false,
+            resume: None,
         }
     }
 
-    /// A resume spec reading checkpoints previously recorded under
-    /// `dir`.
-    pub fn resume_from(dir: impl Into<PathBuf>) -> Self {
+    /// A resume spec: each run restores its checkpoint recorded under
+    /// `from`, and with `audit_every` writes its ladder under `dir` (a
+    /// resumed run's ladder holds the rungs after its checkpoint). A
+    /// resumed campaign records no checkpoints.
+    pub fn resume_from(
+        from: impl Into<PathBuf>,
+        dir: impl Into<PathBuf>,
+        audit_every: Option<SimDuration>,
+    ) -> Self {
         CampaignSpec {
             every: None,
-            audit_every: None,
+            audit_every,
             dir: dir.into(),
-            resume: true,
+            resume: Some(from.into()),
         }
     }
 
     /// The checkpoint file for `key` under this spec's root.
     pub fn checkpoint_path(&self, key: &RunKey) -> PathBuf {
-        self.dir
-            .join("checkpoints")
-            .join(format!("{}.snap", run_file_stem(key)))
+        checkpoint_under(&self.dir, key)
+    }
+
+    /// In resume mode, the recorded checkpoint file for `key`.
+    pub fn resume_path(&self, key: &RunKey) -> Option<PathBuf> {
+        Some(checkpoint_under(self.resume.as_ref()?, key))
     }
 
     /// The audit-ladder file for `key` under this spec's root.
@@ -157,6 +166,11 @@ impl CampaignSpec {
             .join("audit")
             .join(format!("{}.audit", run_file_stem(key)))
     }
+}
+
+fn checkpoint_under(root: &std::path::Path, key: &RunKey) -> PathBuf {
+    root.join("checkpoints")
+        .join(format!("{}.snap", run_file_stem(key)))
 }
 
 #[cfg(test)]

@@ -122,6 +122,15 @@ impl Rssi {
             None => self.median_dbm,
         }
     }
+
+    /// The link median in dBm and, for a jittered observation, the
+    /// jitter σ in dB with its untransformed uniforms, so that
+    /// [`Rssi::dbm`] is `median + draw.scaled(σ)`. A reader that keeps
+    /// many draws around one link stores the median and σ once and
+    /// transforms only the draws it reads.
+    pub fn parts(&self) -> (f64, Option<(f64, NormalDraw)>) {
+        (self.median_dbm, self.jitter)
+    }
 }
 
 #[cfg(test)]

@@ -74,3 +74,58 @@ fn every_run_path_gives_the_same_outcome() {
     assert!(!hooked.audit.entries.is_empty());
     assert_eq!(cell.audit.to_text(), hooked.audit.to_text());
 }
+
+/// A campaign resumed with an audit interval writes, for each resumed
+/// run, a ladder whose rungs are exactly the recorded run's rungs after
+/// the checkpoint instant, under the resuming campaign's own root.
+#[test]
+fn a_resumed_campaign_records_the_tail_of_the_audit_ladder() {
+    use greedy80211_repro::net::{CampaignSpec, JobContext};
+    use greedy80211_repro::Checkpoint;
+    use sim::RunKey;
+
+    let s = scenario();
+    let audit = Some(SimDuration::from_millis(50));
+    let key = RunKey::new("run-paths", 1, 2);
+    let dir = std::env::temp_dir().join(format!("gr-run-paths-camp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (rec, res) = (dir.join("rec"), dir.join("res"));
+    let run = |spec: CampaignSpec| {
+        let _job = JobContext {
+            checkpoint: Some(spec),
+            ..JobContext::keyed(key.clone())
+        }
+        .install();
+        Run::plan(&s)
+            .keyed(key.clone())
+            .execute()
+            .expect("campaign run")
+    };
+    let recorded = run(CampaignSpec::record(
+        &rec,
+        Some(SimDuration::from_millis(150)),
+        audit,
+    ));
+    let resumed = run(CampaignSpec::resume_from(&rec, &res, audit));
+    assert_eq!(fingerprint(&resumed), fingerprint(&recorded));
+
+    let spec = CampaignSpec::record(&rec, None, None);
+    let at = Checkpoint::read(&spec.checkpoint_path(&key))
+        .expect("checkpoint recorded")
+        .at;
+    assert!(at.as_nanos() > 0, "a mid-run checkpoint");
+    let ladder = |root: &std::path::Path| {
+        let path = CampaignSpec::record(root, None, None).audit_path(&key);
+        let text = std::fs::read_to_string(&path).expect("ladder written");
+        snap::audit::Ladder::parse(&text)
+            .expect("ladder parses")
+            .entries
+    };
+    let tail: Vec<_> = (ladder(&rec).into_iter())
+        .filter(|e| e.vt_ns > at.as_nanos())
+        .collect();
+    assert!(!tail.is_empty(), "rungs after the checkpoint");
+    assert_eq!(ladder(&res), tail);
+    assert_eq!(resumed.audit.entries, tail);
+    let _ = std::fs::remove_dir_all(&dir);
+}

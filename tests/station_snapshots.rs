@@ -1,6 +1,6 @@
 //! Pins the audit-ladder bytes of runs whose stations misbehave or
 //! detect, so a change to how the MAC consults a station's policy or its
-//! GRC observer cannot move them unnoticed. Both runs audit every 100 ms;
+//! GRC observer cannot move them unnoticed. Every run audits every 100 ms;
 //! the root digest covers every rung, including each station's policy
 //! and observer state.
 
@@ -73,4 +73,56 @@ fn greedy_sender_run_is_pinned() {
     }
     let (_, art) = net.finish_hooked(cursor, duration);
     assert_eq!(art.audit.root_digest(), 0xe327a14018c4902c);
+}
+
+/// Two NewReno pairs at BER 1e-4 with GRC on every honest station,
+/// tracking 200 ms decision windows; receiver 1 spoofs MAC ACKs for
+/// receiver 0 at greedy percentage 0.5. Pins the audit root and, per
+/// GRC station, `(node, NAV detections, NAV corrections, NAV window
+/// samples, ACKs flagged, rejected, accepted, unvetted, RSSI window
+/// samples)`.
+#[test]
+fn tcp_windowed_grc_run_is_pinned() {
+    let mut s = Scenario {
+        pairs: 2,
+        byte_error_rate: 1e-4,
+        grc: Some(true),
+        grc_windows: Some(SimDuration::from_millis(200)),
+        duration: SimDuration::from_millis(1_000),
+        seed: 6,
+        ..Scenario::default()
+    };
+    let receivers = s.build().expect("scenario builds").receivers;
+    s.greedy = vec![(1, GreedyConfig::ack_spoofing(vec![receivers[0]], 0.5))];
+    let out = Run::plan(&s).audit_every(AUDIT_EVERY).execute().unwrap();
+    let reports: Vec<_> = out
+        .grc
+        .iter()
+        .map(|(node, g)| {
+            let windows = |w: &Option<greedy80211_repro::mac::grc::WindowTrack>| {
+                w.as_ref()
+                    .map_or(0, |t| t.stats().iter().map(|s| s.samples).sum::<u64>())
+            };
+            (
+                node.0,
+                g.nav.total_detections(),
+                g.nav.corrections,
+                windows(&g.nav.windows),
+                g.spoof.flagged,
+                g.spoof.rejected,
+                g.spoof.accepted,
+                g.spoof.unvetted,
+                windows(&g.spoof.windows),
+            )
+        })
+        .collect();
+    assert_eq!(
+        reports,
+        vec![
+            (0, 0, 0, 1537, 19, 19, 98, 2, 117),
+            (1, 0, 0, 1425, 6, 6, 124, 2, 130),
+            (2, 0, 0, 1513, 9, 9, 97, 2, 106),
+        ]
+    );
+    assert_eq!(out.audit.root_digest(), 0x740042645fa042c3);
 }
